@@ -83,6 +83,13 @@ def _emit(report: dict, as_json: bool, human_lines):
             print(line)
 
 
+def _load_matrix(path: str) -> np.ndarray:
+    try:
+        return matrix_from_json(_load_json_file(path))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _load_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -149,7 +156,7 @@ def _lift_report(command: str, matrix, element: PinElement, residuals: dict) -> 
 
 
 def _cmd_spin_lift(args) -> int:
-    M = matrix_from_json(_load_json_file(args.matrix))
+    M = _load_matrix(args.matrix)
     try:
         R = np.asarray(M.real, dtype=float)
         if np.max(np.abs(M.imag)) > 0:
@@ -171,7 +178,7 @@ def _cmd_spin_lift(args) -> int:
 
 
 def _cmd_phi_lift(args) -> int:
-    U = matrix_from_json(_load_json_file(args.unitary))
+    U = _load_matrix(args.unitary)
     try:
         g = phi_lift(U)
         conj_lift = phi_lift(np.conj(U))
@@ -288,6 +295,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_merge_dash_values(list(argv)))
+        try:
+            default_tol()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
 """Finite-dimensional graded Clifford-type algebras with Real and *-structures.
 
 Blades are bitmasks over generator indices 1..p+q; coefficients are either
-exact (GaussianRational) or numeric (complex). The same multiplication engine
-serves the complexified Clifford algebras CCl(p,q) (all generators square to
-+1, Real structure fixes the first p generators and negates the last q), the
-Kasparov-style presentation C_{p,q} (last q generators square to -1), and the
-interleaved model of CCl(n,n) used by the unitary-group lifts.
+exact (GaussianRational) or numeric (complex). Exact products run a sparse
+loop over term pairs with a per-algebra blade-product cache; numeric products
+run a dense kernel over complex arrays of length 2^n indexed by blade mask.
+Both serve the complexified Clifford algebras CCl(p,q) (all generators square
+to +1, Real structure fixes the first p generators and negates the last q),
+the Kasparov-style presentation C_{p,q} (last q generators square to -1), and
+the interleaved model of CCl(n,n) used by the unitary-group lifts.
 """
 
 from __future__ import annotations
@@ -14,9 +16,17 @@ import re as _re
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import GaussianRational, MultiPoly
+import numpy as np
+
+from .scalars import GaussianRational
 
 MAX_GENERATORS = 16
+
+# Element budget of one temporary block in the dense kernel: support elements
+# are taken in chunks whose gathered copies (chunk x 2^n, times the rows of a
+# gathered batch) stay within it. 2^14 complex values (256 KiB) fit in cache;
+# 2^15 and above measured slower on products at n = 8..10.
+_DENSE_BLOCK = 16384
 
 
 def _reorder_sign(a: int, b: int) -> int:
@@ -47,6 +57,7 @@ class CliffordAlgebra:
         self.label = label
         self.convention = convention
         self._blade_cache: dict[int, tuple[int, int]] = {}
+        self._dense_tables = None
         # masks of generators that pick up a sign under the listed structure
         self.neg_square_mask = sum(1 << i for i, s in enumerate(self.squares) if s < 0)
         self.bar_neg_mask = sum(1 << i for i, s in enumerate(self.bar_signs) if s < 0)
@@ -74,6 +85,67 @@ class CliffordAlgebra:
         result = (sign, m1 ^ m2)
         self._blade_cache[key] = result
         return result
+
+    # -- dense numeric kernel ------------------------------------------------------
+
+    def _tables(self):
+        """(index, parity, flip, star_sign) arrays of length 2^n, built on first use.
+
+        For a fixed right blade m2 the sign of the blade product m1 * m2 is
+        linear in m1 over GF(2): it is parity[m1 & flip[m2]], where bit i of
+        flip[m2] is set when an odd number of the generators of m2 sit below i
+        (the reordering swaps), toggled on the negative-square generators that
+        m2 contains.
+        """
+        if self._dense_tables is None:
+            index = np.arange(1 << self.dim)
+            grade = np.zeros(1, dtype=np.int64)
+            below = np.zeros_like(index)
+            flip = np.zeros_like(index)
+            for i in range(self.dim):
+                grade = np.concatenate((grade, grade + 1))
+                flip |= below << i
+                below ^= (index >> i) & 1
+            flip ^= index & self.neg_square_mask
+            parity = 1.0 - 2.0 * (grade & 1)
+            star_sign = np.where(grade % 4 >= 2, -1.0, 1.0) * parity[index & self.star_neg_mask]
+            self._dense_tables = (index, parity, flip, star_sign)
+        return self._dense_tables
+
+    def dense_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product a * b of dense numeric elements (complex arrays by blade mask).
+
+        ``a`` may carry leading batch axes; each of its rows is multiplied by
+        ``b``. The loop runs over the support of the sparser operand and adds
+        one signed, XOR-permuted copy of the other operand per support
+        element. The support of a batch is every blade any row uses; the
+        copies of ``b`` made for it serve all rows, so a chunk of them is
+        applied as one matrix product, and it is chosen unless the support
+        of ``b`` times the row count is smaller.
+        """
+        index, parity, flip, _ = self._tables()
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+        a_support = np.flatnonzero(np.any(a.reshape(-1, index.size), axis=0))
+        b_support = np.flatnonzero(b)
+        left = a_support.size * index.size < b_support.size * a.size
+        support = a_support if left else b_support
+        step = max(1, _DENSE_BLOCK // (index.size if left else out.size))
+        for start in range(0, support.size, step):
+            m = support[start:start + step, None]
+            idx = index ^ m
+            if left:
+                out += a[..., m[:, 0]] @ (parity[m & flip[idx]] * b[idx])
+            else:
+                out += b[m[:, 0]] @ (parity[idx & flip[m]] * a[..., idx])
+        return out
+
+    def dense_star(self, values: np.ndarray) -> np.ndarray:
+        """The *-structure on dense numeric elements."""
+        return values.conj() * self._tables()[3]
+
+    def from_dense(self, values: np.ndarray) -> "Multivector":
+        support = np.flatnonzero(values)
+        return Multivector(self, dict(zip(support.tolist(), values[support].tolist())))
 
     # -- constructors for elements -------------------------------------------------
 
@@ -271,6 +343,9 @@ class Multivector:
             return self.scale(other)
         self._check(other)
         self, other = Multivector._align(self, other)
+        if not (self.exact and other.exact):
+            alg = self.algebra
+            return alg.from_dense(alg.dense_mul(self.to_dense(), other.to_dense()))
         blade_product = self.algebra.blade_product
         out: dict = {}
         for m1, c1 in self.terms.items():
@@ -333,9 +408,6 @@ class Multivector:
     def scalar_part(self):
         return self.coeff(0)
 
-    def max_grade(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
-
     def bar(self) -> "Multivector":
         """Real structure: conjugate coefficients, sign per negated generator."""
         neg = self.algebra.bar_neg_mask
@@ -372,29 +444,20 @@ class Multivector:
             return self
         return Multivector(self.algebra, {m: complex(c) for m, c in self.terms.items()})
 
-    def prune(self, tol: float) -> "Multivector":
-        if self.exact:
-            return self
-        return Multivector(self.algebra,
-                           {m: c for m, c in self.terms.items() if abs(c) > tol})
-
-    def max_abs(self) -> float:
-        if self.exact:
-            return max((float(abs(complex(c))) for c in self.terms.values()), default=0.0)
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+    def to_dense(self) -> np.ndarray:
+        """Complex coefficient array of length 2^n, indexed by blade mask."""
+        out = np.zeros(1 << self.algebra.dim, dtype=complex)
+        terms = self.to_numeric().terms
+        if terms:
+            out[list(terms)] = list(terms.values())
+        return out
 
     def max_diff(self, other: "Multivector") -> float:
-        """Max absolute coefficient difference (numeric comparison)."""
+        """Max absolute coefficient difference (numeric comparison); NaN propagates."""
         self._check(other)
         masks = set(self.terms) | set(other.terms)
-        diff = 0.0
-        for m in masks:
-            a = self.terms.get(m, 0)
-            b = other.terms.get(m, 0)
-            d = abs(complex(a) - complex(b))
-            if d > diff:
-                diff = d
-        return diff
+        diffs = [complex(self.terms.get(m, 0)) - complex(other.terms.get(m, 0)) for m in masks]
+        return float(np.max(np.abs(diffs), initial=0.0))
 
     def __str__(self):
         return format_multivector(self)
@@ -790,9 +853,3 @@ def _format_numeric_coeff(c: complex) -> str:
     sign = "+" if c.imag >= 0 else "-"
     return f"({c.real!r} {sign} {abs(c.imag)!r}*i)"
 
-
-# -- polynomial model of L^2(V) substitution (shared helper) ------------------------
-
-
-def poly_identity_vars(nvars: int) -> list[MultiPoly]:
-    return [MultiPoly.variable(nvars, i) for i in range(nvars)]

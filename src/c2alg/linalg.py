@@ -18,16 +18,37 @@ from .scalars import GaussianRational, rational_from_string
 
 
 def default_tol() -> float:
-    return float(os.environ.get("C2ALG_TOL", "1e-9"))
+    """The ``C2ALG_TOL`` value, or 1e-9; anything but a positive finite number is an error."""
+    raw = os.environ.get("C2ALG_TOL", "1e-9")
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"C2ALG_TOL must be a positive finite number, got {raw!r}")
+    return tol
+
+
+def check_finite(A: np.ndarray) -> np.ndarray:
+    """Return A; raise ValueError if any entry is NaN or infinite."""
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    return A
 
 
 def _as_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    return A
+    return check_finite(A)
+
+
+def random_unitary(nrng, n: int) -> np.ndarray:
+    """Haar-distributed n x n unitary drawn from a numpy Generator."""
+    Z = nrng.standard_normal((n, n)) + 1j * nrng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
 
 
 def is_unitary(M, tol: float | None = None) -> bool:
@@ -259,17 +280,20 @@ def fixed_point_retraction(x, y, tol: float | None = None) -> Retraction:
 
 
 def _entry_to_float(value) -> float:
-    if isinstance(value, str):
-        return float(rational_from_string(value))
-    if isinstance(value, (int, float)):
-        return float(value)
+    try:
+        if isinstance(value, str):
+            return float(rational_from_string(value))
+        if isinstance(value, (int, float)):
+            return float(value)
+    except OverflowError as exc:
+        raise ValueError("matrix entries must be finite") from exc
     raise ValueError(f"bad matrix entry component: {value!r}")
 
 
 def matrix_from_json(obj) -> np.ndarray:
     """Parse {"rows": n, "cols": m, "entries": [[[re, im], ...], ...]}.
 
-    Entry components may be floats or exact "p/q" strings.
+    Entry components may be floats or exact "p/q" strings; they must be finite.
     """
     try:
         rows = int(obj["rows"])
@@ -287,7 +311,7 @@ def matrix_from_json(obj) -> np.ndarray:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError("each entry must be a [re, im] pair")
             M[i, j] = complex(_entry_to_float(pair[0]), _entry_to_float(pair[1]))
-    return M
+    return check_finite(M)
 
 
 def matrix_to_json(M) -> dict:

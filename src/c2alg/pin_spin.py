@@ -4,7 +4,9 @@ The twisted adjoint rho(g)(v) = (-1)^{|g|} g v g^{-1} lands in the orthogonal
 group. Element validation is by certificate: constructors accept an explicit
 factorization into unit vectors and a unit phase, or a raw homogeneous
 multivector whose unit condition g * star(g) = 1 is checked (exactly for
-rational data, within tolerance for numeric data).
+rational data, within tolerance for numeric data). Numeric unit checks, the
+numeric twisted adjoint and the lifts call the dense kernel of the algebra
+directly (``CliffordAlgebra.dense_mul``); exact data uses the sparse product.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved
-from .linalg import default_tol, is_unitary, realify
+from .linalg import check_finite, default_tol, is_unitary, random_unitary, realify
 from .scalars import GaussianRational, MultiPoly
 
 EVEN, ODD = 0, 1
@@ -33,15 +35,13 @@ class PinElement:
         parity = value.parity()
         if parity is None:
             raise ValueError("Pin element must have homogeneous parity")
-        unit = value * value.star()
         if value.exact:
-            if unit != value.algebra.scalar(1):
+            if value * value.star() != value.algebra.scalar(1):
                 raise ValueError("Pin element must satisfy g * star(g) = 1")
         else:
             if tol is None:
                 tol = default_tol()
-            if unit.max_diff(value.algebra.scalar(1).to_numeric()) > max(tol, 1e-9) * 100:
-                raise ValueError("Pin element must satisfy g * star(g) = 1 within tolerance")
+            _check_unit_error(_unit_error(value.algebra, value.to_dense()), tol)
         self.value = value
         self.parity = parity
         self.factors = factors
@@ -82,7 +82,7 @@ class PinElement:
             else:
                 if tol is None:
                     tol = default_tol()
-                if not v.is_real(100 * tol) or abs(nsq.scalar_part() - 1) > 100 * tol:
+                if not v.is_real(100 * tol) or not abs(nsq.scalar_part() - 1) <= 100 * tol:
                     raise ValueError(
                         "certificate factor is not a real unit vector within tolerance")
             kept.append(v)
@@ -127,9 +127,6 @@ class OrthogonalAction:
 
     def as_numpy(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.rows])
-
-    def column(self, j: int):
-        return tuple(row[j] for row in self.rows)
 
     def __matmul__(self, other: "OrthogonalAction") -> "OrthogonalAction":
         if self.exact and other.exact:
@@ -179,39 +176,74 @@ class OrthogonalAction:
         return self.rows == other.rows
 
 
+def _unit_error(alg: CliffordAlgebra, g: np.ndarray) -> float:
+    """Max-norm of g * star(g) - 1 for a dense numeric element; NaN propagates."""
+    unit = alg.dense_mul(g, alg.dense_star(g))
+    unit[0] -= 1.0
+    return float(np.max(np.abs(unit)))
+
+
+def _check_unit_error(err: float, tol: float):
+    if not err <= max(tol, 1e-9) * 100:
+        raise ValueError("Pin element must satisfy g * star(g) = 1 within tolerance")
+
+
+_NON_REAL = "twisted adjoint has non-real entries; invalid Pin element"
+_OFF_GRADE = "twisted adjoint does not preserve grade 1; invalid Pin element"
+
+
 def twisted_adjoint(g: PinElement, tol: float | None = None) -> OrthogonalAction:
     """Matrix of rho(g): column k is (-1)^{|g|} g e_k g^{-1} in the generator basis."""
     alg = g.algebra
-    ginv = g.inverse_value()
-    sign = -1 if g.parity == ODD else 1
-    exact = g.value.exact
     if tol is None:
         tol = default_tol()
+    if not g.value.exact:
+        return _twisted_adjoint_numeric(g, tol)
+    ginv = g.inverse_value()
     cols = []
     for k in range(alg.dim):
         w = g.value * alg.generator(k + 1) * ginv
-        if sign < 0:
+        if g.parity == ODD:
             w = -w
         col = []
         for i in range(alg.dim):
             c = w.coeff(1 << i)
-            if exact:
-                if not c.is_real:
-                    raise ValueError("twisted adjoint has non-real entries; invalid Pin element")
-                col.append(c.re)
-            else:
-                if abs(c.imag) > 100 * tol:
-                    raise ValueError("twisted adjoint has non-real entries; invalid Pin element")
-                col.append(c.real)
-        residue = w - alg.vector(col)
-        if exact:
-            if residue:
-                raise ValueError("twisted adjoint does not preserve grade 1; invalid Pin element")
-        elif residue.max_abs() > 100 * tol:
-            raise ValueError("twisted adjoint does not preserve grade 1; invalid Pin element")
+            if not c.is_real:
+                raise ValueError(_NON_REAL)
+            col.append(c.re)
+        if w - alg.vector(col):
+            raise ValueError(_OFF_GRADE)
         cols.append(col)
     rows = tuple(tuple(cols[j][i] for j in range(alg.dim)) for i in range(alg.dim))
-    return OrthogonalAction(exact, rows)
+    return OrthogonalAction(True, rows)
+
+
+def _twisted_adjoint_numeric(g: PinElement, tol: float) -> OrthogonalAction:
+    """One kernel pass right-multiplies the block [g e_1, ..., g e_n, g] by g*.
+
+    Row k is g e_k g* at all grades, so a component off grade 1 is seen, and
+    the last row is the unit product g g*, which must be 1 for g* to be the
+    inverse of g.
+    """
+    alg = g.algebra
+    n = alg.dim
+    value = g.value.to_dense()
+    block = np.stack([alg.dense_mul(value, alg.generator(k + 1).to_dense())
+                      for k in range(n)] + [value])
+    conj = alg.dense_mul(block, alg.dense_star(value))
+    conj[n, 0] -= 1.0
+    _check_unit_error(float(np.max(np.abs(conj[n]))), tol)
+    w = -conj[:n] if g.parity == ODD else conj[:n]
+    gens = 1 << np.arange(n)
+    cols = w[:, gens]  # cols[k, i]: e_i coefficient of rho(g) e_k
+    residue = w.copy()
+    residue[:, gens] = 1j * cols.imag
+    non_real = ~np.all(np.abs(cols.imag) <= 100 * tol, axis=1)
+    off_grade = ~(np.max(np.abs(residue), axis=1) <= 100 * tol)
+    bad = np.flatnonzero(non_real | off_grade)
+    if bad.size:
+        raise ValueError(_NON_REAL if non_real[bad[0]] else _OFF_GRADE)
+    return OrthogonalAction(False, tuple(map(tuple, cols.real.T.tolist())))
 
 
 def check_rho_real_equivariance(g: PinElement, rho: OrthogonalAction | None = None) -> bool:
@@ -264,8 +296,8 @@ def householder_factors(R: np.ndarray, tol: float) -> list[np.ndarray]:
     column with nonnegative e_j component uses the two-reflection route
     through the stabilized midpoint (a + e_j)/|a + e_j|.
     """
-    n = R.shape[0]
-    A = np.array(R, dtype=float, copy=True)
+    A = check_finite(np.array(R, dtype=float, copy=True))
+    n = A.shape[0]
     factors: list[np.ndarray] = []
     for j in range(n):
         a = A[:, j].copy()
@@ -285,7 +317,7 @@ def householder_factors(R: np.ndarray, tol: float) -> list[np.ndarray]:
             u /= np.linalg.norm(u)
             _reflect_inplace(A, u)
             factors.append(u)
-    if float(np.max(np.abs(A - np.eye(n)))) > max(1e-11, 10 * tol):
+    if not float(np.max(np.abs(A - np.eye(n)))) <= max(1e-11, 10 * tol):
         raise ValueError("reflection factorization failed to converge")
     if len(factors) % 2:
         raise ValueError("odd reflection count; determinant is not +1")
@@ -330,7 +362,8 @@ def spin_lift(R, tol: float | None = None, algebra: CliffordAlgebra | None = Non
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("non-square input")
     n = A.shape[0]
-    if float(np.max(np.abs(A.T @ A - np.eye(n)))) > tol:
+    check_finite(A)
+    if not float(np.max(np.abs(A.T @ A - np.eye(n)))) <= tol:
         raise ValueError("input is not orthogonal within tolerance")
     if np.linalg.det(A) < 0:
         raise ValueError("determinant -1: odd Pin lift not handled by this operation")
@@ -339,13 +372,13 @@ def spin_lift(R, tol: float | None = None, algebra: CliffordAlgebra | None = Non
     elif algebra.dim != n:
         raise ValueError("algebra dimension does not match the matrix")
     factors = householder_factors(A, tol)
-    value = algebra.scalar(1 + 0j)
+    value = algebra.scalar(1 + 0j).to_dense()
     vecs = []
     for u in factors:
         v = algebra.vector([complex(x) for x in u])
         vecs.append(v)
-        value = value * v
-    value, flip = _normalize_sign(value, tol)
+        value = algebra.dense_mul(value, v.to_dense())
+    value, flip = _normalize_sign(algebra.from_dense(value), tol)
     phase = complex(flip)
     if vecs and flip < 0:
         vecs[0] = -vecs[0]
@@ -359,21 +392,13 @@ def rho_residual(g: PinElement, R) -> float:
 
 
 def unit_residual(g: PinElement) -> float:
-    unit = g.value * g.value.star()
-    one = g.algebra.scalar(1)
+    """Max-norm of g * star(g) - 1 (0 or 1 for exact data); NaN propagates."""
     if g.value.exact:
-        return 0.0 if unit == one else 1.0
-    return unit.max_diff(one.to_numeric())
+        return 0.0 if g.value * g.value.star() == g.algebra.scalar(1) else 1.0
+    return _unit_error(g.algebra, g.value.to_dense())
 
 
 # -- the Spin^c lift of unitary matrices ---------------------------------------------
-
-
-def _random_unitary(n: int, rng) -> np.ndarray:
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, Rm = np.linalg.qr(Z)
-    d = np.diag(Rm)
-    return Q * (d / np.abs(d))
 
 
 def phi_lift(U, tol: float | None = None, rng=None) -> PinElement:
@@ -396,13 +421,13 @@ def phi_lift(U, tol: float | None = None, rng=None) -> PinElement:
     n = A.shape[0]
     algebra = ccl_interleaved(n)
     if rng is not None:
-        Q = _random_unitary(n, rng)
+        Q = random_unitary(rng, n)
         T, Z = scipy.linalg.schur(Q.conj().T @ A @ Q, output="complex")
         V = Q @ Z
     else:
         T, V = scipy.linalg.schur(A, output="complex")
     d = np.diag(T)
-    if float(np.max(np.abs(T - np.diag(d)))) > max(100 * tol, 1e-8):
+    if not float(np.max(np.abs(T - np.diag(d)))) <= max(100 * tol, 1e-8):
         raise ValueError("spectral decomposition failed; input too far from unitary")
     thetas = np.angle(d)
     thetas[thetas <= -math.pi + 1e-300] = math.pi

@@ -376,9 +376,6 @@ class MultiPoly:
             total += term
         return total
 
-    def degree_in(self, var: int) -> int:
-        return max((e[var] for e in self.terms), default=0)
-
     def is_even_in(self, var: int) -> bool:
         return all(e[var] % 2 == 0 for e in self.terms)
 

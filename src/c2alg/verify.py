@@ -16,7 +16,7 @@ import numpy as np
 
 from . import funcalc, genus, mackey
 from .clifford import ccl, from_kasparov, graded_tensor_split, to_kasparov
-from .linalg import default_tol, realify
+from .linalg import default_tol, random_unitary, realify
 from .pin_spin import (PinElement, check_rho_real_equivariance,
                        iv_model_action, phi_lift, rho_residual, spin_lift,
                        twisted_adjoint, unit_residual)
@@ -258,13 +258,6 @@ def random_special_orthogonal(nrng, n: int) -> np.ndarray:
         else:
             Q[:, [0, 1]] = Q[:, [1, 0]]
     return Q
-
-
-def random_unitary(nrng, n: int) -> np.ndarray:
-    Z = nrng.standard_normal((n, n)) + 1j * nrng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
 
 
 def suite_spin_lift(seed: int, cases: int) -> SuiteResult:

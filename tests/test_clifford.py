@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from c2alg.clifford import (blocked_to_interleaved_perm, ccl,
+from c2alg.clifford import (CliffordAlgebra, blocked_to_interleaved_perm, ccl,
                             ccl_interleaved, format_multivector, from_kasparov,
                             graded_tensor_split, interleaved_to_blocked_perm,
                             kasparov, parse_multivector, reindex, to_kasparov,
@@ -48,6 +50,47 @@ class TestProduct:
             y = rand_multivector(rng, alg)
             z = rand_multivector(rng, alg)
             assert (x * y) * z == x * (y * z)
+
+
+KERNEL_ALGEBRAS = ([ccl(p, q) for p, q in ((1, 0), (2, 1), (3, 3), (0, 4), (6, 0))]
+                   + [kasparov(p, q) for p, q in ((0, 1), (1, 2), (2, 4))]
+                   + [ccl_interleaved(n) for n in (1, 2, 3)])
+
+
+class TestDenseKernel:
+    """The dense numeric product against the exact sparse product as reference."""
+
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=lambda a: a.label)
+    def test_numeric_product_matches_exact(self, alg):
+        rng = _rng(31, alg.label)
+        for _ in range(12):
+            # sparse x dense, dense x sparse and dense x dense operands
+            x = rand_multivector(rng, alg, rng.choice([1, 3, 1 << alg.dim]))
+            y = rand_multivector(rng, alg, rng.choice([1, 3, 1 << alg.dim]))
+            assert (x.to_numeric() * y.to_numeric()).max_diff((x * y).to_numeric()) <= 1e-12
+
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=lambda a: a.label)
+    def test_batched_rows_and_star(self, alg):
+        rng = _rng(32, alg.label)
+        rows = [rand_multivector(rng, alg, k) for k in (1, 4, 1 << alg.dim)]
+        for y in (rand_multivector(rng, alg, 2), rand_multivector(rng, alg, 1 << alg.dim)):
+            out = alg.dense_mul(np.stack([x.to_dense() for x in rows]), y.to_dense())
+            for x, row in zip(rows, out):
+                assert np.max(np.abs(row - (x * y).to_dense())) <= 1e-12
+            assert np.max(np.abs(alg.dense_star(y.to_dense()) - y.star().to_dense())) <= 1e-15
+
+    def test_numeric_products_skip_blade_cache(self):
+        alg = CliffordAlgebra(3, 0, (1,) * 3, (1,) * 3, (1,) * 3, label="fresh")
+        x = alg.vector([0.5, 1.0, 2.0]) * alg.blade([1, 2], 1.5)
+        assert x.terms and not alg._blade_cache
+        alg.generator(1) * alg.generator(2)
+        assert alg._blade_cache
+
+    def test_max_diff_propagates_nan(self):
+        alg = ccl(2, 0)
+        nan = alg.scalar(complex(math.nan)) + alg.generator(1).scale(2.0)
+        assert math.isnan(nan.max_diff(alg.generator(1).scale(1.0)))
+        assert math.isnan(alg.zero().max_diff(nan))
 
 
 class TestRealStructure:

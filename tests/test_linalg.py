@@ -232,6 +232,14 @@ class TestToleranceOverride:
         assert not is_unitary(noisy)
 
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0"])
+    def test_invalid_values_rejected(self, monkeypatch, value):
+        from c2alg.linalg import default_tol
+        monkeypatch.setenv("C2ALG_TOL", value)
+        with pytest.raises(ValueError, match="C2ALG_TOL must be a positive finite number"):
+            default_tol()
+
+
 class TestMatrixJson:
     def test_round_trip(self):
         M = np.array([[1 + 2j, 0], [0.5, -1j]])
@@ -244,3 +252,8 @@ class TestMatrixJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 1, "entries": [[[1, 0]]]})
+
+    @pytest.mark.parametrize("entry", [[float("nan"), 0], [0, float("inf")], [10 ** 400, 0]])
+    def test_non_finite_rejected(self, entry):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            matrix_from_json({"rows": 1, "cols": 1, "entries": [[entry]]})

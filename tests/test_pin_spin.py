@@ -7,7 +7,8 @@ import pytest
 from c2alg.clifford import ccl, ccl_interleaved
 from c2alg.linalg import realify
 from c2alg.pin_spin import (PinElement, check_phi_real,
-                            check_rho_real_equivariance, is_fixed_spinc,
+                            check_rho_real_equivariance, householder_factors,
+                            is_fixed_spinc,
                             iv_model_action, phi_lift, rho_residual, spin_lift,
                             twisted_adjoint, unit_residual)
 from c2alg.scalars import GaussianRational, MultiPoly
@@ -37,6 +38,13 @@ class TestPinElement:
         with pytest.raises(ValueError):
             PinElement.from_factors(alg, [alg.vector([1, 1])])
 
+    def test_nan_rejected(self):
+        alg = ccl(2, 0)
+        nan = alg.scalar(complex(math.nan))
+        with pytest.raises(ValueError, match="g \\* star\\(g\\) = 1"):
+            PinElement(nan)
+        assert math.isnan(unit_residual(PinElement._trusted(nan, 0)))
+
     def test_certificate_rejects_complex_vector(self):
         # (5/3)^2 + (4i/3)^2 = 1 but the vector is outside the real span
         alg = ccl(2, 0)
@@ -63,6 +71,27 @@ class TestTwistedAdjoint:
         phase = GaussianRational(Fraction(3, 5), Fraction(4, 5))
         g = PinElement.from_factors(alg, [], phase)
         assert twisted_adjoint(g).rows == ident
+
+    def test_numeric_matches_exact(self):
+        rng = _rng(25, "rho-numeric")
+        for alg in (ccl(3, 0), ccl(2, 2), ccl(0, 3), ccl_interleaved(2)):
+            for _ in range(8):
+                g = rand_pin(rng, alg, 4)
+                exact = twisted_adjoint(g).as_numpy()
+                numeric = twisted_adjoint(PinElement(g.value.to_numeric()))
+                assert not numeric.exact
+                assert np.max(np.abs(numeric.as_numpy() - exact)) <= 1e-12
+
+    def test_unit_element_outside_pin_rejected(self):
+        # (1 + i e1e2e3e4)/sqrt(2) satisfies g * star(g) = 1, but g e_k g* is
+        # -i e_k e1e2e3e4, of grade 3
+        alg = ccl(4, 0)
+        s = 1 / math.sqrt(2)
+        value = alg.scalar(complex(s)) + alg.blade([1, 2, 3, 4]).scale(complex(0, s))
+        g = PinElement(value)
+        assert unit_residual(g) <= 1e-15
+        with pytest.raises(ValueError, match="does not preserve grade 1"):
+            twisted_adjoint(g)
 
     def test_homomorphism_exact(self):
         rng = _rng(21, "rho-hom")
@@ -132,6 +161,15 @@ class TestSpinLift:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError):
             spin_lift(np.diag([2.0, 0.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        R = np.eye(3)
+        R[1, 2] = bad
+        for lift in (spin_lift, lambda M: householder_factors(M, 1e-9),
+                     lambda M: phi_lift(M.astype(complex))):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                lift(R)
 
     def test_near_identity_stability(self):
         theta = 1e-9

@@ -147,6 +147,18 @@ class TestLiftCommands:
         assert report["outputs"]["generator_convention"] == "interleaved"
         assert report["outputs"]["metadata"]["near_branch_cut"] is False
 
+    @pytest.mark.parametrize("command, flag", [("spin-lift", "--matrix"),
+                                               ("phi-lift", "--unitary")])
+    def test_non_finite_matrix_is_usage_error(self, capsys, tmp_path, command, flag):
+        payload = {"rows": 2, "cols": 2,
+                   "entries": [[[float("nan"), 0], [-1, 0]], [[1, 0], [0, 0]]]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, flag, str(path))
+        assert code == 64
+        assert out == ""
+        assert err == "error: matrix entries must be finite\n"
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "phi-lift", "--unitary", "/nonexistent.json")
         assert code == 64
@@ -189,6 +201,14 @@ class TestVerifyCommand:
 class TestUsage:
     def test_no_command(self, capsys):
         assert cli.main([]) == 64
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+    def test_bad_tolerance_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("C2ALG_TOL", value)
+        code, out, err = run_cli(capsys, "verify", "--suite", "pin-spin", "--cases", "1")
+        assert code == 64
+        assert out == ""
+        assert err == f"error: C2ALG_TOL must be a positive finite number, got {value!r}\n"
 
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 64
