@@ -13,9 +13,9 @@ from .clifford import (CliffordAlgebra, Multivector, ccl, ccl_interleaved,
                        parse_multivector, to_kasparov, vector_norm_sq)
 from .funcalc import (FcImage, GradedRatFunc, alpha_conjugation_check,
                       comultiplication, fc_equivariance, fc_eval, s_generators)
-from .genus import (BordismElement, CharClassData, ManifoldSpec, MultSeq,
-                    ahat_polynomial, ahat_sequence, cp_projective_data,
-                    genus_evaluate, product_data)
+from .genus import (CharClassData, ManifoldSpec, MultSeq, ahat_polynomial,
+                    ahat_sequence, cp_projective_data, genus_evaluate,
+                    product_data)
 from .linalg import (complexify_reassemble, complexify_split,
                      fixed_point_retraction, is_unitary, matrix_from_json,
                      matrix_to_json, realify, symmetric_unitary_sqrt)
@@ -28,7 +28,7 @@ from .pin_spin import (OrthogonalAction, PinElement, check_phi_real,
 from .scalars import GaussianRational, MultiPoly, RatFunc, Rational
 
 __all__ = [
-    "AbelianGroup", "BordismElement", "CharClassData", "CliffordAlgebra",
+    "AbelianGroup", "CharClassData", "CliffordAlgebra",
     "FcImage", "GaussianRational", "GradedRatFunc", "MackeyPresentation",
     "ManifoldSpec", "MultSeq", "MultiPoly", "Multivector",
     "ObstructionCertificate", "OrthogonalAction", "PinElement", "RatFunc",

@@ -21,16 +21,6 @@ from .scalars import MultiPoly
 # -- rational power series helpers (dense coefficient lists) -------------------------
 
 
-def series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
 def series_inv(a: list[Fraction], order: int) -> list[Fraction]:
     if not a or not a[0]:
         raise ZeroDivisionError("series has no inverse")
@@ -332,78 +322,6 @@ def genus_evaluate(seq: MultSeq, data: CharClassData) -> Fraction:
         if n:
             total += coeff * n
     return total
-
-
-# -- formal bordism elements ----------------------------------------------------------
-
-
-def standard_registry() -> dict[str, CharClassData]:
-    """Generator manifolds shipped with the library."""
-    return {"CP2": cp_projective_data(2), "CP4": cp_projective_data(4)}
-
-
-class BordismElement:
-    """Integer combination of products of named generator manifolds."""
-
-    __slots__ = ("terms", "registry")
-
-    def __init__(self, terms: Mapping[tuple, int], registry: Mapping[str, CharClassData]):
-        clean = {}
-        for names, coeff in terms.items():
-            names = tuple(sorted(names))
-            coeff = int(coeff)
-            for name in names:
-                if name not in registry:
-                    raise ValueError(f"unknown generator manifold {name!r}")
-            if coeff:
-                clean[names] = clean.get(names, 0) + coeff
-        self.terms = {k: v for k, v in clean.items() if v}
-        self.registry = dict(registry)
-
-    @staticmethod
-    def generator(name: str, registry: Mapping[str, CharClassData]) -> "BordismElement":
-        return BordismElement({(name,): 1}, registry)
-
-    def __add__(self, other: "BordismElement") -> "BordismElement":
-        registry = {**self.registry, **other.registry}
-        terms = dict(self.terms)
-        for names, c in other.terms.items():
-            terms[names] = terms.get(names, 0) + c
-        return BordismElement(terms, registry)
-
-    def __neg__(self):
-        return BordismElement({k: -v for k, v in self.terms.items()}, self.registry)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return BordismElement({k: other * v for k, v in self.terms.items()}, self.registry)
-        registry = {**self.registry, **other.registry}
-        terms: dict = {}
-        for n1, c1 in self.terms.items():
-            for n2, c2 in other.terms.items():
-                key = tuple(sorted(n1 + n2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return BordismElement(terms, registry)
-
-    __rmul__ = __mul__
-
-    def product_char_data(self, names: tuple) -> CharClassData:
-        data = point_data()
-        for name in names:
-            data = product_data(data, self.registry[name])
-        return data
-
-    def genus(self, seq: MultSeq) -> Fraction:
-        total = Fraction(0)
-        for names, coeff in self.terms.items():
-            total += coeff * genus_evaluate(seq, self.product_char_data(names))
-        return total
-
-    def __repr__(self):
-        return f"BordismElement({self.terms})"
 
 
 # -- manifold spec grammar ------------------------------------------------------------

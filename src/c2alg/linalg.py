@@ -1,4 +1,5 @@
-"""Matrix kernels: realification, symmetric-unitary square roots, fixed-point retraction.
+"""Matrix kernels: realification, unitary eigendecomposition, symmetric-unitary
+square roots, fixed-point retraction.
 
 Eigenvalue-based routines work in double precision with a default tolerance of
 1e-9, overridable per call or through the ``C2ALG_TOL`` environment variable.
@@ -83,11 +84,36 @@ def realify(U, tol: float | None = None) -> np.ndarray:
     return R
 
 
-def _principal_half_angle(theta: float) -> float:
-    """Half of theta with theta normalized to (-pi, pi]; -pi maps to pi."""
-    if theta <= -math.pi + 1e-300:
-        theta = math.pi
-    return theta / 2.0
+def unitary_eigh(A, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral decomposition A = V diag(exp(i theta)) V* of a unitary matrix.
+
+    A is rotated to B = exp(-i alpha) A so that the midpoint of its widest
+    eigenvalue gap sits at -1; the Cayley transform H = i(1 - B)(1 + B)^{-1}
+    is then Hermitian, injective on the rest of the circle, and one ``eigh``
+    of H gives V, however the eigenvalues cluster. An exactly symmetric A
+    gives a real symmetric H and so a real orthogonal V. The angles are read
+    off diag(V* A V) on the principal branch (-pi, pi].
+    """
+    A = _as_matrix(A)
+    if tol is None:
+        tol = default_tol()
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("non-square input")
+    if not is_unitary(A, tol):
+        raise ValueError("input is not unitary within tolerance")
+    n = A.shape[0]
+    w = np.sort(np.angle(np.linalg.eigvals(A)))
+    gaps = np.diff(w, append=w[0] + 2 * math.pi)
+    k = int(np.argmax(gaps))
+    B = -np.exp(-1j * (w[k] + gaps[k] / 2)) * A
+    H = 1j * np.linalg.solve(np.eye(n) + B, np.eye(n) - B)
+    _, V = np.linalg.eigh(H.real if np.array_equal(A, A.T) else H)
+    d = np.sum(V.conj() * (A @ V), axis=0)
+    if not float(np.max(np.abs(np.abs(d) - 1.0))) <= max(100 * tol, 1e-8):
+        raise ValueError("spectral decomposition failed; input too far from unitary")
+    thetas = np.angle(d)
+    thetas[thetas <= -math.pi] = math.pi
+    return V, thetas
 
 
 @dataclass
@@ -101,64 +127,23 @@ class SymmetricSqrt:
     residuals: dict = field(default_factory=dict)
 
 
-def symmetric_unitary_factor(U, tol: float | None = None):
-    """Factor a symmetric unitary as U = O diag(exp(i theta)) O^T, O real orthogonal.
-
-    Computed by simultaneously diagonalizing the commuting real symmetric
-    matrices Re U and Im U; eigenvalue clusters of Re U are merged below a
-    tolerance before diagonalizing Im U on each cluster.
-    """
-    A = _as_matrix(U)
-    if tol is None:
-        tol = default_tol()
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("non-square input")
-    if not is_unitary(A, tol):
-        raise ValueError("input is not unitary within tolerance")
-    if float(np.max(np.abs(A - A.T))) > tol:
-        raise ValueError("input is not symmetric within tolerance")
-    X = np.ascontiguousarray(A.real)
-    Y = np.ascontiguousarray(A.imag)
-    X = (X + X.T) / 2
-    Y = (Y + Y.T) / 2
-    vals, O = np.linalg.eigh(X)
-    cluster_tol = max(tol, 1e-12) * max(1.0, n)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and vals[stop] - vals[stop - 1] <= cluster_tol:
-            stop += 1
-        if stop - start > 1:
-            Qc = O[:, start:stop]
-            sub = Qc.T @ Y @ Qc
-            sub = (sub + sub.T) / 2
-            _, W = np.linalg.eigh(sub)
-            O[:, start:stop] = Qc @ W
-        start = stop
-    x = np.einsum("ji,jk,ki->i", O, X, O)
-    y = np.einsum("ji,jk,ki->i", O, Y, O)
-    mods = np.hypot(x, y)
-    if float(np.max(np.abs(mods - 1.0))) > max(10 * tol, 1e-8):
-        raise ValueError("simultaneous diagonalization failed; input too far from symmetric unitary")
-    thetas = np.arctan2(y, x)
-    thetas[thetas <= -math.pi + 1e-300] = math.pi
-    return O, thetas
-
-
 def symmetric_unitary_sqrt(U, tol: float | None = None) -> SymmetricSqrt:
     """Principal symmetric square root S of a symmetric unitary U.
 
     S^2 = U, S^T = S, S unitary; eigenvalue branch exp(i theta/2) with theta
-    in (-pi, pi], so the eigenvalue -1 maps to i. Eigenvalues near the branch
-    cut are flagged in the result metadata.
+    in (-pi, pi], so the eigenvalue -1 maps to i. U is symmetrized first, so
+    its eigenbasis O is real orthogonal and S = O diag(exp(i theta/2)) O^T.
+    Eigenvalues near the branch cut are flagged in the result metadata.
     """
+    A = _as_matrix(U)
     if tol is None:
         tol = default_tol()
-    O, thetas = symmetric_unitary_factor(U, tol)
-    half = np.array([_principal_half_angle(t) for t in thetas])
-    S = (O * np.exp(1j * half)) @ O.T
-    A = _as_matrix(U)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("non-square input")
+    if not float(np.max(np.abs(A - A.T))) <= tol:
+        raise ValueError("input is not symmetric within tolerance")
+    O, thetas = unitary_eigh((A + A.T) / 2, tol)
+    S = (O * np.exp(0.5j * thetas)) @ O.T
     residuals = {
         "square": float(np.max(np.abs(S @ S - A))),
         "symmetry": float(np.max(np.abs(S - S.T))),

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved
-from .linalg import check_finite, default_tol, is_unitary, random_unitary, realify
+from .linalg import check_finite, default_tol, random_unitary, realify, unitary_eigh
 from .scalars import GaussianRational, MultiPoly
 
 EVEN, ODD = 0, 1
@@ -155,21 +154,6 @@ class OrthogonalAction:
                        for i in range(n) for j in range(n))
         return float(np.max(np.abs(prod.as_numpy() - np.eye(n)))) <= tol
 
-    def conjugated_by_signature(self, p: int, q: int) -> "OrthogonalAction":
-        """D M D where D negates the sign-representation coordinates."""
-        n = self.dim
-        if p + q != n:
-            raise ValueError("signature does not match dimension")
-
-        def sgn(i):
-            return 1 if i < p else -1
-
-        rows = tuple(
-            tuple(self.rows[i][j] * (sgn(i) * sgn(j)) for j in range(n))
-            for i in range(n)
-        )
-        return OrthogonalAction(self.exact, rows)
-
     def __eq__(self, other):
         if not isinstance(other, OrthogonalAction):
             return NotImplemented
@@ -249,27 +233,16 @@ def _twisted_adjoint_numeric(g: PinElement, tol: float) -> OrthogonalAction:
 def check_rho_real_equivariance(g: PinElement, rho: OrthogonalAction | None = None) -> bool:
     """Does rho(conj g) equal conj(rho(g))? (Real homomorphism property.)
 
-    Conjugation on the orthogonal side negates the sign-representation
-    coordinates of the signature. Pass a precomputed ``rho`` to reuse it.
+    Conjugation on the orthogonal side is M -> D M D with
+    D = diag(``algebra.bar_signs``): it negates the coordinates of the
+    generators that bar negates. Pass a precomputed ``rho`` to reuse it.
     """
-    alg = g.algebra
     lhs = twisted_adjoint(g.bar())
     if rho is None:
         rho = twisted_adjoint(g)
-    if alg.convention == "interleaved":
-        # sign generators sit at the even positions
-        n = alg.dim
-
-        def sgn(i):
-            return -1 if i % 2 == 1 else 1
-
-        rows = tuple(
-            tuple(rho.rows[i][j] * (sgn(i) * sgn(j)) for j in range(n))
-            for i in range(n)
-        )
-        rhs = OrthogonalAction(rho.exact, rows)
-    else:
-        rhs = rho.conjugated_by_signature(alg.p, alg.q)
+    d = g.algebra.bar_signs
+    rhs = OrthogonalAction(rho.exact, tuple(
+        tuple(x * (d[i] * d[j]) for j, x in enumerate(row)) for i, row in enumerate(rho.rows)))
     if lhs.exact and rhs.exact:
         return lhs == rhs
     return float(np.max(np.abs(lhs.as_numpy() - rhs.as_numpy()))) <= default_tol()
@@ -404,33 +377,27 @@ def unit_residual(g: PinElement) -> float:
 def phi_lift(U, tol: float | None = None, rng=None) -> PinElement:
     """Canonical Spin^c(n,n) lift of a unitary matrix, in the interleaved basis.
 
-    For U = V diag(exp(i theta_j)) V* the element is the product of the plane
-    rotors cos(theta_j/2) - sin(theta_j/2) e_{2j-1} e_{2j}, conjugated by the
-    spin lift of realify(V), times the central phase exp(i sum(theta_j)/2)
-    whose square is det(U). Angles use the principal branch (-pi, pi]; the
-    result does not depend on the eigendecomposition. Pass ``rng`` to
-    randomize the decomposition (used to exercise canonicity).
+    With U = V diag(exp(i theta_j)) V* from ``linalg.unitary_eigh``, the
+    element is the product of the plane rotors
+    cos(theta_j/2) - sin(theta_j/2) e_{2j-1} e_{2j}, conjugated by the spin
+    lift of realify(V), times the central phase exp(i sum(theta_j)/2) whose
+    square is det(U). Angles use the principal branch (-pi, pi]; the result
+    does not depend on the eigendecomposition. Pass ``rng`` to decompose
+    Q* U Q for a random unitary Q instead (used to exercise canonicity).
     """
     if tol is None:
         tol = default_tol()
     A = np.asarray(U, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("non-square input")
-    if not is_unitary(A, tol):
-        raise ValueError("input is not unitary within tolerance")
     n = A.shape[0]
     algebra = ccl_interleaved(n)
-    if rng is not None:
-        Q = random_unitary(rng, n)
-        T, Z = scipy.linalg.schur(Q.conj().T @ A @ Q, output="complex")
-        V = Q @ Z
+    if rng is None:
+        V, thetas = unitary_eigh(A, tol)
     else:
-        T, V = scipy.linalg.schur(A, output="complex")
-    d = np.diag(T)
-    if not float(np.max(np.abs(T - np.diag(d)))) <= max(100 * tol, 1e-8):
-        raise ValueError("spectral decomposition failed; input too far from unitary")
-    thetas = np.angle(d)
-    thetas[thetas <= -math.pi + 1e-300] = math.pi
+        Q = random_unitary(rng, n)
+        V, thetas = unitary_eigh(Q.conj().T @ A @ Q, tol)
+        V = Q @ V
     near_branch = bool(np.any(np.abs(np.abs(thetas) - math.pi) < 1e-6))
 
     rotor = algebra.scalar(1 + 0j)

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from c2alg.genus import (BordismElement, CharClassData, ManifoldSpec,
-                         ahat_polynomial, ahat_sequence, ahat_series,
-                         cp_projective_data, genus_evaluate, partitions,
-                         point_data, product_data, series_inv, series_log,
-                         series_mul, standard_registry)
+from c2alg.genus import (CharClassData, ManifoldSpec, ahat_polynomial,
+                         ahat_sequence, ahat_series, cp_projective_data,
+                         genus_evaluate, partitions, point_data, product_data,
+                         series_inv, series_log)
 from c2alg.scalars import MultiPoly
 from c2alg.verify import _rng
 
@@ -72,7 +71,9 @@ class TestSeriesHelpers:
     def test_inv_and_mul(self):
         a = [Fraction(1), Fraction(1, 2), Fraction(1, 3)]
         inv = series_inv(a, 4)
-        assert series_mul(a, inv, 4) == [Fraction(1)] + [Fraction(0)] * 4
+        assert inv == [1, Fraction(-1, 2), Fraction(-1, 12), Fraction(5, 24), Fraction(-11, 144)]
+        product = [sum(a[k] * inv[m - k] for k in range(min(m, 2) + 1)) for m in range(5)]
+        assert product == [1, 0, 0, 0, 0]
 
     def test_log_of_exp_series(self):
         # exp(t) coefficients 1/n!
@@ -262,22 +263,6 @@ class TestPartitions:
     def test_small_counts(self):
         assert len(list(partitions(4))) == 5
         assert list(partitions(0)) == [()]
-
-
-class TestBordismElement:
-    def test_product_and_genus(self):
-        reg = standard_registry()
-        gamma = BordismElement.generator("CP2", reg)
-        alpha = gamma * gamma
-        seq = ahat_sequence()
-        assert gamma.genus(seq) == Fraction(-1, 8)
-        assert alpha.genus(seq) == Fraction(1, 64)
-        combo = alpha + gamma * 2
-        assert combo.genus(seq) == Fraction(1, 64) + 2 * Fraction(-1, 8)
-
-    def test_unknown_generator_rejected(self):
-        with pytest.raises(ValueError):
-            BordismElement({("XX",): 1}, {})
 
 
 class TestManifoldSpec:

@@ -89,15 +89,18 @@ class TestSymmetricUnitarySqrt:
         assert worst < 1e-9
 
     def test_clustered_real_parts(self):
-        # conjugate angles share cos(theta): the real part alone is degenerate
-        # and the imaginary part must split the cluster
+        # conjugate angles share cos(theta), and near-conjugate ones
+        # (1.5 and -1.5 + delta) nearly do, which defeats splitting the
+        # spectrum by the real part first
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            O = random_special_orthogonal(rng, 4)
-            thetas = np.array([0.7, -0.7, 2.1, -2.1])
-            U = (O * np.exp(1j * thetas)) @ O.T
-            res = symmetric_unitary_sqrt(U)
-            assert max(res.residuals.values()) < 1e-9
+        spectra = [[0.7, -0.7, 2.1, -2.1]] + [[1.5, -1.5 + d, 0.3, 2.0]
+                                              for d in (1e-10, 1e-8, 1e-6)]
+        for thetas in spectra:
+            for _ in range(20):
+                O = random_special_orthogonal(rng, 4)
+                U = (O * np.exp(1j * np.array(thetas))) @ O.T
+                res = symmetric_unitary_sqrt(U)
+                assert max(res.residuals.values()) < 1e-9, thetas
 
     def test_fully_degenerate_eigenvalue(self):
         rng = np.random.default_rng(12)

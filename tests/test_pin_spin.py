@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from c2alg.clifford import ccl, ccl_interleaved
+from c2alg.clifford import ccl, ccl_interleaved, kasparov
 from c2alg.linalg import realify
 from c2alg.pin_spin import (PinElement, check_phi_real,
                             check_rho_real_equivariance, householder_factors,
@@ -13,7 +13,8 @@ from c2alg.pin_spin import (PinElement, check_phi_real,
                             twisted_adjoint, unit_residual)
 from c2alg.scalars import GaussianRational, MultiPoly
 from c2alg.verify import (_rng, rand_multivector, rand_pin, rand_polynomial,
-                          random_unitary, rational_unit_vector)
+                          random_special_orthogonal, random_unitary,
+                          rational_unit_vector)
 
 I = GaussianRational.I
 
@@ -131,6 +132,15 @@ class TestRhoRealEquivariance:
             g = rand_pin(rng, alg, 4)
             assert check_rho_real_equivariance(g)
 
+    def test_kasparov_bar_is_trivial(self):
+        # bar fixes every generator of C_(p,q), so rho(bar g) must equal rho(g)
+        alg = kasparov(2, 2)
+        rot = PinElement.from_factors(alg, [alg.vector([Fraction(3, 5), Fraction(4, 5), 0, 0]),
+                                            alg.generator(1)])
+        g = PinElement(alg.generator(3).scale(I)) * rot * PinElement(alg.generator(4).scale(I))
+        assert check_rho_real_equivariance(g)
+        assert twisted_adjoint(g.bar()) == twisted_adjoint(g)
+
 
 class TestSpinLift:
     def test_identity(self):
@@ -193,6 +203,30 @@ class TestSpinLift:
         assert g.value.grades() == {4}
 
 
+def _with_spectrum(nrng, angles):
+    V = random_unitary(nrng, len(angles))
+    return (V * np.exp(1j * np.asarray(angles))) @ V.conj().T
+
+
+def _stress_unitaries(nrng):
+    cases = [("I", np.eye(3, dtype=complex)), ("-I", -np.eye(3, dtype=complex)),
+             ("4-cycle", np.roll(np.eye(4), 1, axis=0).astype(complex)),
+             ("repeated diagonal", np.diag(np.exp(1j * np.array([0.7, -2.0, 0.7, -2.0]))))]
+    for off in (0.0, 1e-12, 1e-8, 1e-4):
+        cases.append((f"conjugate pair +{off}", _with_spectrum(nrng, [1.1, -1.1 + off, 0.3])))
+    for d in (0.0, 1e-12, 1e-8, 1e-4):
+        cases.append((f"pi/2 +- {d}", _with_spectrum(nrng, [math.pi / 2 + d, math.pi / 2 - d, -0.5])))
+        cases.append((f"-1 from both sides {d}",
+                      _with_spectrum(nrng, [math.pi - d, -math.pi + d, math.pi, 0.2])))
+    for n in (2, 3, 4):
+        O = random_special_orthogonal(nrng, n)
+        S = (O * np.exp(1j * nrng.uniform(-math.pi, math.pi, n))) @ O.T
+        K = 1e-9 * nrng.standard_normal((n, n))
+        K = K - K.T
+        cases.append((f"nearly symmetric n={n}", S @ (np.eye(n) + K + K @ K / 2)))
+    return cases
+
+
 class TestPhiLift:
     def test_identity(self):
         g = phi_lift(np.eye(2))
@@ -236,11 +270,14 @@ class TestPhiLift:
         assert g.value.max_diff(expected) < 1e-12
 
     def test_canonicity(self):
+        # a random U(3), then spectra with repeated, clustered, conjugate or
+        # branch-cut eigenvalues, and a nearly (not exactly) symmetric U
         nrng = np.random.default_rng(6)
-        U = random_unitary(nrng, 3)
-        base = phi_lift(U).value
-        for _ in range(3):
-            assert base.max_diff(phi_lift(U, rng=nrng).value) < 1e-9
+        for label, U in [("random", random_unitary(nrng, 3))] + _stress_unitaries(nrng):
+            g = phi_lift(U)
+            assert rho_residual(g, realify(U)) <= 1e-9, label
+            for _ in range(3):
+                assert g.value.max_diff(phi_lift(U, rng=nrng).value) <= 1e-9, label
 
     def test_branch_cut_flagged(self):
         g = phi_lift(np.array([[-1.0 + 0j]]))

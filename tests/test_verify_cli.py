@@ -223,3 +223,12 @@ class TestRunVerifyApi:
         report = run_verify("mackey", 1, 5)
         assert set(report) == {"command", "inputs", "outputs", "residuals", "verdict"}
         assert report["verdict"] == "pass"
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, c2alg.cli; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              check=True, text=True)
+        assert proc.stdout == "[]\n"
