@@ -1,9 +1,10 @@
 """Finite-dimensional graded Clifford-type algebras with Real and *-structures.
 
 Blades are bitmasks over generator indices 1..p+q; coefficients are either
-exact (GaussianRational) or numeric (complex). Exact products run a sparse
-loop over term pairs with a per-algebra blade-product cache; numeric products
-run a dense kernel over complex arrays of length 2^n indexed by blade mask.
+exact (GaussianRational) or numeric (complex). Every blade-product sign comes
+from one bit-arithmetic rule (``CliffordAlgebra.flip``). Exact products run a
+sparse loop over term pairs; numeric products run a dense kernel over complex
+arrays of length 2^n indexed by blade mask.
 Both serve the complexified Clifford algebras CCl(p,q) (all generators square
 to +1, Real structure fixes the first p generators and negates the last q),
 the Kasparov-style presentation C_{p,q} (last q generators square to -1), and
@@ -20,6 +21,7 @@ import numpy as np
 
 from .scalars import GaussianRational
 
+# _below_parity, and with it every blade sign, is valid for masks below 2^16.
 MAX_GENERATORS = 16
 
 # Element budget of one temporary block in the dense kernel: support elements
@@ -29,14 +31,18 @@ MAX_GENERATORS = 16
 _DENSE_BLOCK = 16384
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    """Sign from sorting the concatenated generator words of blades a, b."""
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
+def _below_parity(m):
+    """Bit i is set when an odd number of the bits of m lie below i (m < 2^16).
+
+    Works on Python ints and on numpy integer arrays alike. For blades a, b
+    the word a b sorts with popcount(a & _below_parity(b)) swaps, mod 2.
+    """
+    m = m << 1
+    m ^= m << 1
+    m ^= m << 2
+    m ^= m << 4
+    m ^= m << 8
+    return m
 
 
 class CliffordAlgebra:
@@ -56,7 +62,6 @@ class CliffordAlgebra:
         self.star_signs = tuple(star_signs)
         self.label = label
         self.convention = convention
-        self._blade_cache: dict[int, tuple[int, int]] = {}
         self._dense_tables = None
         # masks of generators that pick up a sign under the listed structure
         self.neg_square_mask = sum(1 << i for i, s in enumerate(self.squares) if s < 0)
@@ -72,19 +77,18 @@ class CliffordAlgebra:
     def __hash__(self):
         return id(self)
 
+    def flip(self, m2):
+        """Mask f with sign(e_m1 * e_m2) = (-1)^popcount(m1 & f), for every m1.
+
+        Bit i is set when an odd number of the generators of m2 sit below i
+        (the reordering swaps), toggled on the negative-square generators
+        that m2 contains. m2 may be an int or a numpy integer array.
+        """
+        return _below_parity(m2) ^ (m2 & self.neg_square_mask)
+
     def blade_product(self, m1: int, m2: int) -> tuple[int, int]:
         """(sign, mask) of the product of basis blades m1 * m2."""
-        key = (m1 << self.dim) | m2
-        hit = self._blade_cache.get(key)
-        if hit is not None:
-            return hit
-        sign = _reorder_sign(m1, m2)
-        common = m1 & m2
-        if common & self.neg_square_mask and (common & self.neg_square_mask).bit_count() & 1:
-            sign = -sign
-        result = (sign, m1 ^ m2)
-        self._blade_cache[key] = result
-        return result
+        return (-1 if (m1 & self.flip(m2)).bit_count() & 1 else 1), m1 ^ m2
 
     # -- dense numeric kernel ------------------------------------------------------
 
@@ -92,21 +96,14 @@ class CliffordAlgebra:
         """(index, parity, flip, star_sign) arrays of length 2^n, built on first use.
 
         For a fixed right blade m2 the sign of the blade product m1 * m2 is
-        linear in m1 over GF(2): it is parity[m1 & flip[m2]], where bit i of
-        flip[m2] is set when an odd number of the generators of m2 sit below i
-        (the reordering swaps), toggled on the negative-square generators that
-        m2 contains.
+        linear in m1 over GF(2): it is parity[m1 & flip[m2]] (see ``flip``).
         """
         if self._dense_tables is None:
             index = np.arange(1 << self.dim)
             grade = np.zeros(1, dtype=np.int64)
-            below = np.zeros_like(index)
-            flip = np.zeros_like(index)
-            for i in range(self.dim):
+            for _ in range(self.dim):
                 grade = np.concatenate((grade, grade + 1))
-                flip |= below << i
-                below ^= (index >> i) & 1
-            flip ^= index & self.neg_square_mask
+            flip = self.flip(index) & index[-1]  # bits at or above n carry no sign
             parity = 1.0 - 2.0 * (grade & 1)
             star_sign = np.where(grade % 4 >= 2, -1.0, 1.0) * parity[index & self.star_neg_mask]
             self._dense_tables = (index, parity, flip, star_sign)
@@ -236,49 +233,6 @@ def ccl_interleaved(n: int) -> CliffordAlgebra:
     )
 
 
-def blocked_to_interleaved_perm(n: int) -> list[int]:
-    """1-based generator permutation: blocked CCl(n,n) index -> interleaved index."""
-    perm = [0] * (2 * n + 1)
-    for i in range(1, n + 1):
-        perm[i] = 2 * i - 1        # trivial generator v_i
-        perm[n + i] = 2 * i        # sign generator w_i
-    return perm
-
-
-def interleaved_to_blocked_perm(n: int) -> list[int]:
-    fwd = blocked_to_interleaved_perm(n)
-    inv = [0] * (2 * n + 1)
-    for i in range(1, 2 * n + 1):
-        inv[fwd[i]] = i
-    return inv
-
-
-def reindex(mv: "Multivector", perm: list[int], target: CliffordAlgebra) -> "Multivector":
-    """Relabel generators along a 1-based permutation (an algebra map when the
-    permuted structure constants agree)."""
-    if mv.algebra.dim != target.dim:
-        raise ValueError("dimension mismatch")
-    out: dict = {}
-    for mask, coeff in mv.terms.items():
-        indices = [perm[i + 1] for i in range(mv.algebra.dim) if mask & (1 << i)]
-        sign = 1
-        # insertion-sort parity of the relabeled word
-        seq = []
-        for idx in indices:
-            pos = len(seq)
-            while pos and seq[pos - 1] > idx:
-                pos -= 1
-            sign *= (-1) ** (len(seq) - pos)
-            seq.insert(pos, idx)
-        new_mask = 0
-        for idx in seq:
-            new_mask |= 1 << (idx - 1)
-        c = coeff if sign > 0 else -coeff
-        acc = out.get(new_mask)
-        out[new_mask] = c if acc is None else acc + c
-    return Multivector(target, {m: c for m, c in out.items() if c})
-
-
 class Multivector:
     """Sparse graded algebra element: blade mask -> coefficient.
 
@@ -346,14 +300,15 @@ class Multivector:
         if not (self.exact and other.exact):
             alg = self.algebra
             return alg.from_dense(alg.dense_mul(self.to_dense(), other.to_dense()))
-        blade_product = self.algebra.blade_product
+        flip = self.algebra.flip
+        right = [(m2, flip(m2), c2) for m2, c2 in other.terms.items()]
         out: dict = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, mask = blade_product(m1, m2)
+            for m2, f2, c2 in right:
                 c = c1 * c2
-                if sign < 0:
+                if (m1 & f2).bit_count() & 1:
                     c = -c
+                mask = m1 ^ m2
                 acc = out.get(mask)
                 out[mask] = c if acc is None else acc + c
         return Multivector(self.algebra, {m: c for m, c in out.items() if c})
@@ -529,19 +484,16 @@ class TensorElement:
 
     def __mul__(self, other):
         out: dict = {}
-        bp1 = self.alg1.blade_product
-        bp2 = self.alg2.blade_product
+        flip1, flip2 = self.alg1.flip, self.alg2.flip
+        right = [(a2, b2, flip1(a2), flip2(b2), a2.bit_count(), c2)
+                 for (a2, b2), c2 in other.terms.items()]
         for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                s1, m1 = bp1(a1, a2)
-                s2, m2 = bp2(b1, b2)
-                sign = s1 * s2
-                if b1.bit_count() & a2.bit_count() & 1:
-                    sign = -sign
+            odd_b1 = b1.bit_count() & 1
+            for a2, b2, f1, f2, grade_a2, c2 in right:
                 c = c1 * c2
-                if sign < 0:
+                if ((a1 & f1).bit_count() + (b1 & f2).bit_count() + (odd_b1 & grade_a2)) & 1:
                     c = -c
-                key = (m1, m2)
+                key = (a1 ^ a2, b1 ^ b2)
                 acc = out.get(key)
                 out[key] = c if acc is None else acc + c
         return TensorElement(self.alg1, self.alg2, out)
@@ -605,51 +557,26 @@ class SplitSpec:
 
         self.alg1 = sub_algebra(self.first)
         self.alg2 = sub_algebra(self.second)
-        self._pos1 = {i: k for k, i in enumerate(self.first)}
-        self._pos2 = {i: k for k, i in enumerate(self.second)}
 
     def split(self, mv: Multivector) -> TensorElement:
         if mv.algebra is not self.algebra:
             raise ValueError("element does not live in the split algebra")
         out = {}
         for mask, coeff in mv.terms.items():
-            m1 = m2 = 0
-            swaps = 0
-            seen_second = 0
-            for i in range(self.algebra.dim):
-                if not mask & (1 << i):
-                    continue
-                idx = i + 1
-                if idx in self._pos1:
-                    m1 |= 1 << self._pos1[idx]
-                    swaps += seen_second
-                else:
-                    m2 |= 1 << self._pos2[idx]
-                    seen_second += 1
-            c = coeff if swaps % 2 == 0 else -coeff
-            out[(m1, m2)] = c
+            m1 = sum(1 << k for k, i in enumerate(self.first) if mask >> (i - 1) & 1)
+            m2 = sum(1 << k for k, i in enumerate(self.second) if mask >> (i - 1) & 1)
+            # moving each first-factor generator left past the second-factor ones below it
+            swaps = (mask & self.first_mask & _below_parity(mask & self.second_mask)).bit_count()
+            out[(m1, m2)] = -coeff if swaps & 1 else coeff
         return TensorElement(self.alg1, self.alg2, out)
 
     def merge(self, t: TensorElement) -> Multivector:
         out: dict = {}
         for (m1, m2), coeff in t.terms.items():
-            mask = 0
-            for k, i in enumerate(self.first):
-                if m1 & (1 << k):
-                    mask |= 1 << (i - 1)
-            for k, i in enumerate(self.second):
-                if m2 & (1 << k):
-                    mask |= 1 << (i - 1)
-            swaps = 0
-            seen_second = 0
-            for i in range(self.algebra.dim):
-                if not mask & (1 << i):
-                    continue
-                if (i + 1) in self._pos1:
-                    swaps += seen_second
-                else:
-                    seen_second += 1
-            c = coeff if swaps % 2 == 0 else -coeff
+            mask = (sum(1 << (i - 1) for k, i in enumerate(self.first) if m1 >> k & 1)
+                    | sum(1 << (i - 1) for k, i in enumerate(self.second) if m2 >> k & 1))
+            swaps = (mask & self.first_mask & _below_parity(mask & self.second_mask)).bit_count()
+            c = -coeff if swaps & 1 else coeff
             acc = out.get(mask)
             out[mask] = c if acc is None else acc + c
         return Multivector(self.algebra, {m: c for m, c in out.items() if c})
@@ -695,6 +622,10 @@ def from_kasparov(mv: Multivector) -> Multivector:
 
 # -- expression grammar --------------------------------------------------------------
 
+# Deepest parenthesis nesting the expression parser accepts; each level costs
+# three Python frames, so this stays well inside the default recursion limit.
+_MAX_NESTING = 100
+
 _TOKEN = _re.compile(
     r"""\s*(?:
         (?P<blade>(?:[eE]\d+)+)
@@ -717,7 +648,10 @@ def _tokenize(text: str):
         if m.lastgroup == "blade":
             tokens.append(("blade", [int(s) for s in _re.findall(r"\d+", m.group("blade"))]))
         elif m.lastgroup == "num":
-            tokens.append(("num", Fraction(m.group("num"))))
+            try:
+                tokens.append(("num", Fraction(m.group("num"))))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {m.group('num')!r}") from None
         elif m.lastgroup == "imag":
             tokens.append(("i", None))
         else:
@@ -732,6 +666,7 @@ class _Parser:
     def __init__(self, tokens, algebra: CliffordAlgebra):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.algebra = algebra
 
     def peek(self):
@@ -743,14 +678,7 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> Multivector:
-        kind, _ = self.peek()
-        negate = False
-        if kind in ("+", "-"):
-            self.next()
-            negate = kind == "-"
         value = self.parse_term()
-        if negate:
-            value = -value
         while True:
             kind, _ = self.peek()
             if kind == "+":
@@ -776,23 +704,29 @@ class _Parser:
 
     def parse_factor(self) -> Multivector:
         kind, payload = self.next()
+        negate = False
+        while kind in ("+", "-"):
+            negate ^= kind == "-"
+            kind, payload = self.next()
         if kind == "num":
-            return self.algebra.scalar(payload)
-        if kind == "i":
-            return self.algebra.scalar(GaussianRational.I)
-        if kind == "blade":
-            return self.algebra.blade(payload)
-        if kind == "(":
+            value = self.algebra.scalar(payload)
+        elif kind == "i":
+            value = self.algebra.scalar(GaussianRational.I)
+        elif kind == "blade":
+            value = self.algebra.blade(payload)
+        elif kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ValueError(
+                    f"multivector expression nests deeper than {_MAX_NESTING} parentheses")
             value = self.parse_expr()
+            self.depth -= 1
             kind, _ = self.next()
             if kind != ")":
                 raise ValueError("unbalanced parenthesis in multivector expression")
-            return value
-        if kind == "-":
-            return -self.parse_factor()
-        if kind == "+":
-            return self.parse_factor()
-        raise ValueError("malformed multivector expression")
+        else:
+            raise ValueError("malformed multivector expression")
+        return -value if negate else value
 
 
 def parse_multivector(text: str, algebra: CliffordAlgebra) -> Multivector:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import Multivector, _reorder_sign, vector_norm_sq
+from .clifford import MAX_GENERATORS, Multivector, _below_parity, vector_norm_sq
 from .pin_spin import PinElement
 from .scalars import MultiPoly, RatFunc
 
@@ -31,6 +31,8 @@ class GradedRatFunc:
     __slots__ = ("nvars", "nslots", "terms")
 
     def __init__(self, nvars: int, nslots: int, terms: dict | None = None):
+        if nslots > MAX_GENERATORS:
+            raise ValueError(f"at most {MAX_GENERATORS} odd generators supported")
         self.nvars = nvars
         self.nslots = nslots
         clean = {}
@@ -90,12 +92,13 @@ class GradedRatFunc:
             return GradedRatFunc(self.nvars, self.nslots,
                                  {m: f * c for m, f in self.terms.items()})
         self._check(other)
+        # every odd generator squares to +1: only the reordering swaps give a sign
+        right = [(m2, _below_parity(m2), f2) for m2, f2 in other.terms.items()]
         out: dict = {}
         for m1, f1 in self.terms.items():
-            for m2, f2 in other.terms.items():
-                sign = _reorder_sign(m1, m2)
+            for m2, flip, f2 in right:
                 f = f1 * f2
-                if sign < 0:
+                if (m1 & flip).bit_count() & 1:
                     f = -f
                 mask = m1 ^ m2
                 g = out.get(mask)

@@ -224,12 +224,17 @@ class CharClassData:
         try:
             dim = int(obj["dim"])
             raw = obj.get("pontryagin", {})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError("CharClassData JSON must have dim and pontryagin") from exc
+        if not isinstance(raw, dict):
+            raise ValueError("pontryagin must map partitions to rational numbers")
         numbers = {}
         for key, val in raw.items():
             parts = tuple(int(s) for s in str(key).split(",") if s.strip())
-            numbers[parts] = Fraction(str(val))
+            try:
+                numbers[parts] = Fraction(str(val))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in Pontryagin number {val!r}") from None
         return CharClassData(dim, numbers)
 
 

@@ -284,14 +284,16 @@ def matrix_from_json(obj) -> np.ndarray:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("matrix JSON must have rows, cols, entries") from exc
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ValueError("matrix entries must be a list of rows")
     if len(entries) != rows:
         raise ValueError("entry row count does not match rows")
+    if any(len(row) != cols for row in entries):
+        raise ValueError("entry column count does not match cols")
     M = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(entries):
-        if len(row) != cols:
-            raise ValueError("entry column count does not match cols")
         for j, pair in enumerate(row):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError("each entry must be a [re, im] pair")

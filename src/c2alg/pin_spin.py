@@ -1,12 +1,13 @@
 """Pin^c/Spin^c elements, the twisted adjoint, and Spin/Spin^c lifts.
 
 The twisted adjoint rho(g)(v) = (-1)^{|g|} g v g^{-1} lands in the orthogonal
-group. Element validation is by certificate: constructors accept an explicit
-factorization into unit vectors and a unit phase, or a raw homogeneous
-multivector whose unit condition g * star(g) = 1 is checked (exactly for
-rational data, within tolerance for numeric data). Numeric unit checks, the
-numeric twisted adjoint and the lifts call the dense kernel of the algebra
-directly (``CliffordAlgebra.dense_mul``); exact data uses the sparse product.
+group. Element validation is by certificate: constructors accept a product
+of unit vectors times a unit phase (each factor is checked), or a raw
+homogeneous multivector whose unit condition g * star(g) = 1 is checked
+(exactly for rational data, within tolerance for numeric data). Numeric unit
+checks, the numeric twisted adjoint and the lifts call the dense kernel of
+the algebra directly (``CliffordAlgebra.dense_mul``); exact data uses the
+sparse product.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved
 from .linalg import check_finite, default_tol, random_unitary, realify, unitary_eigh
-from .scalars import GaussianRational, MultiPoly
+from .scalars import MultiPoly
 
 EVEN, ODD = 0, 1
 
@@ -27,10 +28,9 @@ EVEN, ODD = 0, 1
 class PinElement:
     """Validated element of Pin^c: homogeneous parity and unit norm."""
 
-    __slots__ = ("value", "parity", "factors", "phase", "meta")
+    __slots__ = ("value", "parity", "meta")
 
-    def __init__(self, value: Multivector, *, factors=None, phase=None,
-                 tol: float | None = None, meta=None):
+    def __init__(self, value: Multivector, *, tol: float | None = None, meta=None):
         parity = value.parity()
         if parity is None:
             raise ValueError("Pin element must have homogeneous parity")
@@ -43,32 +43,26 @@ class PinElement:
             _check_unit_error(_unit_error(value.algebra, value.to_dense()), tol)
         self.value = value
         self.parity = parity
-        self.factors = factors
-        self.phase = phase
         self.meta = meta or {}
 
     @classmethod
-    def _trusted(cls, value: Multivector, parity: int, factors=None, phase=None,
-                 meta=None) -> "PinElement":
+    def _trusted(cls, value: Multivector, parity: int) -> "PinElement":
         # products and conjugates of validated elements stay in the group
         self = object.__new__(cls)
         self.value = value
         self.parity = parity
-        self.factors = factors
-        self.phase = phase
-        self.meta = meta or {}
+        self.meta = {}
         return self
 
     @staticmethod
     def identity(algebra: CliffordAlgebra) -> "PinElement":
-        return PinElement(algebra.scalar(1), factors=(), phase=GaussianRational.ONE)
+        return PinElement(algebra.scalar(1))
 
     @staticmethod
     def from_factors(algebra: CliffordAlgebra, vectors, phase=1,
                      tol: float | None = None) -> "PinElement":
         """Product of unit grade-1 vectors times a unit complex scalar."""
         value = algebra.scalar(phase)
-        kept = []
         for vec in vectors:
             v = vec if isinstance(vec, Multivector) else algebra.vector(vec)
             if v.terms and v.grades() != {1}:
@@ -84,9 +78,8 @@ class PinElement:
                 if not v.is_real(100 * tol) or not abs(nsq.scalar_part() - 1) <= 100 * tol:
                     raise ValueError(
                         "certificate factor is not a real unit vector within tolerance")
-            kept.append(v)
             value = value * v
-        return PinElement(value, factors=tuple(kept), phase=phase, tol=tol)
+        return PinElement(value, tol=tol)
 
     @property
     def algebra(self) -> CliffordAlgebra:
@@ -103,11 +96,7 @@ class PinElement:
         return PinElement._trusted(self.value.bar(), self.parity)
 
     def __mul__(self, other: "PinElement") -> "PinElement":
-        factors = None
-        if self.factors is not None and other.factors is not None:
-            factors = self.factors + other.factors
-        return PinElement._trusted(self.value * other.value,
-                                   (self.parity + other.parity) & 1, factors=factors)
+        return PinElement._trusted(self.value * other.value, (self.parity + other.parity) & 1)
 
     def __repr__(self):
         return f"PinElement({self.value})"
@@ -312,14 +301,14 @@ def _lex_leading_mask(mv: Multivector, floor: float) -> int | None:
     return best
 
 
-def _normalize_sign(mv: Multivector, tol: float) -> tuple[Multivector, int]:
+def _normalize_sign(mv: Multivector, tol: float) -> Multivector:
     lead = _lex_leading_mask(mv, tol)
     if lead is None:
-        return mv, 1
+        return mv
     c = complex(mv.terms[lead])
     if c.real < -tol or (abs(c.real) <= tol and c.imag < 0):
-        return -mv, -1
-    return mv, 1
+        return -mv
+    return mv
 
 
 def spin_lift(R, tol: float | None = None, algebra: CliffordAlgebra | None = None) -> PinElement:
@@ -346,17 +335,13 @@ def spin_lift(R, tol: float | None = None, algebra: CliffordAlgebra | None = Non
         raise ValueError("algebra dimension does not match the matrix")
     factors = householder_factors(A, tol)
     value = algebra.scalar(1 + 0j).to_dense()
-    vecs = []
+    generators = 1 << np.arange(n)
     for u in factors:
-        v = algebra.vector([complex(x) for x in u])
-        vecs.append(v)
-        value = algebra.dense_mul(value, v.to_dense())
-    value, flip = _normalize_sign(algebra.from_dense(value), tol)
-    phase = complex(flip)
-    if vecs and flip < 0:
-        vecs[0] = -vecs[0]
-    return PinElement(value, factors=tuple(vecs), phase=phase, tol=tol,
-                      meta={"reflections": len(factors)})
+        v = np.zeros(1 << n, dtype=complex)
+        v[generators] = u
+        value = algebra.dense_mul(value, v)
+    value = _normalize_sign(algebra.from_dense(value), tol)
+    return PinElement(value, tol=tol, meta={"reflections": len(factors)})
 
 
 def rho_residual(g: PinElement, R) -> float:
@@ -401,7 +386,6 @@ def phi_lift(U, tol: float | None = None, rng=None) -> PinElement:
     near_branch = bool(np.any(np.abs(np.abs(thetas) - math.pi) < 1e-6))
 
     rotor = algebra.scalar(1 + 0j)
-    rotor_factors = []
     for j, theta in enumerate(thetas):
         c = math.cos(theta / 2.0)
         s = math.sin(theta / 2.0)
@@ -412,20 +396,13 @@ def phi_lift(U, tol: float | None = None, rng=None) -> PinElement:
         coeffs[2 * j + 1] = complex(s)
         v1 = algebra.vector(coeffs)
         v2 = algebra.generator(2 * j + 1).to_numeric()
-        rotor_factors.extend([v1, v2])
         rotor = rotor * v1 * v2
 
     L = spin_lift(realify(V, tol), tol, algebra=algebra)
     phase = complex(np.exp(1j * float(np.sum(thetas)) / 2.0))
     value = (L.value * rotor * L.value.star()).scale(phase)
-    factors = None
-    if L.factors is not None:
-        reversed_L = tuple(reversed(L.factors))
-        factors = L.factors + tuple(rotor_factors) + reversed_L
     return PinElement(
         value,
-        factors=factors,
-        phase=phase,
         tol=tol,
         meta={
             "thetas": [float(t) for t in thetas],

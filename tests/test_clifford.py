@@ -1,14 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from c2alg.clifford import (CliffordAlgebra, blocked_to_interleaved_perm, ccl,
-                            ccl_interleaved, format_multivector, from_kasparov,
-                            graded_tensor_split, interleaved_to_blocked_perm,
-                            kasparov, parse_multivector, reindex, to_kasparov,
-                            vector_norm_sq)
+from c2alg.clifford import (SplitSpec, ccl, ccl_interleaved, format_multivector,
+                            from_kasparov, graded_tensor_split, kasparov,
+                            parse_multivector, to_kasparov, vector_norm_sq)
 from c2alg.scalars import GaussianRational
 from c2alg.verify import rand_multivector, _rng
 
@@ -79,18 +78,72 @@ class TestDenseKernel:
                 assert np.max(np.abs(row - (x * y).to_dense())) <= 1e-12
             assert np.max(np.abs(alg.dense_star(y.to_dense()) - y.star().to_dense())) <= 1e-15
 
-    def test_numeric_products_skip_blade_cache(self):
-        alg = CliffordAlgebra(3, 0, (1,) * 3, (1,) * 3, (1,) * 3, label="fresh")
-        x = alg.vector([0.5, 1.0, 2.0]) * alg.blade([1, 2], 1.5)
-        assert x.terms and not alg._blade_cache
-        alg.generator(1) * alg.generator(2)
-        assert alg._blade_cache
-
     def test_max_diff_propagates_nan(self):
         alg = ccl(2, 0)
         nan = alg.scalar(complex(math.nan)) + alg.generator(1).scale(2.0)
         assert math.isnan(nan.max_diff(alg.generator(1).scale(1.0)))
         assert math.isnan(alg.zero().max_diff(nan))
+
+
+def _swap_count_sign(alg, m1, m2):
+    """Reference blade sign: count the swaps that sort the word m1 m2 one shift
+    at a time, then toggle once per shared negative-square generator."""
+    a = m1 >> 1
+    swaps = 0
+    while a:
+        swaps += (a & m2).bit_count()
+        a >>= 1
+    swaps += (m1 & m2 & alg.neg_square_mask).bit_count()
+    return -1 if swaps & 1 else 1
+
+
+def _split_reference_sign(spec, mask):
+    """Reference shuffle sign: walk the blade, adding the second-factor
+    generators already passed at each first-factor generator."""
+    swaps = seen_second = 0
+    for i in range(spec.algebra.dim):
+        if mask >> i & 1:
+            if i + 1 in spec.first:
+                swaps += seen_second
+            else:
+                seen_second += 1
+    return -1 if swaps & 1 else 1
+
+
+class TestBladeSign:
+    """The bit-arithmetic sign rule against the swap-count loop as oracle."""
+
+    @pytest.mark.parametrize("alg", [ccl(3, 2), kasparov(2, 3), ccl_interleaved(2)],
+                             ids=lambda a: a.label)
+    def test_every_blade_pair(self, alg):
+        for m1 in range(1 << alg.dim):
+            for m2 in range(1 << alg.dim):
+                assert alg.blade_product(m1, m2) == (_swap_count_sign(alg, m1, m2), m1 ^ m2)
+
+    @pytest.mark.parametrize("alg", [ccl(16, 0), kasparov(8, 8)], ids=lambda a: a.label)
+    def test_random_pairs_and_dense_table(self, alg):
+        rng = random.Random(41)
+        size = 1 << alg.dim
+        for _ in range(10_000):
+            m1, m2 = rng.randrange(size), rng.randrange(size)
+            assert alg.blade_product(m1, m2) == (_swap_count_sign(alg, m1, m2), m1 ^ m2)
+        # the dense kernel's table, against the generator-by-generator construction
+        index = np.arange(size)
+        below = np.zeros_like(index)
+        flip = np.zeros_like(index)
+        for i in range(alg.dim):
+            flip |= below << i
+            below ^= (index >> i) & 1
+        flip ^= index & alg.neg_square_mask
+        assert np.array_equal(alg._tables()[2], flip)
+
+    @pytest.mark.parametrize("first", [[1], [2, 4], [1, 3, 5]])
+    def test_split_sign(self, first):
+        alg = ccl(3, 2)
+        spec = SplitSpec(alg, first)
+        for mask in range(1 << alg.dim):
+            (coeff,) = spec.split(alg.from_terms({mask: GaussianRational.ONE})).terms.values()
+            assert coeff == _split_reference_sign(spec, mask)
 
 
 class TestRealStructure:
@@ -237,29 +290,6 @@ class TestGradedTensorSplit:
 
 
 class TestConventions:
-    def test_reindex_round_trip(self):
-        blocked = ccl(2, 2)
-        inter = ccl_interleaved(2)
-        fwd = blocked_to_interleaved_perm(2)
-        back = interleaved_to_blocked_perm(2)
-        rng = _rng(11, "reindex")
-        for _ in range(20):
-            x = rand_multivector(rng, blocked, 4)
-            y = reindex(x, fwd, inter)
-            assert reindex(y, back, blocked) == x
-
-    def test_reindex_is_algebra_map(self):
-        blocked = ccl(2, 2)
-        inter = ccl_interleaved(2)
-        fwd = blocked_to_interleaved_perm(2)
-        rng = _rng(12, "reindex-hom")
-        for _ in range(20):
-            x = rand_multivector(rng, blocked, 3)
-            y = rand_multivector(rng, blocked, 3)
-            assert reindex(x * y, fwd, inter) == reindex(x, fwd, inter) * reindex(y, fwd, inter)
-            # Real structures correspond under the interleaving
-            assert reindex(x.bar(), fwd, inter) == reindex(x, fwd, inter).bar()
-
     def test_generator_cap(self):
         with pytest.raises(ValueError):
             ccl(9, 8)
@@ -293,6 +323,15 @@ class TestExpressionGrammar:
         for bad in ("", "e0", "3//4*e1", "e1 +", "(e1", "foo"):
             with pytest.raises(ValueError):
                 parse_multivector(bad, alg)
+
+    def test_nesting_and_sign_chains(self):
+        alg = ccl(2, 0)
+        e1 = alg.generator(1)
+        assert parse_multivector("(" * 100 + "e1" + ")" * 100, alg) == e1
+        assert parse_multivector("-" * 3001 + "e1", alg) == -e1
+        assert parse_multivector("e2*" + "-+" * 1500 + "e1", alg) == alg.generator(2) * e1
+        with pytest.raises(ValueError, match="nests deeper"):
+            parse_multivector("(" * 101 + "e1" + ")" * 101, alg)
 
     def test_serialized_terms_sorted(self):
         alg = ccl(2, 0)

@@ -29,6 +29,16 @@ class TestGenerators:
         den = one_plus_tsq(1)
         assert prod.coeff(0) == RatFunc(t * t, den * den)
 
+    def test_odd_generators_anticommute_and_slot_cap(self):
+        one = RatFunc.from_const(1, 1)
+        eps = [GradedRatFunc(1, 3, {1 << i: one}) for i in range(3)]
+        for i in range(3):
+            assert eps[i] * eps[i] == GradedRatFunc.scalar(1, 3, one)
+            for j in range(i + 1, 3):
+                assert eps[i] * eps[j] == -(eps[j] * eps[i])
+        with pytest.raises(ValueError):
+            GradedRatFunc(1, 17)
+
     def test_a_central(self):
         a, b = s_generators()
         assert a * b == b * a

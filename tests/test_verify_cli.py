@@ -214,6 +214,36 @@ class TestUsage:
         assert cli.main(["frobnicate"]) == 64
 
 
+# (command line, JSON file text or None); "FILE" stands for the file's path
+MALFORMED_INPUTS = [
+    (["clifford", "conj", "--signature", "2,0", "--a", "1/0"], None),
+    (["clifford", "conj", "--signature", "2,0", "--a", "(" * 600 + "e1" + ")" * 600], None),
+    (["clifford", "mul", "--signature", "2,0", "--a", "e1*" + "-" * 3000, "--b", "1"], None),
+    (["ahat", "--pontryagin", "FILE"], '{"dim": 4, "pontryagin": [1]}'),
+    (["ahat", "--pontryagin", "FILE"], '{"dim": 4, "pontryagin": {"1": "1/0"}}'),
+    (["ahat", "--pontryagin", "FILE"], '{"dim": 1e400, "pontryagin": {}}'),
+    (["spin-lift", "--matrix", "FILE"], '{"rows": 2, "cols": 2, "entries": 5}'),
+    (["phi-lift", "--unitary", "FILE"], '{"rows": 2, "cols": 2, "entries": 5}'),
+]
+
+
+@pytest.mark.parametrize("argv, text", MALFORMED_INPUTS,
+                         ids=["zero-denominator", "deep-nesting", "long-unary-chain",
+                              "pontryagin-list", "pontryagin-zero-denominator",
+                              "infinite-dim", "spin-lift-entries", "phi-lift-entries"])
+def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "c2alg.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 64
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestRunVerifyApi:
     def test_unknown_suite_raises(self):
         with pytest.raises(ValueError):
