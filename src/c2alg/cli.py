@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from . import genus, mackey
 from .clifford import ccl, parse_multivector
 from .linalg import default_tol, matrix_from_json, matrix_to_json, realify
 from .pin_spin import PinElement, phi_lift, rho_residual, spin_lift, unit_residual
-from .scalars import rational_to_string
+from .scalars import rational_from_string, rational_to_string
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -227,8 +226,8 @@ def _cmd_ahat(args) -> int:
 
 def _cmd_obstruction(args) -> int:
     try:
-        q = Fraction(args.genus)
-    except (ValueError, ZeroDivisionError) as exc:
+        q = rational_from_string(args.genus)
+    except ValueError as exc:
         raise UsageError(f"bad rational {args.genus!r}") from exc
     cert = mackey.fixed_point_obstruction(q)
     report = {

@@ -45,18 +45,22 @@ def _below_parity(m):
     return m
 
 
+def _check_signature(p: int, q: int) -> None:
+    """Refuse a signature before any per-generator tuple is built."""
+    if p + q > MAX_GENERATORS:
+        raise ValueError(f"at most {MAX_GENERATORS} generators supported")
+    if p < 0 or q < 0:
+        raise ValueError("negative signature")
+
+
 class CliffordAlgebra:
     """Generator data for one algebra: squares, Real signs, *-signs per index."""
 
     def __init__(self, p, q, squares, bar_signs, star_signs, label, convention="blocked"):
-        dim = p + q
-        if dim > MAX_GENERATORS:
-            raise ValueError(f"at most {MAX_GENERATORS} generators supported")
-        if p < 0 or q < 0:
-            raise ValueError("negative signature")
+        _check_signature(p, q)
         self.p = p
         self.q = q
-        self.dim = dim
+        self.dim = p + q
         self.squares = tuple(squares)
         self.bar_signs = tuple(bar_signs)
         self.star_signs = tuple(star_signs)
@@ -198,6 +202,7 @@ class CliffordAlgebra:
 @lru_cache(maxsize=None)
 def ccl(p: int, q: int) -> CliffordAlgebra:
     """CCl(p,q): all squares +1; bar fixes v_1..v_p and negates w_1..w_q."""
+    _check_signature(p, q)
     return CliffordAlgebra(
         p, q,
         squares=(1,) * (p + q),
@@ -210,6 +215,7 @@ def ccl(p: int, q: int) -> CliffordAlgebra:
 @lru_cache(maxsize=None)
 def kasparov(p: int, q: int) -> CliffordAlgebra:
     """Kasparov presentation C_{p,q}: eps_i^2 = 1, e_j^2 = -1, bar trivial, e_j* = -e_j."""
+    _check_signature(p, q)
     return CliffordAlgebra(
         p, q,
         squares=(1,) * p + (-1,) * q,
@@ -222,6 +228,7 @@ def kasparov(p: int, q: int) -> CliffordAlgebra:
 @lru_cache(maxsize=None)
 def ccl_interleaved(n: int) -> CliffordAlgebra:
     """CCl(n,n) in the interleaved basis: odd indices trivial, even indices sign."""
+    _check_signature(n, n)
     bar = tuple(1 if i % 2 == 0 else -1 for i in range(2 * n))
     return CliffordAlgebra(
         n, n,
@@ -355,10 +362,6 @@ class Multivector:
         if len(gs) == 1:
             return gs.pop()
         return None
-
-    def grade_part(self, k: int) -> "Multivector":
-        return Multivector(self.algebra,
-                           {m: c for m, c in self.terms.items() if m.bit_count() == k})
 
     def scalar_part(self):
         return self.coeff(0)

@@ -286,6 +286,8 @@ def matrix_from_json(obj) -> np.ndarray:
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("matrix JSON must have rows, cols, entries") from exc
+    if rows < 1 or cols < 1:
+        raise ValueError("empty matrix: rows and cols must be at least 1")
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise ValueError("matrix entries must be a list of rows")
     if len(entries) != rows:

@@ -6,9 +6,9 @@ denominator). Everything in this module is immutable and safe to share.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Rational = Fraction
 
@@ -16,11 +16,22 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# Fraction builds 10**exponent exactly ("1e9999999" alone takes about 10 s), so
+# exponents are held to the 4300 digits Python allows in an integer string.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][+-]?(\d+)")
+
+
 def rational_from_string(text: str) -> Fraction:
     """Parse "p/q" (or a plain integer / decimal) into a Fraction."""
     try:
+        exponent = _EXPONENT.search(text)
+        if exponent and int(exponent.group(1)) > _MAX_EXPONENT:
+            raise ValueError("exponent too large")
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
@@ -119,9 +130,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational._raw(self.re, -self.im)
 
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     @property
     def is_real(self) -> bool:
         return not self.im
@@ -211,19 +219,8 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, _ZERO)
-
     def coeff(self, exp: tuple) -> Fraction:
         return self.terms.get(tuple(exp), _ZERO)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def _check(self, other: "MultiPoly"):
         if self.nvars != other.nvars:
@@ -291,9 +288,6 @@ class MultiPoly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def leading_monomial_grlex(self) -> tuple:
         """Largest monomial in graded-lexicographic order."""
         if not self.terms:
@@ -352,30 +346,6 @@ class MultiPoly:
             out[tuple(new)] = c
         return MultiPoly(self.nvars, out)
 
-    def extend(self, new_nvars: int, offset: int = 0) -> "MultiPoly":
-        """View this polynomial inside a larger ring, shifting variables by offset."""
-        if offset + self.nvars > new_nvars:
-            raise ValueError("extended ring too small")
-        out = {}
-        for exp, c in self.terms.items():
-            new = [0] * new_nvars
-            new[offset:offset + self.nvars] = exp
-            out[tuple(new)] = c
-        return MultiPoly(new_nvars, out)
-
-    def eval(self, values: Iterable) -> Fraction:
-        vals = [Fraction(v) for v in values]
-        if len(vals) != self.nvars:
-            raise ValueError("value count mismatch")
-        total = _ZERO
-        for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
     def is_even_in(self, var: int) -> bool:
         return all(e[var] % 2 == 0 for e in self.terms)
 
@@ -418,61 +388,14 @@ class MultiPoly:
     __repr__ = __str__
 
 
-@lru_cache(maxsize=None)
-def _sympy_ring(nvars: int):
-    from sympy import QQ
-    from sympy.polys.rings import ring
-
-    return ring(",".join(f"x{i}" for i in range(nvars)), QQ)[0]
-
-
-def _to_sympy(poly: MultiPoly):
-    from sympy import QQ
-
-    R = _sympy_ring(poly.nvars)
-    return R.from_dict({e: QQ(c.numerator, c.denominator) for e, c in poly.terms.items()})
-
-
-def _from_sympy(elem, nvars: int) -> MultiPoly:
-    terms = {}
-    for exp, coeff in elem.terms():
-        terms[tuple(exp)] = Fraction(int(coeff.numerator), int(coeff.denominator))
-    return MultiPoly(nvars, terms)
-
-
-def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Monic gcd of two polynomials (delegated to sympy's sparse rings)."""
-    if a.nvars != b.nvars:
-        raise ValueError("variable-count mismatch")
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    if a.nvars == 0 or (a.is_constant() or b.is_constant()):
-        return MultiPoly.one(a.nvars)
-    g = _to_sympy(a).gcd(_to_sympy(b))
-    return _from_sympy(g, a.nvars)
-
-
-def poly_divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact quotient a / b; raises if the division is not exact."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return MultiPoly.zero(a.nvars)
-    if b.is_constant():
-        return a * (Fraction(1) / b.constant_value())
-    q, r = _to_sympy(a).div(_to_sympy(b))
-    if r:
-        raise ValueError("inexact polynomial division")
-    return _from_sympy(q, a.nvars)
-
-
 class RatFunc:
-    """Rational function num/den in canonical form.
+    """Rational function num/den, compared by cross-multiplication.
 
-    Canonical form: gcd-reduced, with the denominator's graded-lexicographic
-    leading coefficient scaled to 1, so equality is structural.
+    No gcd is taken: num/den is kept as built, with only the denominator's
+    graded-lexicographic leading coefficient scaled to 1 (and den = 1 when
+    num = 0). Equality is num1 * den2 == num2 * den1, exact in MultiPoly
+    arithmetic, so it does not depend on the form; for the same reason a
+    RatFunc is not hashable.
     """
 
     __slots__ = ("num", "den")
@@ -487,10 +410,6 @@ class RatFunc:
         if num.is_zero():
             den = MultiPoly.one(num.nvars)
         else:
-            g = poly_gcd(num, den)
-            if not (g.is_constant() and g.constant_value() == 1):
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
             lc = den.leading_coeff_grlex()
             if lc != 1:
                 inv = Fraction(1) / lc
@@ -567,26 +486,10 @@ class RatFunc:
             other = self._coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def cross_equal(self, other: "RatFunc") -> bool:
-        """Equality by cross multiplication, independent of canonicalization."""
-        return self.num * other.den == other.num * self.den
-
-    def substitute(self, replacements: list[MultiPoly]) -> "RatFunc":
-        return RatFunc(self.num.substitute(replacements), self.den.substitute(replacements))
+        return self.nvars == other.nvars and self.num * other.den == other.num * self.den
 
     def permute_vars(self, perm: list[int]) -> "RatFunc":
         return RatFunc(self.num.permute_vars(perm), self.den.permute_vars(perm))
-
-    def eval(self, values: Iterable) -> Fraction:
-        d = self.den.eval(values)
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.eval(values) / d
 
     def __str__(self):
         if self.den == MultiPoly.one(self.nvars):

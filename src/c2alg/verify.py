@@ -20,7 +20,7 @@ from .linalg import default_tol, random_unitary, realify
 from .pin_spin import (PinElement, check_rho_real_equivariance,
                        iv_model_action, phi_lift, rho_residual, spin_lift,
                        twisted_adjoint, unit_residual)
-from .scalars import GaussianRational, MultiPoly
+from .scalars import GaussianRational, MultiPoly, RatFunc
 
 SUITE_NAMES = ["clifford", "pin-spin", "genus", "mackey", "functional-calculus"]
 
@@ -474,7 +474,6 @@ def suite_functional_calculus(seed: int, cases: int) -> SuiteResult:
     result.check(funcalc.expand_slot(da, 0) == funcalc.delta_a_triple()
                  and funcalc.expand_slot(da, 1) == funcalc.delta_a_triple(),
                  "coassociativity on a")
-    from .scalars import RatFunc
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
     den = funcalc._one_plus_sum_of_squares(2)

@@ -159,6 +159,16 @@ class TestLiftCommands:
         assert out == ""
         assert err == "error: matrix entries must be finite\n"
 
+    @pytest.mark.parametrize("command, flag", [("spin-lift", "--matrix"),
+                                               ("phi-lift", "--unitary")])
+    def test_empty_matrix_is_refused_by_name(self, capsys, tmp_path, command, flag):
+        path = tmp_path / "empty.json"
+        path.write_text('{"rows": 0, "cols": 0, "entries": []}', encoding="utf-8")
+        code, out, err = run_cli(capsys, command, flag, str(path))
+        assert code == 64
+        assert out == ""
+        assert err == "error: empty matrix: rows and cols must be at least 1\n"
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "phi-lift", "--unitary", "/nonexistent.json")
         assert code == 64
@@ -224,20 +234,30 @@ MALFORMED_INPUTS = [
     (["ahat", "--pontryagin", "FILE"], '{"dim": 1e400, "pontryagin": {}}'),
     (["spin-lift", "--matrix", "FILE"], '{"rows": 2, "cols": 2, "entries": 5}'),
     (["phi-lift", "--unitary", "FILE"], '{"rows": 2, "cols": 2, "entries": 5}'),
+    (["ahat", "--manifold", "CP40"], None),
+    (["ahat", "--manifold", "CP2^1000000"], None),
+    (["ahat", "--pontryagin", "FILE"], '{"dim": 200, "pontryagin": {}}'),
+    (["spin-lift", "--matrix", "FILE"], '{"rows": 0, "cols": 0, "entries": []}'),
+    (["phi-lift", "--unitary", "FILE"], '{"rows": 0, "cols": 0, "entries": []}'),
+    (["obstruction", "--genus", "1e9999999"], None),
+    (["clifford", "conj", "--signature", "99999999999999999999,0", "--a", "e1"], None),
 ]
 
 
 @pytest.mark.parametrize("argv, text", MALFORMED_INPUTS,
                          ids=["zero-denominator", "deep-nesting", "long-unary-chain",
                               "pontryagin-list", "pontryagin-zero-denominator",
-                              "infinite-dim", "spin-lift-entries", "phi-lift-entries"])
+                              "infinite-dim", "spin-lift-entries", "phi-lift-entries",
+                              "ahat-cp40", "ahat-huge-power", "ahat-dim-200",
+                              "spin-lift-empty", "phi-lift-empty", "huge-exponent",
+                              "huge-signature"])
 def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
         path.write_text(text, encoding="utf-8")
         argv = [str(path) if a == "FILE" else a for a in argv]
     proc = subprocess.run([sys.executable, "-m", "c2alg.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 64
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -262,3 +282,13 @@ class TestImportFootprint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               check=True, text=True)
         assert proc.stdout == "[]\n"
+
+    def test_functional_calculus_verify_loads_no_sympy(self):
+        code = ("import runpy, sys; sys.argv = ['c2alg', 'verify', '--suite', "
+                "'functional-calculus', '--cases', '5']\n"
+                "try:\n    runpy.run_module('c2alg.cli', run_name='__main__')\n"
+                "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+                "print(sorted(m for m in sys.modules if m == 'sympy' or m.startswith('sympy.')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              check=True, text=True)
+        assert proc.stdout.endswith("[]\n")
