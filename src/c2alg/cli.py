@@ -36,6 +36,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _case_count(text: str) -> int:
+    """The --cases value: a nonnegative integer."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = None
+    if count is None or count < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return count
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="c2alg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -69,7 +80,7 @@ def build_parser() -> _Parser:
                           choices=["clifford", "pin-spin", "genus", "mackey",
                                    "functional-calculus", "all"])
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cases", type=int, default=100)
+    p_verify.add_argument("--cases", type=_case_count, default=100)
     p_verify.add_argument("--json", action="store_true")
     return parser
 

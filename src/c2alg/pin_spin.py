@@ -2,12 +2,15 @@
 
 The twisted adjoint rho(g)(v) = (-1)^{|g|} g v g^{-1} lands in the orthogonal
 group. Element validation is by certificate: constructors accept a product
-of unit vectors times a unit phase (each factor is checked), or a raw
-homogeneous multivector whose unit condition g * star(g) = 1 is checked
-(exactly for rational data, within tolerance for numeric data). Numeric unit
-checks, the numeric twisted adjoint and the lifts call the dense kernel of
-the algebra directly (``CliffordAlgebra.dense_mul``); exact data uses the
-sparse product.
+of unit vectors times a unit phase (each factor is checked, and an exact
+product needs no further check), or a raw homogeneous multivector whose unit
+condition g * star(g) = 1 is checked (exactly for rational data, within
+tolerance for numeric data). The exact twisted adjoint is a projection onto
+grade 1 in integer arithmetic, with no product: its entries are scalar parts
+of (g e_k)(g* e_i), and grade 1 is preserved exactly when each column has
+norm 1, because x -> g x g* is an l2 isometry. Numeric unit checks, the
+numeric twisted adjoint and the lifts call the dense kernel of the algebra
+directly (``CliffordAlgebra.dense_mul``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved
 from .linalg import check_finite, default_tol, random_unitary, realify, unitary_eigh
-from .scalars import MultiPoly
+from .scalars import GaussianRational, MultiPoly
 
 EVEN, ODD = 0, 1
 
@@ -61,8 +64,19 @@ class PinElement:
     @staticmethod
     def from_factors(algebra: CliffordAlgebra, vectors, phase=1,
                      tol: float | None = None) -> "PinElement":
-        """Product of unit grade-1 vectors times a unit complex scalar."""
+        """Product of unit grade-1 vectors times a unit complex scalar.
+
+        Every factor is checked. An exact product of checked real unit vectors
+        times a phase with re^2 + im^2 = 1 is exactly unit, so exact data is
+        trusted without a product check; numeric data is checked as a whole
+        within tolerance.
+        """
+        phase = algebra.coerce_coeff(phase)
+        exact = isinstance(phase, GaussianRational)
+        if exact and phase.re * phase.re + phase.im * phase.im != 1:
+            raise ValueError("certificate phase is not a unit complex scalar")
         value = algebra.scalar(phase)
+        count = 0
         for vec in vectors:
             v = vec if isinstance(vec, Multivector) else algebra.vector(vec)
             if v.terms and v.grades() != {1}:
@@ -78,7 +92,11 @@ class PinElement:
                 if not v.is_real(100 * tol) or not abs(nsq.scalar_part() - 1) <= 100 * tol:
                     raise ValueError(
                         "certificate factor is not a real unit vector within tolerance")
+            exact = exact and v.exact
             value = value * v
+            count += 1
+        if exact:
+            return PinElement._trusted(value, count & 1)
         return PinElement(value, tol=tol)
 
     @property
@@ -166,29 +184,83 @@ _OFF_GRADE = "twisted adjoint does not preserve grade 1; invalid Pin element"
 
 
 def twisted_adjoint(g: PinElement, tol: float | None = None) -> OrthogonalAction:
-    """Matrix of rho(g): column k is (-1)^{|g|} g e_k g^{-1} in the generator basis."""
-    alg = g.algebra
+    """Matrix of rho(g): column k is (-1)^{|g|} g e_k g^{-1} in the generator basis.
+
+    Exact data is projected, not multiplied out. The e_i coefficient of
+    w = g e_k g* is s_i <w e_i>_0 = s_i <(g e_k)(g* e_i)>_0 with s_i = e_i^2,
+    and both factors are signed relabellings of the support of g, so an entry
+    is a sum over shared blades m of a_m b_m sign(e_m e_m). With g brought to
+    one denominator D this is a sum of integer products, divided by D^2 only
+    when the Fraction entry is built.
+
+    No tolerance is involved. An entry whose imaginary sum is nonzero is
+    non-real. Grade 1 is preserved exactly when every column has sum
+    num[i, k]^2 = D^4: each blade is unitary (e_m* e_m = 1 in ``ccl``,
+    ``kasparov`` and ``ccl_interleaved``), so <x* y>_0 is the l2 inner
+    product of coefficients; <.>_0 is a trace, so for g* g = 1 the map
+    x -> g x g* is an l2 isometry, and g e_k g* has norm 1, which its grade-1
+    part reaches only when nothing lies off grade 1. Each column is tested
+    for non-real entries first, then off grade.
+    """
     if tol is None:
         tol = default_tol()
     if not g.value.exact:
         return _twisted_adjoint_numeric(g, tol)
-    ginv = g.inverse_value()
+    alg = g.algebra
+    n = alg.dim
+    flip = alg.flip
+    coeffs = g.value.terms.values()
+    den = math.lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+    g_ints = _integer_pairs(g.value, den)
+    star_ints = _integer_pairs(g.inverse_value(), den)
+    # g e_k as (blade, re, im) over den, with the sign of blade * blade folded in
+    lefts = []
+    for k in range(n):
+        ek = 1 << k
+        fk = flip(ek)
+        left = []
+        for m, (x, y) in g_ints:
+            mask = m ^ ek
+            if ((m & fk).bit_count() + (mask & flip(mask)).bit_count()) & 1:
+                x, y = -x, -y
+            left.append((mask, x, y))
+        lefts.append(left)
+    # g* e_i as blade -> (re, im) over den
+    rights = []
+    for i in range(n):
+        ei = 1 << i
+        fi = flip(ei)
+        rights.append({m ^ ei: (-u, -v) if (m & fi).bit_count() & 1 else (u, v)
+                       for m, (u, v) in star_ints})
+    signs = [-s if g.parity == ODD else s for s in alg.squares]
+    den4 = den ** 4
     cols = []
-    for k in range(alg.dim):
-        w = g.value * alg.generator(k + 1) * ginv
-        if g.parity == ODD:
-            w = -w
+    for left in lefts:
         col = []
-        for i in range(alg.dim):
-            c = w.coeff(1 << i)
-            if not c.is_real:
+        for right, sign in zip(rights, signs):
+            re = im = 0
+            for mask, x, y in left:
+                pair = right.get(mask)
+                if pair is not None:
+                    u, v = pair
+                    re += x * u - y * v
+                    im += x * v + y * u
+            if im:
                 raise ValueError(_NON_REAL)
-            col.append(c.re)
-        if w - alg.vector(col):
+            col.append(sign * re)
+        if sum(c * c for c in col) != den4:
             raise ValueError(_OFF_GRADE)
         cols.append(col)
-    rows = tuple(tuple(cols[j][i] for j in range(alg.dim)) for i in range(alg.dim))
-    return OrthogonalAction(True, rows)
+    den2 = den * den
+    return OrthogonalAction(True, tuple(tuple(Fraction(col[i], den2) for col in cols)
+                                        for i in range(n)))
+
+
+def _integer_pairs(mv: Multivector, den: int):
+    """(blade, (re * den, im * den)) for each term; den clears every denominator."""
+    return [(m, (c.re.numerator * (den // c.re.denominator),
+                 c.im.numerator * (den // c.im.denominator)))
+            for m, c in mv.terms.items()]
 
 
 def _twisted_adjoint_numeric(g: PinElement, tol: float) -> OrthogonalAction:

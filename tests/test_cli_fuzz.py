@@ -81,6 +81,13 @@ expression = st.one_of(
     st.sampled_from(["3/4*e1e3 + i*e2 - 1/2", "e2e1", "e17", "e0", "(e1", "1/0", "e1e1"]),
 )
 
+# --cases values: negatives of any size, a few mackey cases, and non-integers
+case_count = st.one_of(
+    st.integers(-10 ** 30, -1).map(str),
+    st.integers(0, 3).map(str),
+    st.sampled_from(["abc", "", "1.5", "1e3", "-0", "+2", " 2 ", "-x", "9" * 5000]),
+)
+
 
 def _check(capsys, argv):
     code = cli.main(argv)
@@ -90,6 +97,7 @@ def _check(capsys, argv):
     if code == 64:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return code
 
 
 @FUZZ
@@ -115,3 +123,12 @@ def test_ahat_pontryagin(capsys, tmp_path, text, as_json):
 def test_clifford_expressions(capsys, operation, sig, a, b, as_json):
     argv = ["clifford", operation, "--signature", sig, "--a", a, "--b", b]
     _check(capsys, argv + (["--json"] if as_json else []))
+
+
+@FUZZ
+@given(case_count, st.booleans())
+def test_verify_case_counts(capsys, cases, as_json):
+    argv = ["verify", "--suite", "mackey", "--cases", cases]
+    code = _check(capsys, argv + (["--json"] if as_json else []))
+    if cases.startswith("-") and cases != "-0":
+        assert code == 64

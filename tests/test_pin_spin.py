@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from c2alg.clifford import ccl, ccl_interleaved, kasparov
+from c2alg.clifford import Multivector, ccl, ccl_interleaved, kasparov
 from c2alg.linalg import realify
 from c2alg.pin_spin import (PinElement, check_phi_real,
                             check_rho_real_equivariance, householder_factors,
@@ -13,7 +13,7 @@ from c2alg.pin_spin import (PinElement, check_phi_real,
                             twisted_adjoint, unit_residual)
 from c2alg.scalars import GaussianRational, MultiPoly
 from c2alg.verify import (_rng, rand_multivector, rand_pin, rand_polynomial,
-                          random_special_orthogonal, random_unitary,
+                          random_special_orthogonal, random_unitary, rational_phase,
                           rational_unit_vector)
 
 I = GaussianRational.I
@@ -45,6 +45,30 @@ class TestPinElement:
         with pytest.raises(ValueError, match="g \\* star\\(g\\) = 1"):
             PinElement(nan)
         assert math.isnan(unit_residual(PinElement._trusted(nan, 0)))
+
+    @pytest.mark.parametrize("phase", [2, GaussianRational(1, 1), 0])
+    def test_certificate_rejects_non_unit_exact_phase(self, phase):
+        alg = ccl(2, 0)
+        for vectors in ([], [alg.generator(1)]):
+            with pytest.raises(ValueError):
+                PinElement.from_factors(alg, vectors, phase)
+
+    def test_trusted_certificate_parity_and_unit(self):
+        rng = _rng(26, "certificate")
+        for alg in (ccl(3, 1), ccl(0, 4), ccl_interleaved(2)):
+            for count in range(5):
+                vectors = [rational_unit_vector(rng, alg) for _ in range(count)]
+                g = PinElement.from_factors(alg, vectors, rational_phase(rng))
+                assert g.parity == count % 2 == g.value.parity()
+                assert unit_residual(g) == 0.0
+
+    def test_numeric_certificate_checked_within_tolerance(self):
+        alg = ccl(2, 0)
+        v = alg.vector([0.6, 0.8])
+        assert not PinElement.from_factors(alg, [v]).value.exact
+        for vectors, phase in (([v], 1.5), ([alg.generator(1)], 1.5), ([v], 2j)):
+            with pytest.raises(ValueError, match="within tolerance"):
+                PinElement.from_factors(alg, vectors, phase)
 
     def test_certificate_rejects_complex_vector(self):
         # (5/3)^2 + (4i/3)^2 = 1 but the vector is outside the real span
@@ -102,6 +126,115 @@ class TestTwistedAdjoint:
             h = rand_pin(rng, alg, 4)
             assert twisted_adjoint(g * h) == twisted_adjoint(g) @ twisted_adjoint(h)
             assert twisted_adjoint(g).is_orthogonal()
+
+
+def _product_twisted_adjoint(g):
+    """Rows of rho(g) from the sparse products g e_k g*, checked at every grade."""
+    alg = g.algebra
+    n = alg.dim
+    cols = []
+    for k in range(n):
+        w = g.value * alg.generator(k + 1) * g.value.star()
+        if g.parity:
+            w = -w
+        col = []
+        for i in range(n):
+            c = w.coeff(1 << i)
+            if not c.is_real:
+                raise ValueError("twisted adjoint has non-real entries; invalid Pin element")
+            col.append(c.re)
+        if w - alg.vector(col):
+            raise ValueError("twisted adjoint does not preserve grade 1; invalid Pin element")
+        cols.append(col)
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def _raise_message(fn, g):
+    try:
+        fn(g)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestExactProjection:
+    """The integer projection against the product formula it replaces."""
+
+    def test_matches_products_on_random_elements(self):
+        rng = _rng(27, "projection")
+        algebras = [ccl(p, n - p) for n in range(1, 6) for p in range(n + 1)]
+        for alg in algebras + [ccl_interleaved(2)]:
+            for _ in range(6):
+                g = rand_pin(rng, alg, 4)
+                assert twisted_adjoint(g).rows == _product_twisted_adjoint(g)
+
+    def test_matches_products_on_raw_kasparov_elements(self):
+        # generator word x rational phase x unit vector in the eps_1 eps_2 plane
+        rng = _rng(28, "projection-kasparov")
+        alg = kasparov(2, 2)
+        for _ in range(40):
+            word = alg.blade([rng.randint(1, 4) for _ in range(rng.randint(0, 4))])
+            u = rational_unit_vector(rng, ccl(2, 0))
+            plane = alg.vector([u.coeff(1).re, u.coeff(2).re, 0, 0])
+            value = word * plane.scale(rational_phase(rng))
+            g = PinElement(value)
+            assert twisted_adjoint(g).rows == _product_twisted_adjoint(g)
+
+    @pytest.mark.parametrize("alg, text, message", [
+        (ccl(4, 0), "3/5 + 4/5*i*e1e2e3e4", "does not preserve grade 1"),
+        (ccl(4, 0), "-4/5*i*e1e3 - 3/5*e2e4", "does not preserve grade 1"),
+        (ccl(2, 2), "-3/5*i*e4 - 4/5*e1e2e3", "does not preserve grade 1"),
+        (kasparov(1, 2), "-4/5*i*e1 - 3/5*e2", "has non-real entries"),
+        (kasparov(2, 2), "-4/5*i*e1e2e4 + 3/5*e2e3e4", "has non-real entries"),
+    ])
+    def test_unit_elements_outside_pin_rejected(self, alg, text, message):
+        g = PinElement(alg.parse(text))
+        with pytest.raises(ValueError, match=message):
+            twisted_adjoint(g)
+        assert _raise_message(twisted_adjoint, g) == _raise_message(_product_twisted_adjoint, g)
+
+    def test_two_blade_units_agree_with_products(self):
+        # (3/5) u e_a + (4/5) w e_b with u, w in {1, i}: every same-parity pair
+        # of blades, many outside Pin, must give the same rows or the same error
+        coeffs = [Fraction(3, 5), GaussianRational(0, Fraction(3, 5))]
+        others = [Fraction(4, 5), GaussianRational(0, Fraction(4, 5))]
+        for alg in (ccl(3, 1), kasparov(2, 2), ccl_interleaved(2)):
+            size = 1 << alg.dim
+            for a in range(size):
+                for b in range(a + 1, size):
+                    if (a ^ b).bit_count() & 1:
+                        continue
+                    for u in coeffs:
+                        for w in others:
+                            value = alg.from_terms({a: alg.coerce_coeff(u),
+                                                    b: alg.coerce_coeff(w)})
+                            if value * value.star() != alg.scalar(1):
+                                continue
+                            g = PinElement(value)
+                            expected = _raise_message(_product_twisted_adjoint, g)
+                            assert _raise_message(twisted_adjoint, g) == expected
+                            if expected is None:
+                                assert twisted_adjoint(g).rows == _product_twisted_adjoint(g)
+
+    def test_product_counts(self, monkeypatch):
+        # exact rho makes no Multivector product; from_factors one norm check
+        # and one accumulation per factor
+        rng = _rng(29, "product-counts")
+        alg = ccl(3, 2)
+        g = rand_pin(rng, alg, 4)
+        vectors = [rational_unit_vector(rng, alg) for _ in range(3)]
+        calls = []
+        original = Multivector.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(Multivector, "__mul__", counting)
+        twisted_adjoint(g)
+        assert not calls
+        PinElement.from_factors(alg, vectors, rational_phase(rng))
+        assert len(calls) <= 2 * len(vectors)
 
 
 class TestRhoRealEquivariance:

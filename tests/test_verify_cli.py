@@ -241,6 +241,7 @@ MALFORMED_INPUTS = [
     (["phi-lift", "--unitary", "FILE"], '{"rows": 0, "cols": 0, "entries": []}'),
     (["obstruction", "--genus", "1e9999999"], None),
     (["clifford", "conj", "--signature", "99999999999999999999,0", "--a", "e1"], None),
+    (["verify", "--suite", "mackey", "--cases", "-5"], None),
 ]
 
 
@@ -250,7 +251,7 @@ MALFORMED_INPUTS = [
                               "infinite-dim", "spin-lift-entries", "phi-lift-entries",
                               "ahat-cp40", "ahat-huge-power", "ahat-dim-200",
                               "spin-lift-empty", "phi-lift-empty", "huge-exponent",
-                              "huge-signature"])
+                              "huge-signature", "negative-cases"])
 def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
