@@ -3,12 +3,13 @@
 The twisted adjoint rho(g)(v) = (-1)^{|g|} g v g^{-1} lands in the orthogonal
 group. Element validation is by certificate: constructors accept a product
 of unit vectors times a unit phase (each factor is checked, and an exact
-product needs no further check), or a raw homogeneous multivector whose unit
-condition g * star(g) = 1 is checked (exactly for rational data, within
-tolerance for numeric data). The exact twisted adjoint is a projection onto
-grade 1 in integer arithmetic, with no product: its entries are scalar parts
-of (g e_k)(g* e_i), and grade 1 is preserved exactly when each column has
-norm 1, because x -> g x g* is an l2 isometry. Numeric unit checks, the
+product of factors with v v* = 1 needs no further check), or a raw
+homogeneous multivector whose unit condition g * star(g) = 1 is checked
+(exactly for rational data, within tolerance for numeric data). The exact
+twisted adjoint is a projection onto grade 1 in integer arithmetic, with no
+product: its entries are l2 inner products <e_i g, g e_k>, and grade 1 is
+preserved exactly when each column has norm 1, because x -> g x g* is an l2
+isometry. Numeric unit checks, the
 numeric twisted adjoint and the lifts call the dense kernel of the algebra
 directly (``CliffordAlgebra.dense_mul``).
 """
@@ -66,36 +67,40 @@ class PinElement:
                      tol: float | None = None) -> "PinElement":
         """Product of unit grade-1 vectors times a unit complex scalar.
 
-        Every factor is checked. An exact product of checked real unit vectors
-        times a phase with re^2 + im^2 = 1 is exactly unit, so exact data is
-        trusted without a product check; numeric data is checked as a whole
-        within tolerance.
+        Every factor must be real with v^2 = 1. An exact factor without weight
+        on a negative-square generator also has v v* = 1, so an exact product
+        of such factors times a phase with re^2 + im^2 = 1 is exactly unit
+        and is trusted without a product check. Any other product is checked
+        as a whole: exactly for rational data, within tolerance for numeric.
         """
         phase = algebra.coerce_coeff(phase)
-        exact = isinstance(phase, GaussianRational)
-        if exact and phase.re * phase.re + phase.im * phase.im != 1:
+        trusted = isinstance(phase, GaussianRational)
+        if trusted and phase.re * phase.re + phase.im * phase.im != 1:
             raise ValueError("certificate phase is not a unit complex scalar")
+        squares = algebra.squares
         value = algebra.scalar(phase)
         count = 0
         for vec in vectors:
             v = vec if isinstance(vec, Multivector) else algebra.vector(vec)
             if v.terms and v.grades() != {1}:
                 raise ValueError("certificate factors must be grade-1")
-            nsq = v * v
+            # v * v is the scalar sum of squares[i] c_i^2: the cross terms cancel
+            nsq = sum(squares[m.bit_length() - 1] * c * c for m, c in v.terms.items())
             if v.exact:
                 # unit vectors live in the real span of the generators
-                if not v.is_real() or nsq != algebra.scalar(1):
+                if not v.is_real() or nsq != 1:
                     raise ValueError("certificate factor is not a real unit vector")
+                trusted = trusted and not any(m & algebra.neg_square_mask for m in v.terms)
             else:
                 if tol is None:
                     tol = default_tol()
-                if not v.is_real(100 * tol) or not abs(nsq.scalar_part() - 1) <= 100 * tol:
+                if not v.is_real(100 * tol) or not abs(nsq - 1) <= 100 * tol:
                     raise ValueError(
                         "certificate factor is not a real unit vector within tolerance")
-            exact = exact and v.exact
+                trusted = False
             value = value * v
             count += 1
-        if exact:
+        if trusted:
             return PinElement._trusted(value, count & 1)
         return PinElement(value, tol=tol)
 
@@ -186,21 +191,21 @@ _OFF_GRADE = "twisted adjoint does not preserve grade 1; invalid Pin element"
 def twisted_adjoint(g: PinElement, tol: float | None = None) -> OrthogonalAction:
     """Matrix of rho(g): column k is (-1)^{|g|} g e_k g^{-1} in the generator basis.
 
-    Exact data is projected, not multiplied out. The e_i coefficient of
-    w = g e_k g* is s_i <w e_i>_0 = s_i <(g e_k)(g* e_i)>_0 with s_i = e_i^2,
-    and both factors are signed relabellings of the support of g, so an entry
-    is a sum over shared blades m of a_m b_m sign(e_m e_m). With g brought to
-    one denominator D this is a sum of integer products, divided by D^2 only
-    when the Fraction entry is built.
+    Exact data is projected, not multiplied out. Every blade is unitary
+    (e_m* e_m = 1 in ``ccl``, ``kasparov`` and ``ccl_interleaved``), so
+    <x* y>_0 is the l2 inner product <x, y> = sum_m conj(x_m) y_m, and since
+    <.>_0 is a trace the e_i coefficient of g e_k g* is
+    <e_i* g e_k g*>_0 = <(e_i g)* (g e_k)>_0 = <e_i g, g e_k>. Both e_i g and
+    g e_k are signed relabellings of the support of g, so with g brought to
+    one denominator D an entry is a sum of integer products, divided by D^2
+    only when the Fraction entry is built.
 
     No tolerance is involved. An entry whose imaginary sum is nonzero is
     non-real. Grade 1 is preserved exactly when every column has sum
-    num[i, k]^2 = D^4: each blade is unitary (e_m* e_m = 1 in ``ccl``,
-    ``kasparov`` and ``ccl_interleaved``), so <x* y>_0 is the l2 inner
-    product of coefficients; <.>_0 is a trace, so for g* g = 1 the map
-    x -> g x g* is an l2 isometry, and g e_k g* has norm 1, which its grade-1
-    part reaches only when nothing lies off grade 1. Each column is tested
-    for non-real entries first, then off grade.
+    num[i, k]^2 = D^4: for g* g = 1 the map x -> g x g* is an l2 isometry
+    (<g x g*, g y g*> = <x, y> by the trace), so g e_k g* has norm 1, which
+    its grade-1 part reaches only when nothing lies off grade 1. Each column
+    is tested for non-real entries first, then off grade.
     """
     if tol is None:
         tol = default_tol()
@@ -208,43 +213,37 @@ def twisted_adjoint(g: PinElement, tol: float | None = None) -> OrthogonalAction
         return _twisted_adjoint_numeric(g, tol)
     alg = g.algebra
     n = alg.dim
-    flip = alg.flip
+    blade_product = alg.blade_product
     coeffs = g.value.terms.values()
     den = math.lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
     g_ints = _integer_pairs(g.value, den)
-    star_ints = _integer_pairs(g.inverse_value(), den)
-    # g e_k as (blade, re, im) over den, with the sign of blade * blade folded in
+    # g e_k as (blade, re, im) and e_i g as blade -> (re, im), all over den
     lefts = []
-    for k in range(n):
-        ek = 1 << k
-        fk = flip(ek)
-        left = []
-        for m, (x, y) in g_ints:
-            mask = m ^ ek
-            if ((m & fk).bit_count() + (mask & flip(mask)).bit_count()) & 1:
-                x, y = -x, -y
-            left.append((mask, x, y))
-        lefts.append(left)
-    # g* e_i as blade -> (re, im) over den
     rights = []
-    for i in range(n):
-        ei = 1 << i
-        fi = flip(ei)
-        rights.append({m ^ ei: (-u, -v) if (m & fi).bit_count() & 1 else (u, v)
-                       for m, (u, v) in star_ints})
-    signs = [-s if g.parity == ODD else s for s in alg.squares]
+    for k in range(n):
+        gen = 1 << k
+        left = []
+        right = {}
+        for m, x, y in g_ints:
+            sign, mask = blade_product(m, gen)
+            left.append((mask, sign * x, sign * y))
+            sign, mask = blade_product(gen, m)
+            right[mask] = (sign * x, sign * y)
+        lefts.append(left)
+        rights.append(right)
+    sign = -1 if g.parity == ODD else 1
     den4 = den ** 4
     cols = []
     for left in lefts:
         col = []
-        for right, sign in zip(rights, signs):
+        for right in rights:
             re = im = 0
             for mask, x, y in left:
                 pair = right.get(mask)
                 if pair is not None:
                     u, v = pair
-                    re += x * u - y * v
-                    im += x * v + y * u
+                    re += u * x + v * y
+                    im += u * y - v * x
             if im:
                 raise ValueError(_NON_REAL)
             col.append(sign * re)
@@ -257,9 +256,9 @@ def twisted_adjoint(g: PinElement, tol: float | None = None) -> OrthogonalAction
 
 
 def _integer_pairs(mv: Multivector, den: int):
-    """(blade, (re * den, im * den)) for each term; den clears every denominator."""
-    return [(m, (c.re.numerator * (den // c.re.denominator),
-                 c.im.numerator * (den // c.im.denominator)))
+    """(blade, re * den, im * den) for each term; den clears every denominator."""
+    return [(m, c.re.numerator * (den // c.re.denominator),
+             c.im.numerator * (den // c.im.denominator))
             for m, c in mv.terms.items()]
 
 

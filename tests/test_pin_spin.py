@@ -55,12 +55,29 @@ class TestPinElement:
 
     def test_trusted_certificate_parity_and_unit(self):
         rng = _rng(26, "certificate")
-        for alg in (ccl(3, 1), ccl(0, 4), ccl_interleaved(2)):
+        eps = ccl(2, 0)
+        for alg in (ccl(3, 1), ccl(0, 4), ccl_interleaved(2), kasparov(2, 2)):
             for count in range(5):
-                vectors = [rational_unit_vector(rng, alg) for _ in range(count)]
+                if alg.neg_square_mask:
+                    # trusted factors of kasparov(2, 2) lie in the span of eps_1, eps_2
+                    vectors = [alg.vector([c.coeff(1 << i) for i in range(2)] + [0, 0])
+                               for c in (rational_unit_vector(rng, eps) for _ in range(count))]
+                else:
+                    vectors = [rational_unit_vector(rng, alg) for _ in range(count)]
                 g = PinElement.from_factors(alg, vectors, rational_phase(rng))
                 assert g.parity == count % 2 == g.value.parity()
                 assert unit_residual(g) == 0.0
+
+    def test_certificate_checks_factors_off_the_positive_span(self):
+        # v = 5/3 eps_1 + 4/3 e_1 squares to 25/9 - 16/9 = 1, yet
+        # v v* = 41/9 - 40/9 eps_1 e_1, so v alone is not in Pin; v v = 1 is
+        alg = kasparov(1, 1)
+        v = alg.vector([Fraction(5, 3), Fraction(4, 3)])
+        assert v * v == alg.scalar(1) and v * v.star() != alg.scalar(1)
+        with pytest.raises(ValueError, match="g \\* star\\(g\\) = 1"):
+            PinElement.from_factors(alg, [v])
+        g = PinElement.from_factors(alg, [v, v])
+        assert g.value == alg.scalar(1) and g.parity == 0
 
     def test_numeric_certificate_checked_within_tolerance(self):
         alg = ccl(2, 0)
@@ -217,8 +234,8 @@ class TestExactProjection:
                                 assert twisted_adjoint(g).rows == _product_twisted_adjoint(g)
 
     def test_product_counts(self, monkeypatch):
-        # exact rho makes no Multivector product; from_factors one norm check
-        # and one accumulation per factor
+        # exact rho makes no Multivector product; from_factors one
+        # accumulation per factor
         rng = _rng(29, "product-counts")
         alg = ccl(3, 2)
         g = rand_pin(rng, alg, 4)
@@ -234,7 +251,7 @@ class TestExactProjection:
         twisted_adjoint(g)
         assert not calls
         PinElement.from_factors(alg, vectors, rational_phase(rng))
-        assert len(calls) <= 2 * len(vectors)
+        assert len(calls) <= len(vectors)
 
 
 class TestRhoRealEquivariance:
