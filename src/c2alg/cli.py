@@ -2,6 +2,8 @@
 
 Exit codes: 0 success/pass, 1 verification or tolerance failure, 2
 obstruction-witness found, 64 usage error (bad arguments or malformed input).
+A report whose reader has closed stdout (``c2alg verify --json | head``) is
+dropped quietly with exit code 1.
 Reports are deterministic for fixed arguments and seed; ``--json`` switches to
 the stable machine-readable format.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -19,7 +22,7 @@ from .clifford import ccl, parse_multivector
 from .linalg import default_tol, matrix_from_json, matrix_to_json, realify
 from .pin_spin import PinElement, phi_lift, rho_residual, spin_lift, unit_residual
 from .scalars import rational_from_string, rational_to_string
-from .verify import run_verify
+from .verify import MAX_CASES, run_verify
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -37,13 +40,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _case_count(text: str) -> int:
-    """The --cases value: a nonnegative integer."""
+    """The --cases value: an integer from 0 to ``verify.MAX_CASES``."""
     try:
         count = int(text)
     except ValueError:
         count = None
     if count is None or count < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    if count > MAX_CASES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_CASES}")
     return count
 
 
@@ -91,6 +96,7 @@ def _emit(report: dict, as_json: bool, human_lines):
     else:
         for line in human_lines:
             print(line)
+    sys.stdout.flush()  # a closed stdout raises here, inside main, not at exit
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -313,6 +319,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -2,9 +2,12 @@
 
 Blades are bitmasks over generator indices 1..p+q; coefficients are either
 exact (GaussianRational) or numeric (complex). Every blade-product sign comes
-from one bit-arithmetic rule (``CliffordAlgebra.flip``). Exact products run a
-sparse loop over term pairs; numeric products run a dense kernel over complex
-arrays of length 2^n indexed by blade mask.
+from one bit-arithmetic rule (``CliffordAlgebra.flip``). Exact products bring
+each operand to integer numerators over one common denominator
+(``integer_terms``), run the sparse loop over term pairs on Python ints, and
+build one GaussianRational per output blade, so a product takes one gcd per
+output coefficient instead of several per term pair. Numeric products run a
+dense kernel over complex arrays of length 2^n indexed by blade mask.
 Both serve the complexified Clifford algebras CCl(p,q) (all generators square
 to +1, Real structure fixes the first p generators and negates the last q),
 the Kasparov-style presentation C_{p,q} (last q generators square to -1), and
@@ -13,6 +16,7 @@ the interleaved model of CCl(n,n) used by the unitary-group lifts.
 
 from __future__ import annotations
 
+import math
 import re as _re
 from fractions import Fraction
 from functools import lru_cache
@@ -307,18 +311,10 @@ class Multivector:
         if not (self.exact and other.exact):
             alg = self.algebra
             return alg.from_dense(alg.dense_mul(self.to_dense(), other.to_dense()))
-        flip = self.algebra.flip
-        right = [(m2, flip(m2), c2) for m2, c2 in other.terms.items()]
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, f2, c2 in right:
-                c = c1 * c2
-                if (m1 & f2).bit_count() & 1:
-                    c = -c
-                mask = m1 ^ m2
-                acc = out.get(mask)
-                out[mask] = c if acc is None else acc + c
-        return Multivector(self.algebra, {m: c for m, c in out.items() if c})
+        d1, left = integer_terms(self.terms)
+        d2, right = integer_terms(other.terms)
+        return Multivector(self.algebra, rational_terms(
+            d1 * d2, integer_product(self.algebra.flip, left, right)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
@@ -437,18 +433,63 @@ class Multivector:
 
 
 def vector_norm_sq(v: Multivector) -> Fraction:
-    """Squared Euclidean norm of a real-rational grade-1 element.
+    """Squared Euclidean norm sum c_i^2 of a real-rational grade-1 element.
 
-    Equals the scalar part of v*v since every generator squares to +1.
+    It equals the scalar part of v*v only when v has no weight on a generator
+    that squares to -1 (the last q generators of ``kasparov(p, q)``), so such
+    weight raises ValueError.
     """
     if v.terms and v.grades() != {1}:
         raise ValueError("input must be a pure grade-1 element")
+    if any(m & v.algebra.neg_square_mask for m in v.terms):
+        raise ValueError("input has weight on a generator that squares to -1")
     total = Fraction(0)
     for _, c in v.terms.items():
         if not isinstance(c, GaussianRational) or not c.is_real:
             raise ValueError("input must have real rational coefficients")
         total += c.re * c.re
     return total
+
+
+# -- exact products on integer numerators -------------------------------------------
+
+_ZERO = Fraction(0)
+
+
+def integer_terms(terms: dict) -> tuple[int, list]:
+    """(den, [(key, re * den, im * den)]) for exact terms, den the lcm of every denominator."""
+    ratios = [(k, c.re.as_integer_ratio(), c.im.as_integer_ratio()) for k, c in terms.items()]
+    den = 1
+    for _, (_, a), (_, b) in ratios:
+        den = math.lcm(den, a, b)
+    return den, [(k, x * (den // a), y * (den // b)) for k, (x, a), (y, b) in ratios]
+
+
+def integer_product(flip, left: list, right: list) -> list:
+    """Product of two ``integer_terms`` lists: [(mask, re, im)] over d1 * d2.
+
+    ``flip`` is ``CliffordAlgebra.flip``; blades whose sums cancel are dropped.
+    """
+    right = [(m2, flip(m2), x2, y2) for m2, x2, y2 in right]
+    res: dict = {}
+    ims: dict = {}
+    for m1, x1, y1 in left:
+        for m2, f2, x2, y2 in right:
+            mask = m1 ^ m2
+            if (m1 & f2).bit_count() & 1:
+                res[mask] = res.get(mask, 0) - x1 * x2 + y1 * y2
+                ims[mask] = ims.get(mask, 0) - x1 * y2 - y1 * x2
+            else:
+                res[mask] = res.get(mask, 0) + x1 * x2 - y1 * y2
+                ims[mask] = ims.get(mask, 0) + x1 * y2 + y1 * x2
+    return [(m, re, ims[m]) for m, re in res.items() if re or ims[m]]
+
+
+def rational_terms(den: int, triples) -> dict:
+    """Terms key -> GaussianRational(re / den, im / den): one gcd per nonzero part."""
+    raw = GaussianRational._raw
+    return {k: raw(Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
+            for k, re, im in triples}
 
 
 # -- graded tensor decomposition ---------------------------------------------------
@@ -486,20 +527,29 @@ class TensorElement:
         return self + (-other)
 
     def __mul__(self, other):
-        out: dict = {}
+        """Exact product, on integer numerators like ``Multivector.__mul__``."""
+        if not all(isinstance(c, GaussianRational)
+                   for t in (self, other) for c in t.terms.values()):
+            raise TypeError("tensor products need exact coefficients")
+        d1, left = integer_terms(self.terms)
+        d2, right = integer_terms(other.terms)
         flip1, flip2 = self.alg1.flip, self.alg2.flip
-        right = [(a2, b2, flip1(a2), flip2(b2), a2.bit_count(), c2)
-                 for (a2, b2), c2 in other.terms.items()]
-        for (a1, b1), c1 in self.terms.items():
+        right = [(a2, b2, flip1(a2), flip2(b2), a2.bit_count(), x2, y2)
+                 for (a2, b2), x2, y2 in right]
+        res: dict = {}
+        ims: dict = {}
+        for (a1, b1), x1, y1 in left:
             odd_b1 = b1.bit_count() & 1
-            for a2, b2, f1, f2, grade_a2, c2 in right:
-                c = c1 * c2
-                if ((a1 & f1).bit_count() + (b1 & f2).bit_count() + (odd_b1 & grade_a2)) & 1:
-                    c = -c
+            for a2, b2, f1, f2, grade_a2, x2, y2 in right:
                 key = (a1 ^ a2, b1 ^ b2)
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-        return TensorElement(self.alg1, self.alg2, out)
+                if ((a1 & f1).bit_count() + (b1 & f2).bit_count() + (odd_b1 & grade_a2)) & 1:
+                    res[key] = res.get(key, 0) - x1 * x2 + y1 * y2
+                    ims[key] = ims.get(key, 0) - x1 * y2 - y1 * x2
+                else:
+                    res[key] = res.get(key, 0) + x1 * x2 - y1 * y2
+                    ims[key] = ims.get(key, 0) + x1 * y2 + y1 * x2
+        return TensorElement(self.alg1, self.alg2, rational_terms(
+            d1 * d2, [(k, re, ims[k]) for k, re in res.items() if re or ims[k]]))
 
     def bar(self) -> "TensorElement":
         n1, n2 = self.alg1.bar_neg_mask, self.alg2.bar_neg_mask
@@ -593,17 +643,23 @@ def graded_tensor_split(mv: Multivector, first_indices) -> tuple[SplitSpec, Tens
 # -- Kasparov comparison isomorphism ------------------------------------------------
 
 
+def _i_power_times(c: GaussianRational, k: int) -> GaussianRational:
+    """i^k * c by k mod 4 quarter turns (re, im) -> (-im, re); no multiplication."""
+    for _ in range(k & 3):
+        c = GaussianRational._raw(-c.im, c.re)
+    return c
+
+
 def to_kasparov(mv: Multivector) -> Multivector:
     """Isomorphism CCl(p,q) -> C_{p,q}: v_i -> eps_i, w_j -> i*e_j."""
     alg = mv.algebra
     target = kasparov(alg.p, alg.q)
     w_mask = ((1 << alg.q) - 1) << alg.p
-    i_unit = GaussianRational.I
     out = {}
     for mask, c in mv.terms.items():
         k = (mask & w_mask).bit_count()
         if k:
-            c = c * (i_unit ** k) if isinstance(c, GaussianRational) else c * (1j ** k)
+            c = _i_power_times(c, k) if isinstance(c, GaussianRational) else c * (1j ** k)
         out[mask] = c
     return Multivector(target, out)
 
@@ -613,12 +669,11 @@ def from_kasparov(mv: Multivector) -> Multivector:
     alg = mv.algebra
     target = ccl(alg.p, alg.q)
     w_mask = ((1 << alg.q) - 1) << alg.p
-    minus_i = -GaussianRational.I
     out = {}
     for mask, c in mv.terms.items():
         k = (mask & w_mask).bit_count()
         if k:
-            c = c * (minus_i ** k) if isinstance(c, GaussianRational) else c * ((-1j) ** k)
+            c = _i_power_times(c, -k) if isinstance(c, GaussianRational) else c * ((-1j) ** k)
         out[mask] = c
     return Multivector(target, out)
 

@@ -332,7 +332,8 @@ class FcImage:
 def fc_eval(v: Multivector) -> FcImage:
     """fc(v): a -> 1/(1+|v|^2), b -> v/(1+|v|^2).
 
-    Requires a grade-1 (or zero) element with real rational coefficients.
+    Requires a grade-1 (or zero) element with real rational coefficients and
+    no weight on a generator that squares to -1 (see ``vector_norm_sq``).
     """
     if v.terms and v.grades() != {1}:
         raise ValueError("non-vector input")

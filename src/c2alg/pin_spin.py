@@ -9,20 +9,25 @@ homogeneous multivector whose unit condition g * star(g) = 1 is checked
 twisted adjoint is a projection onto grade 1 in integer arithmetic, with no
 product: its entries are l2 inner products <e_i g, g e_k>, and grade 1 is
 preserved exactly when each column has norm 1, because x -> g x g* is an l2
-isometry. Numeric unit checks, the
-numeric twisted adjoint and the lifts call the dense kernel of the algebra
-directly (``CliffordAlgebra.dense_mul``).
+isometry. Exact work runs on integer numerators over one common denominator
+(``clifford.integer_terms``): the projection, the accumulated product of
+certificate factors, and the matrix product and orthogonality test of
+``OrthogonalAction``; a Fraction is built once per output entry. Numeric unit
+checks, the numeric twisted adjoint and the lifts call the dense kernel of
+the algebra directly (``CliffordAlgebra.dense_mul``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved
+from .clifford import (CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_product,
+                       integer_terms, rational_terms)
 from .linalg import check_finite, default_tol, random_unitary, realify, unitary_eigh
 from .scalars import GaussianRational, MultiPoly
 
@@ -72,36 +77,51 @@ class PinElement:
         of such factors times a phase with re^2 + im^2 = 1 is exactly unit
         and is trusted without a product check. Any other product is checked
         as a whole: exactly for rational data, within tolerance for numeric.
+        An exact product is accumulated on integer numerators
+        (``clifford.integer_product``) and normalised once at the end.
         """
         phase = algebra.coerce_coeff(phase)
-        trusted = isinstance(phase, GaussianRational)
+        exact = trusted = isinstance(phase, GaussianRational)
         if trusted and phase.re * phase.re + phase.im * phase.im != 1:
             raise ValueError("certificate phase is not a unit complex scalar")
         squares = algebra.squares
-        value = algebra.scalar(phase)
-        count = 0
+        factors = []
+        integer_factors = []
         for vec in vectors:
             v = vec if isinstance(vec, Multivector) else algebra.vector(vec)
             if v.terms and v.grades() != {1}:
                 raise ValueError("certificate factors must be grade-1")
-            # v * v is the scalar sum of squares[i] c_i^2: the cross terms cancel
-            nsq = sum(squares[m.bit_length() - 1] * c * c for m, c in v.terms.items())
             if v.exact:
-                # unit vectors live in the real span of the generators
-                if not v.is_real() or nsq != 1:
+                # unit vectors live in the real span of the generators, and
+                # v * v is the scalar sum of squares[i] c_i^2 (cross terms cancel)
+                den, ints = integer_terms(v.terms)
+                if (any(y for _, _, y in ints)
+                        or sum(squares[m.bit_length() - 1] * x * x for m, x, _ in ints)
+                        != den * den):
                     raise ValueError("certificate factor is not a real unit vector")
                 trusted = trusted and not any(m & algebra.neg_square_mask for m in v.terms)
+                integer_factors.append((den, ints))
             else:
                 if tol is None:
                     tol = default_tol()
+                nsq = sum(squares[m.bit_length() - 1] * c * c for m, c in v.terms.items())
                 if not v.is_real(100 * tol) or not abs(nsq - 1) <= 100 * tol:
                     raise ValueError(
                         "certificate factor is not a real unit vector within tolerance")
-                trusted = False
-            value = value * v
-            count += 1
+                exact = trusted = False
+            factors.append(v)
+        if exact:
+            den, acc = integer_terms({0: phase})
+            for d, ints in integer_factors:
+                den *= d
+                acc = integer_product(algebra.flip, acc, ints)
+            value = Multivector(algebra, rational_terms(den, acc))
+        else:
+            value = algebra.scalar(phase)
+            for v in factors:
+                value = value * v
         if trusted:
-            return PinElement._trusted(value, count & 1)
+            return PinElement._trusted(value, len(factors) & 1)
         return PinElement(value, tol=tol)
 
     @property
@@ -139,15 +159,21 @@ class OrthogonalAction:
     def as_numpy(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.rows])
 
+    def _numerators(self) -> tuple[int, list]:
+        """(den, integer rows) with rows[i][j] / den the exact entries."""
+        ratios = [[x.as_integer_ratio() for x in row] for row in self.rows]
+        den = math.lcm(*[d for row in ratios for _, d in row])
+        return den, [[x * (den // d) for x, d in row] for row in ratios]
+
     def __matmul__(self, other: "OrthogonalAction") -> "OrthogonalAction":
         if self.exact and other.exact:
-            n = self.dim
-            rows = tuple(
-                tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
-                      for j in range(n))
-                for i in range(n)
-            )
-            return OrthogonalAction(True, rows)
+            d1, a = self._numerators()
+            d2, b = other._numerators()
+            den = d1 * d2
+            cols = list(zip(*b))
+            return OrthogonalAction(True, tuple(
+                tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in cols)
+                for row in a))
         M = self.as_numpy() @ other.as_numpy()
         return OrthogonalAction(False, tuple(tuple(row) for row in M))
 
@@ -158,13 +184,15 @@ class OrthogonalAction:
                                       for i in range(n)))
 
     def is_orthogonal(self, tol: float = 0.0) -> bool:
-        prod = self.transpose() @ self
-        n = self.dim
+        """M^T M = 1: exactly, as integer column products against den^2, or within tol."""
         if self.exact:
-            ident = Fraction(1)
-            return all(prod.rows[i][j] == (ident if i == j else 0)
-                       for i in range(n) for j in range(n))
-        return float(np.max(np.abs(prod.as_numpy() - np.eye(n)))) <= tol
+            den, a = self._numerators()
+            cols = list(zip(*a))
+            den2 = den * den
+            return all(sum(map(operator.mul, cols[i], cols[j])) == (den2 if i == j else 0)
+                       for i in range(len(cols)) for j in range(i, len(cols)))
+        M = self.as_numpy()
+        return float(np.max(np.abs(M.T @ M - np.eye(self.dim)))) <= tol
 
     def __eq__(self, other):
         if not isinstance(other, OrthogonalAction):
@@ -214,9 +242,7 @@ def twisted_adjoint(g: PinElement, tol: float | None = None) -> OrthogonalAction
     alg = g.algebra
     n = alg.dim
     blade_product = alg.blade_product
-    coeffs = g.value.terms.values()
-    den = math.lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
-    g_ints = _integer_pairs(g.value, den)
+    den, g_ints = integer_terms(g.value.terms)
     # g e_k as (blade, re, im) and e_i g as blade -> (re, im), all over den
     lefts = []
     rights = []
@@ -253,13 +279,6 @@ def twisted_adjoint(g: PinElement, tol: float | None = None) -> OrthogonalAction
     den2 = den * den
     return OrthogonalAction(True, tuple(tuple(Fraction(col[i], den2) for col in cols)
                                         for i in range(n)))
-
-
-def _integer_pairs(mv: Multivector, den: int):
-    """(blade, re * den, im * den) for each term; den clears every denominator."""
-    return [(m, c.re.numerator * (den // c.re.denominator),
-             c.im.numerator * (den // c.im.denominator))
-            for m, c in mv.terms.items()]
 
 
 def _twisted_adjoint_numeric(g: PinElement, tol: float) -> OrthogonalAction:

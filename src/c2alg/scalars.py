@@ -6,6 +6,7 @@ denominator). Everything in this module is immutable and safe to share.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Mapping
@@ -196,6 +197,14 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict) -> "MultiPoly":
+        # trusted: tuple exponents of length nvars, nonzero Fraction coefficients
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     @staticmethod
     def zero(nvars: int) -> "MultiPoly":
         return MultiPoly(nvars)
@@ -238,7 +247,7 @@ class MultiPoly:
                 out[exp] = s
             elif acc is not None:
                 del out[exp]
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._raw(self.nvars, out)
 
     __radd__ = __add__
 
@@ -251,23 +260,23 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
                 return MultiPoly.zero(self.nvars)
-            return MultiPoly(self.nvars, {e: k * c for e, k in self.terms.items()})
+            return MultiPoly._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 acc = out.get(exp)
                 out[exp] = c if acc is None else acc + c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._raw(self.nvars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 

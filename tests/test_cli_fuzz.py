@@ -5,6 +5,7 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from c2alg import cli
+from c2alg.verify import MAX_CASES
 
 FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -81,9 +82,11 @@ expression = st.one_of(
     st.sampled_from(["3/4*e1e3 + i*e2 - 1/2", "e2e1", "e17", "e0", "(e1", "1/0", "e1e1"]),
 )
 
-# --cases values: negatives of any size, a few mackey cases, and non-integers
+# --cases values: negatives and counts above the cap of any size, a few
+# mackey cases, and non-integers
 case_count = st.one_of(
     st.integers(-10 ** 30, -1).map(str),
+    st.integers(MAX_CASES + 1, 10 ** 30).map(str),
     st.integers(0, 3).map(str),
     st.sampled_from(["abc", "", "1.5", "1e3", "-0", "+2", " 2 ", "-x", "9" * 5000]),
 )
@@ -130,5 +133,9 @@ def test_clifford_expressions(capsys, operation, sig, a, b, as_json):
 def test_verify_case_counts(capsys, cases, as_json):
     argv = ["verify", "--suite", "mackey", "--cases", cases]
     code = _check(capsys, argv + (["--json"] if as_json else []))
-    if cases.startswith("-") and cases != "-0":
+    try:
+        count = int(cases)
+    except ValueError:
+        return
+    if not 0 <= count <= MAX_CASES:
         assert code == 64

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from c2alg.clifford import ccl
+from c2alg.clifford import ccl, kasparov
 from c2alg.funcalc import (GradedRatFunc, alpha_conjugation_check,
                            comultiplication, delta_a_triple, delta_b_triple,
                            expand_slot, fc_equivariance, fc_eval, s_generators)
@@ -170,6 +170,11 @@ class TestFunctionalCalculus:
         alg = ccl(2, 0)
         with pytest.raises(ValueError):
             fc_eval(alg.generator(1) * alg.generator(2))
+
+    def test_negative_square_vector_rejected(self):
+        # e2^2 = -1 in C_(1,1): 1/(1+|v|^2) would not satisfy b^2 = a - a^2
+        with pytest.raises(ValueError, match="squares to -1"):
+            fc_eval(kasparov(1, 1).vector([0, 1]))
 
     def test_equivariance_trivial_part(self):
         alg = ccl(2, 0)

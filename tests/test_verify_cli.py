@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from c2alg import cli
-from c2alg.verify import run_verify
+from c2alg.verify import MAX_CASES, run_verify
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +208,21 @@ class TestVerifyCommand:
         assert first.stdout == second.stdout
         assert first.returncode == 0
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_closed_stdout_exits_quietly(self, as_json):
+        # the reader is gone before the report is written, as after `| head` exits
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        argv = [sys.executable, "-m", "c2alg.cli", "verify", "--suite", "mackey",
+                "--cases", "1"] + (["--json"] if as_json else [])
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -242,6 +258,7 @@ MALFORMED_INPUTS = [
     (["obstruction", "--genus", "1e9999999"], None),
     (["clifford", "conj", "--signature", "99999999999999999999,0", "--a", "e1"], None),
     (["verify", "--suite", "mackey", "--cases", "-5"], None),
+    (["verify", "--suite", "all", "--cases", str(MAX_CASES + 1)], None),
 ]
 
 
@@ -251,7 +268,7 @@ MALFORMED_INPUTS = [
                               "infinite-dim", "spin-lift-entries", "phi-lift-entries",
                               "ahat-cp40", "ahat-huge-power", "ahat-dim-200",
                               "spin-lift-empty", "phi-lift-empty", "huge-exponent",
-                              "huge-signature", "negative-cases"])
+                              "huge-signature", "negative-cases", "cases-above-cap"])
 def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
