@@ -456,13 +456,17 @@ def vector_norm_sq(v: Multivector) -> Fraction:
 _ZERO = Fraction(0)
 
 
+def integer_numerators(values: list) -> tuple[int, list]:
+    """(den, [x * den for x in values]) for Fractions, den the lcm of their denominators."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, [n * (den // d) for n, d in ratios]
+
+
 def integer_terms(terms: dict) -> tuple[int, list]:
-    """(den, [(key, re * den, im * den)]) for exact terms, den the lcm of every denominator."""
-    ratios = [(k, c.re.as_integer_ratio(), c.im.as_integer_ratio()) for k, c in terms.items()]
-    den = 1
-    for _, (_, a), (_, b) in ratios:
-        den = math.lcm(den, a, b)
-    return den, [(k, x * (den // a), y * (den // b)) for k, (x, a), (y, b) in ratios]
+    """(den, [(key, re * den, im * den)]) for exact terms, by ``integer_numerators``."""
+    den, ints = integer_numerators([x for c in terms.values() for x in (c.re, c.im)])
+    return den, list(zip(terms, ints[::2], ints[1::2]))
 
 
 def integer_product(flip, left: list, right: list) -> list:
@@ -527,29 +531,27 @@ class TensorElement:
         return self + (-other)
 
     def __mul__(self, other):
-        """Exact product, on integer numerators like ``Multivector.__mul__``."""
-        if not all(isinstance(c, GaussianRational)
-                   for t in (self, other) for c in t.terms.values()):
-            raise TypeError("tensor products need exact coefficients")
-        d1, left = integer_terms(self.terms)
-        d2, right = integer_terms(other.terms)
-        flip1, flip2 = self.alg1.flip, self.alg2.flip
-        right = [(a2, b2, flip1(a2), flip2(b2), a2.bit_count(), x2, y2)
-                 for (a2, b2), x2, y2 in right]
-        res: dict = {}
-        ims: dict = {}
-        for (a1, b1), x1, y1 in left:
-            odd_b1 = b1.bit_count() & 1
-            for a2, b2, f1, f2, grade_a2, x2, y2 in right:
-                key = (a1 ^ a2, b1 ^ b2)
-                if ((a1 & f1).bit_count() + (b1 & f2).bit_count() + (odd_b1 & grade_a2)) & 1:
-                    res[key] = res.get(key, 0) - x1 * x2 + y1 * y2
-                    ims[key] = ims.get(key, 0) - x1 * y2 - y1 * x2
-                else:
-                    res[key] = res.get(key, 0) + x1 * x2 - y1 * y2
-                    ims[key] = ims.get(key, 0) + x1 * y2 + y1 * x2
-        return TensorElement(self.alg1, self.alg2, rational_terms(
-            d1 * d2, [(k, re, ims[k]) for k, re in res.items() if re or ims[k]]))
+        """Product in the algebra on alg1's generators followed by alg2's.
+
+        Key (a, b) is the blade a | b << n1 there, and that algebra's
+        reordering sign is the Koszul sign: carrying b1 past a2 takes
+        |b1||a2| swaps. ``Multivector.__mul__`` then multiplies exact data
+        on integers and numeric data densely.
+        """
+        alg1, alg2 = self.alg1, self.alg2
+        n1 = alg1.dim
+        joined = CliffordAlgebra(
+            alg1.p + alg2.p, alg1.q + alg2.q, alg1.squares + alg2.squares,
+            alg1.bar_signs + alg2.bar_signs, alg1.star_signs + alg2.star_signs,
+            label=f"{alg1.label}(x){alg2.label}")
+
+        def packed(t):
+            return Multivector(joined, {a | b << n1: c for (a, b), c in t.terms.items()})
+
+        low = (1 << n1) - 1
+        product = packed(self) * packed(other)
+        return TensorElement(alg1, alg2,
+                             {(m & low, m >> n1): c for m, c in product.terms.items()})
 
     def bar(self) -> "TensorElement":
         n1, n2 = self.alg1.bar_neg_mask, self.alg2.bar_neg_mask

@@ -10,7 +10,7 @@ twisted adjoint is a projection onto grade 1 in integer arithmetic, with no
 product: its entries are l2 inner products <e_i g, g e_k>, and grade 1 is
 preserved exactly when each column has norm 1, because x -> g x g* is an l2
 isometry. Exact work runs on integer numerators over one common denominator
-(``clifford.integer_terms``): the projection, the accumulated product of
+(``clifford.integer_numerators``): the projection, the accumulated product of
 certificate factors, and the matrix product and orthogonality test of
 ``OrthogonalAction``; a Fraction is built once per output entry. Numeric unit
 checks, the numeric twisted adjoint and the lifts call the dense kernel of
@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clifford import (CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_product,
-                       integer_terms, rational_terms)
+from .clifford import (CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_numerators,
+                       integer_product, integer_terms, rational_terms)
 from .linalg import check_finite, default_tol, random_unitary, realify, unitary_eigh
 from .scalars import GaussianRational, MultiPoly
 
@@ -159,21 +159,20 @@ class OrthogonalAction:
     def as_numpy(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.rows])
 
-    def _numerators(self) -> tuple[int, list]:
-        """(den, integer rows) with rows[i][j] / den the exact entries."""
-        ratios = [[x.as_integer_ratio() for x in row] for row in self.rows]
-        den = math.lcm(*[d for row in ratios for _, d in row])
-        return den, [[x * (den // d) for x, d in row] for row in ratios]
+    def _entries(self) -> list:
+        """Every entry, row by row: entry (i, j) is at i * dim + j."""
+        return [x for row in self.rows for x in row]
 
     def __matmul__(self, other: "OrthogonalAction") -> "OrthogonalAction":
         if self.exact and other.exact:
-            d1, a = self._numerators()
-            d2, b = other._numerators()
+            n = self.dim
+            d1, a = integer_numerators(self._entries())
+            d2, b = integer_numerators(other._entries())
             den = d1 * d2
-            cols = list(zip(*b))
+            cols = [b[j::n] for j in range(n)]
             return OrthogonalAction(True, tuple(
-                tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in cols)
-                for row in a))
+                tuple(Fraction(sum(map(operator.mul, a[i:i + n], col)), den) for col in cols)
+                for i in range(0, n * n, n)))
         M = self.as_numpy() @ other.as_numpy()
         return OrthogonalAction(False, tuple(tuple(row) for row in M))
 
@@ -186,8 +185,9 @@ class OrthogonalAction:
     def is_orthogonal(self, tol: float = 0.0) -> bool:
         """M^T M = 1: exactly, as integer column products against den^2, or within tol."""
         if self.exact:
-            den, a = self._numerators()
-            cols = list(zip(*a))
+            n = self.dim
+            den, a = integer_numerators(self._entries())
+            cols = [a[j::n] for j in range(n)]
             den2 = den * den
             return all(sum(map(operator.mul, cols[i], cols[j])) == (den2 if i == j else 0)
                        for i in range(len(cols)) for j in range(i, len(cols)))

@@ -136,6 +136,6 @@ def test_verify_case_counts(capsys, cases, as_json):
     try:
         count = int(cases)
     except ValueError:
-        return
-    if not 0 <= count <= MAX_CASES:
+        count = None
+    if count is None or not 0 <= count <= MAX_CASES:
         assert code == 64

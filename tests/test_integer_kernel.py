@@ -156,12 +156,22 @@ class TestTensorProduct:
         assert (spec.split(one + e1) * spec.split(one - e1)).terms == {}
         assert (spec.split(alg.zero()) * spec.split(e1)).terms == {}
 
-    def test_numeric_coefficients_refused(self):
-        alg = ccl(2, 0)
-        spec = SplitSpec(alg, [1])
-        t = spec.split(alg.generator(1).to_numeric())
-        with pytest.raises(TypeError):
-            t * t
+    @pytest.mark.parametrize("alg", [ccl(3, 1), kasparov(2, 2), ccl_interleaved(2)],
+                             ids=lambda a: a.label)
+    def test_numeric_and_mixed_coefficients(self, alg):
+        rng = random.Random(f"tensor-numeric:{alg.label}")
+        for _ in range(10):
+            first = [k for k in range(1, alg.dim + 1) if rng.random() < 0.5]
+            spec = SplitSpec(alg, first)
+            x, y = rand_element(rng, alg, 4), rand_element(rng, alg, 4)
+            expected = spec.split(x * y).terms
+            for s, t in [(spec.split(x.to_numeric()), spec.split(y.to_numeric())),
+                         (spec.split(x), spec.split(y.to_numeric()))]:
+                product = (s * t).terms
+                assert all(isinstance(c, complex) for c in product.values())
+                assert set(product) <= set(expected)
+                for key, c in expected.items():
+                    assert abs(product.get(key, 0) - complex(c)) < 1e-12
 
 
 class TestFromFactors:
