@@ -350,11 +350,17 @@ def fc_equivariance(v: Multivector) -> bool:
             and conj_image.b_img == image.b_img.bar())
 
 
+def _l2_norm_sq(x: Multivector) -> Fraction:
+    return sum(c.re * c.re + c.im * c.im for c in x.terms.values())
+
+
 def alpha_conjugation_check(g: PinElement, v: Multivector, w: Multivector) -> bool:
     """Clifford-level identities behind well-definedness of the orientation map.
 
     For even unit g: g^{-1} ((g v g^{-1}) (g w)) = v w, and conjugation by g
-    preserves the squared norm of grade-1 elements. Both are exact.
+    keeps a real grade-1 v on grade 1 with the same l2 norm sum |c_m|^2 (for
+    unit g, x -> g x g* is an l2 isometry in every algebra here, ``kasparov``
+    included). Both are exact.
     """
     if not g.is_even:
         raise ValueError("conjugating element must be even")
@@ -368,6 +374,6 @@ def alpha_conjugation_check(g: PinElement, v: Multivector, w: Multivector) -> bo
     if v.terms and v.grades() == {1} and v.is_real():
         if gv.grades() != {1}:
             return False
-        if vector_norm_sq(gv) != vector_norm_sq(v):
+        if _l2_norm_sq(gv) != _l2_norm_sq(v):
             return False
     return True

@@ -10,6 +10,7 @@ exact rational arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re as _re
 from fractions import Fraction
@@ -275,47 +276,25 @@ def cp_projective_data(n: int) -> CharClassData:
 
 
 def product_data(a: CharClassData, b: CharClassData) -> CharClassData:
-    """Whitney-product Pontryagin data of a cartesian product."""
+    """Whitney-product Pontryagin data of a cartesian product.
+
+    p_i(M x N) = sum_r p_r(M) p_{i-r}(N), so the number of p_{i_1} ... p_{i_m}
+    sums a-number times b-number over the splits 0 <= a_t <= i_t with
+    4 sum(a_t) = dim M: the a side takes the nonzero a_t, the b side the
+    nonzero i_t - a_t.
+    """
     dim = a.dim + b.dim
     if dim % 4 != 0:
         return CharClassData(dim)
-    k = dim // 4
-    nv = 2 * k
-
-    def pvar(side: int, i: int) -> MultiPoly:
-        if i == 0:
-            return MultiPoly.one(nv)
-        return MultiPoly.variable(nv, (i - 1) if side == 0 else (k + i - 1))
-
-    cross = [None] * (k + 1)
-    for i in range(1, k + 1):
-        acc = MultiPoly.zero(nv)
-        for r in range(0, i + 1):
-            acc = acc + pvar(0, r) * pvar(1, i - r)
-        cross[i] = acc
-
     numbers = {}
-    for part in partitions(k):
-        poly = MultiPoly.one(nv)
-        for i in part:
-            poly = poly * cross[i]
+    for part in partitions(dim // 4):
         total = Fraction(0)
-        for exp, coeff in poly.terms.items():
-            wa = sum((j + 1) * exp[j] for j in range(k))
-            wb = sum((j + 1) * exp[k + j] for j in range(k))
-            if 4 * wa != a.dim or 4 * wb != b.dim:
+        for split in itertools.product(*(range(i + 1) for i in part)):
+            if 4 * sum(split) != a.dim:
                 continue
-            part_a = tuple(sorted(
-                (j + 1 for j in range(k) for _ in range(exp[j])), reverse=True))
-            part_b = tuple(sorted(
-                (j + 1 for j in range(k) for _ in range(exp[k + j])), reverse=True))
-            na = a.number(part_a)
-            if not na:
-                continue
-            nb = b.number(part_b)
-            if not nb:
-                continue
-            total += coeff * na * nb
+            na = a.number([x for x in split if x])
+            if na:
+                total += na * b.number([i - x for i, x in zip(part, split) if i != x])
         if total:
             numbers[part] = total
     return CharClassData(dim, numbers)

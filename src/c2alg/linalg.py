@@ -1,8 +1,10 @@
 """Matrix kernels: realification, unitary eigendecomposition, symmetric-unitary
 square roots, fixed-point retraction.
 
-Eigenvalue-based routines work in double precision with a default tolerance of
-1e-9, overridable per call or through the ``C2ALG_TOL`` environment variable.
+Eigenvalue-based routines work in double precision against one tolerance,
+``default_tol()``: 1e-9, or the ``C2ALG_TOL`` environment variable, which is the
+only override. Each routine reads it where it compares; only the predicate
+``is_unitary`` takes an explicit threshold.
 The Real-vector-space splitting works exactly on Gaussian-rational data.
 """
 
@@ -63,7 +65,7 @@ def is_unitary(M, tol: float | None = None) -> bool:
     return float(np.max(np.abs(A.conj().T @ A - np.eye(n)))) <= tol
 
 
-def realify(U, tol: float | None = None) -> np.ndarray:
+def realify(U) -> np.ndarray:
     """Realification U(n) -> SO(2n) in the interleaved basis.
 
     Coordinate 2j-1 carries the real part and 2j the imaginary part of the
@@ -71,9 +73,7 @@ def realify(U, tol: float | None = None) -> np.ndarray:
     [[a, -b], [b, a]].
     """
     A = _as_matrix(U)
-    if tol is None:
-        tol = default_tol()
-    if not is_unitary(A, tol):
+    if not is_unitary(A):
         raise ValueError("input is not unitary within tolerance")
     n = A.shape[0]
     R = np.zeros((2 * n, 2 * n))
@@ -84,7 +84,7 @@ def realify(U, tol: float | None = None) -> np.ndarray:
     return R
 
 
-def unitary_eigh(A, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def unitary_eigh(A) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition A = V diag(exp(i theta)) V* of a unitary matrix.
 
     A is rotated to B = exp(-i alpha) A so that the midpoint of its widest
@@ -95,8 +95,7 @@ def unitary_eigh(A, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     off diag(V* A V) on the principal branch (-pi, pi].
     """
     A = _as_matrix(A)
-    if tol is None:
-        tol = default_tol()
+    tol = default_tol()
     if A.shape[0] != A.shape[1]:
         raise ValueError("non-square input")
     if not is_unitary(A, tol):
@@ -127,7 +126,7 @@ class SymmetricSqrt:
     residuals: dict = field(default_factory=dict)
 
 
-def symmetric_unitary_sqrt(U, tol: float | None = None) -> SymmetricSqrt:
+def symmetric_unitary_sqrt(U) -> SymmetricSqrt:
     """Principal symmetric square root S of a symmetric unitary U.
 
     S^2 = U, S^T = S, S unitary; eigenvalue branch exp(i theta/2) with theta
@@ -136,13 +135,11 @@ def symmetric_unitary_sqrt(U, tol: float | None = None) -> SymmetricSqrt:
     Eigenvalues near the branch cut are flagged in the result metadata.
     """
     A = _as_matrix(U)
-    if tol is None:
-        tol = default_tol()
     if A.shape[0] != A.shape[1]:
         raise ValueError("non-square input")
-    if not float(np.max(np.abs(A - A.T))) <= tol:
+    if not float(np.max(np.abs(A - A.T))) <= default_tol():
         raise ValueError("input is not symmetric within tolerance")
-    O, thetas = unitary_eigh((A + A.T) / 2, tol)
+    O, thetas = unitary_eigh((A + A.T) / 2)
     S = (O * np.exp(0.5j * thetas)) @ O.T
     residuals = {
         "square": float(np.max(np.abs(S @ S - A))),
@@ -224,7 +221,7 @@ class Retraction:
     residuals: dict
 
 
-def fixed_point_retraction(x, y, tol: float | None = None) -> Retraction:
+def fixed_point_retraction(x, y) -> Retraction:
     """Move (x, y) to a conjugation-fixed representative of its orbit.
 
     ``x`` is an N x n isometry (a unitary frame: x*x = I) acted on the right,
@@ -233,8 +230,7 @@ def fixed_point_retraction(x, y, tol: float | None = None) -> Retraction:
     U is necessarily symmetric; with S its symmetric square root, the
     representative (x S*, S y) has real entries and lies in the same orbit.
     """
-    if tol is None:
-        tol = default_tol()
+    tol = default_tol()
     X = _as_matrix(x)
     Y = np.asarray(y, dtype=complex)
     n = X.shape[1]
@@ -247,7 +243,7 @@ def fixed_point_retraction(x, y, tol: float | None = None) -> Retraction:
     if fixed_res > max(100 * tol, 1e-7):
         raise ValueError(f"orbit is not conjugation-fixed (residual {fixed_res:.3e})")
     U = Ustar.conj().T
-    sqrt = symmetric_unitary_sqrt(U, tol)
+    sqrt = symmetric_unitary_sqrt(U)
     S = sqrt.matrix
     frame = X @ S.conj().T
     fiber = S @ Y

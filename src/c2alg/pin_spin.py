@@ -5,7 +5,9 @@ group. Element validation is by certificate: constructors accept a product
 of unit vectors times a unit phase (each factor is checked, and an exact
 product of factors with v v* = 1 needs no further check), or a raw
 homogeneous multivector whose unit condition g * star(g) = 1 is checked
-(exactly for rational data, within tolerance for numeric data). The exact
+(exactly for rational data, within tolerance for numeric data). Every numeric
+comparison reads ``linalg.default_tol()`` (1e-9 or ``C2ALG_TOL``) where it
+compares; no function here takes a per-call tolerance. The exact
 twisted adjoint is a projection onto grade 1 in integer arithmetic, with no
 product: its entries are l2 inner products <e_i g, g e_k>, and grade 1 is
 preserved exactly when each column has norm 1, because x -> g x g* is an l2
@@ -39,7 +41,7 @@ class PinElement:
 
     __slots__ = ("value", "parity", "meta")
 
-    def __init__(self, value: Multivector, *, tol: float | None = None, meta=None):
+    def __init__(self, value: Multivector, *, meta=None):
         parity = value.parity()
         if parity is None:
             raise ValueError("Pin element must have homogeneous parity")
@@ -47,9 +49,7 @@ class PinElement:
             if value * value.star() != value.algebra.scalar(1):
                 raise ValueError("Pin element must satisfy g * star(g) = 1")
         else:
-            if tol is None:
-                tol = default_tol()
-            _check_unit_error(_unit_error(value.algebra, value.to_dense()), tol)
+            _check_unit_error(_unit_error(value.algebra, value.to_dense()), default_tol())
         self.value = value
         self.parity = parity
         self.meta = meta or {}
@@ -68,8 +68,7 @@ class PinElement:
         return PinElement(algebra.scalar(1))
 
     @staticmethod
-    def from_factors(algebra: CliffordAlgebra, vectors, phase=1,
-                     tol: float | None = None) -> "PinElement":
+    def from_factors(algebra: CliffordAlgebra, vectors, phase=1) -> "PinElement":
         """Product of unit grade-1 vectors times a unit complex scalar.
 
         Every factor must be real with v^2 = 1. An exact factor without weight
@@ -102,8 +101,7 @@ class PinElement:
                 trusted = trusted and not any(m & algebra.neg_square_mask for m in v.terms)
                 integer_factors.append((den, ints))
             else:
-                if tol is None:
-                    tol = default_tol()
+                tol = default_tol()
                 nsq = sum(squares[m.bit_length() - 1] * c * c for m, c in v.terms.items())
                 if not v.is_real(100 * tol) or not abs(nsq - 1) <= 100 * tol:
                     raise ValueError(
@@ -122,7 +120,7 @@ class PinElement:
                 value = value * v
         if trusted:
             return PinElement._trusted(value, len(factors) & 1)
-        return PinElement(value, tol=tol)
+        return PinElement(value)
 
     @property
     def algebra(self) -> CliffordAlgebra:
@@ -182,17 +180,16 @@ class OrthogonalAction:
                                 tuple(tuple(self.rows[j][i] for j in range(n))
                                       for i in range(n)))
 
-    def is_orthogonal(self, tol: float = 0.0) -> bool:
-        """M^T M = 1: exactly, as integer column products against den^2, or within tol."""
-        if self.exact:
-            n = self.dim
-            den, a = integer_numerators(self._entries())
-            cols = [a[j::n] for j in range(n)]
-            den2 = den * den
-            return all(sum(map(operator.mul, cols[i], cols[j])) == (den2 if i == j else 0)
-                       for i in range(len(cols)) for j in range(i, len(cols)))
-        M = self.as_numpy()
-        return float(np.max(np.abs(M.T @ M - np.eye(self.dim)))) <= tol
+    def is_orthogonal(self) -> bool:
+        """M^T M = 1 exactly, as integer column products against den^2."""
+        if not self.exact:
+            raise ValueError("is_orthogonal needs an exact action")
+        n = self.dim
+        den, a = integer_numerators(self._entries())
+        cols = [a[j::n] for j in range(n)]
+        den2 = den * den
+        return all(sum(map(operator.mul, cols[i], cols[j])) == (den2 if i == j else 0)
+                   for i in range(len(cols)) for j in range(i, len(cols)))
 
     def __eq__(self, other):
         if not isinstance(other, OrthogonalAction):
@@ -216,7 +213,7 @@ _NON_REAL = "twisted adjoint has non-real entries; invalid Pin element"
 _OFF_GRADE = "twisted adjoint does not preserve grade 1; invalid Pin element"
 
 
-def twisted_adjoint(g: PinElement, tol: float | None = None) -> OrthogonalAction:
+def twisted_adjoint(g: PinElement) -> OrthogonalAction:
     """Matrix of rho(g): column k is (-1)^{|g|} g e_k g^{-1} in the generator basis.
 
     Exact data is projected, not multiplied out. Every blade is unitary
@@ -235,10 +232,8 @@ def twisted_adjoint(g: PinElement, tol: float | None = None) -> OrthogonalAction
     its grade-1 part reaches only when nothing lies off grade 1. Each column
     is tested for non-real entries first, then off grade.
     """
-    if tol is None:
-        tol = default_tol()
     if not g.value.exact:
-        return _twisted_adjoint_numeric(g, tol)
+        return _twisted_adjoint_numeric(g, default_tol())
     alg = g.algebra
     n = alg.dim
     blade_product = alg.blade_product
@@ -327,11 +322,9 @@ def check_rho_real_equivariance(g: PinElement, rho: OrthogonalAction | None = No
     return float(np.max(np.abs(lhs.as_numpy() - rhs.as_numpy()))) <= default_tol()
 
 
-def is_fixed_spinc(g: PinElement, tol: float | None = None) -> bool:
-    """Membership of the C2-fixed subgroup: all coefficients real."""
-    if tol is None:
-        tol = default_tol()
-    return g.value.is_real(tol)
+def is_fixed_spinc(g: PinElement) -> bool:
+    """Membership of the C2-fixed subgroup: all coefficients real within tolerance."""
+    return g.value.is_real(default_tol())
 
 
 # -- Spin lift of special orthogonal matrices ---------------------------------------
@@ -341,7 +334,7 @@ def _reflect_inplace(A: np.ndarray, u: np.ndarray):
     A -= 2.0 * np.outer(u, u @ A)
 
 
-def householder_factors(R: np.ndarray, tol: float) -> list[np.ndarray]:
+def householder_factors(R: np.ndarray) -> list[np.ndarray]:
     """Factor R in SO(n) as refl(u_1) ... refl(u_m) with an even number of terms.
 
     Columns are fixed one by one; a nearly-fixed column is skipped, and a
@@ -369,7 +362,7 @@ def householder_factors(R: np.ndarray, tol: float) -> list[np.ndarray]:
             u /= np.linalg.norm(u)
             _reflect_inplace(A, u)
             factors.append(u)
-    if not float(np.max(np.abs(A - np.eye(n)))) <= max(1e-11, 10 * tol):
+    if not float(np.max(np.abs(A - np.eye(n)))) <= max(1e-11, 10 * default_tol()):
         raise ValueError("reflection factorization failed to converge")
     if len(factors) % 2:
         raise ValueError("odd reflection count; determinant is not +1")
@@ -401,15 +394,14 @@ def _normalize_sign(mv: Multivector, tol: float) -> Multivector:
     return mv
 
 
-def spin_lift(R, tol: float | None = None, algebra: CliffordAlgebra | None = None) -> PinElement:
+def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> PinElement:
     """Even Pin element g with twisted_adjoint(g) = R, for R in SO(n).
 
     The branch sign is fixed so the lexicographically smallest blade with
     magnitude above tolerance has positive real part (ties broken by positive
     imaginary part). Matrices with determinant -1 are rejected.
     """
-    if tol is None:
-        tol = default_tol()
+    tol = default_tol()
     A = np.asarray(R, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("non-square input")
@@ -423,7 +415,7 @@ def spin_lift(R, tol: float | None = None, algebra: CliffordAlgebra | None = Non
         algebra = ccl(n, 0)
     elif algebra.dim != n:
         raise ValueError("algebra dimension does not match the matrix")
-    factors = householder_factors(A, tol)
+    factors = householder_factors(A)
     value = algebra.scalar(1 + 0j).to_dense()
     generators = 1 << np.arange(n)
     for u in factors:
@@ -431,7 +423,7 @@ def spin_lift(R, tol: float | None = None, algebra: CliffordAlgebra | None = Non
         v[generators] = u
         value = algebra.dense_mul(value, v)
     value = _normalize_sign(algebra.from_dense(value), tol)
-    return PinElement(value, tol=tol, meta={"reflections": len(factors)})
+    return PinElement(value, meta={"reflections": len(factors)})
 
 
 def rho_residual(g: PinElement, R) -> float:
@@ -449,7 +441,7 @@ def unit_residual(g: PinElement) -> float:
 # -- the Spin^c lift of unitary matrices ---------------------------------------------
 
 
-def phi_lift(U, tol: float | None = None, rng=None) -> PinElement:
+def phi_lift(U, *, rng=None) -> PinElement:
     """Canonical Spin^c(n,n) lift of a unitary matrix, in the interleaved basis.
 
     With U = V diag(exp(i theta_j)) V* from ``linalg.unitary_eigh``, the
@@ -460,18 +452,16 @@ def phi_lift(U, tol: float | None = None, rng=None) -> PinElement:
     does not depend on the eigendecomposition. Pass ``rng`` to decompose
     Q* U Q for a random unitary Q instead (used to exercise canonicity).
     """
-    if tol is None:
-        tol = default_tol()
     A = np.asarray(U, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("non-square input")
     n = A.shape[0]
     algebra = ccl_interleaved(n)
     if rng is None:
-        V, thetas = unitary_eigh(A, tol)
+        V, thetas = unitary_eigh(A)
     else:
         Q = random_unitary(rng, n)
-        V, thetas = unitary_eigh(Q.conj().T @ A @ Q, tol)
+        V, thetas = unitary_eigh(Q.conj().T @ A @ Q)
         V = Q @ V
     near_branch = bool(np.any(np.abs(np.abs(thetas) - math.pi) < 1e-6))
 
@@ -488,12 +478,11 @@ def phi_lift(U, tol: float | None = None, rng=None) -> PinElement:
         v2 = algebra.generator(2 * j + 1).to_numeric()
         rotor = rotor * v1 * v2
 
-    L = spin_lift(realify(V, tol), tol, algebra=algebra)
+    L = spin_lift(realify(V), algebra=algebra)
     phase = complex(np.exp(1j * float(np.sum(thetas)) / 2.0))
     value = (L.value * rotor * L.value.star()).scale(phase)
     return PinElement(
         value,
-        tol=tol,
         meta={
             "thetas": [float(t) for t in thetas],
             "near_branch_cut": near_branch,
@@ -502,13 +491,11 @@ def phi_lift(U, tol: float | None = None, rng=None) -> PinElement:
     )
 
 
-def check_phi_real(U, tol: float | None = None) -> bool:
+def check_phi_real(U) -> bool:
     """Does phi(conj U) equal the Real conjugate of phi(U)?"""
-    if tol is None:
-        tol = default_tol()
-    a = phi_lift(np.conj(np.asarray(U, dtype=complex)), tol)
-    b = phi_lift(U, tol)
-    return a.value.max_diff(b.value.bar()) <= max(tol, 1e-9)
+    a = phi_lift(np.conj(np.asarray(U, dtype=complex)))
+    b = phi_lift(U)
+    return a.value.max_diff(b.value.bar()) <= max(default_tol(), 1e-9)
 
 
 # -- polynomial model of the i_V action ----------------------------------------------

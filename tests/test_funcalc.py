@@ -218,6 +218,16 @@ class TestAlphaConjugation:
         with pytest.raises(ValueError):
             alpha_conjugation_check(g, alg.generator(1), alg.generator(2))
 
+    def test_negative_square_generator(self):
+        # weight on the e_2^2 = -1 generator: the l2 norm is compared, not v^2
+        alg = kasparov(1, 1)
+        g = PinElement.identity(alg)
+        assert alpha_conjugation_check(g, alg.vector([0, 1]), alg.generator(1))
+        alg = kasparov(2, 1)
+        g = PinElement.from_factors(alg, [alg.generator(1),
+                                          alg.vector([Fraction(3, 5), Fraction(4, 5), 0])])
+        assert alpha_conjugation_check(g, alg.vector([1, 2, 3]), alg.generator(3))
+
     def test_random_exact(self):
         rng = _rng(52, "alpha")
         for _ in range(200):

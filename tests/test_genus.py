@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from c2alg.genus import (CharClassData, ManifoldSpec, ahat_polynomial,
+from c2alg.genus import (MAX_DIM, CharClassData, ManifoldSpec, ahat_polynomial,
                          ahat_sequence, ahat_series, cp_projective_data,
                          genus_evaluate, partitions, point_data, product_data,
                          series_inv, series_log)
@@ -159,6 +159,46 @@ class TestProjectiveData:
             cp_projective_data(0)
 
 
+# -- independent oracle: Whitney product as a polynomial in 2k variables --------------
+#
+# Expands prod_t p_{i_t}(M x N) with p_i(M x N) = sum_r p_r(M) p_{i-r}(N) as a
+# MultiPoly in p_1(M)..p_k(M), p_1(N)..p_k(N), then decodes each exponent into
+# one partition per side. Shares no code with the split enumeration in the
+# genus module.
+
+
+def product_data_oracle(a: CharClassData, b: CharClassData) -> CharClassData:
+    dim = a.dim + b.dim
+    if dim % 4 != 0:
+        return CharClassData(dim)
+    k = dim // 4
+    nv = 2 * k
+
+    def pvar(side: int, i: int) -> MultiPoly:
+        if i == 0:
+            return MultiPoly.one(nv)
+        return MultiPoly.variable(nv, (i - 1) if side == 0 else (k + i - 1))
+
+    cross = [None] + [
+        sum((pvar(0, r) * pvar(1, i - r) for r in range(i + 1)), MultiPoly.zero(nv))
+        for i in range(1, k + 1)]
+    numbers = {}
+    for part in partitions(k):
+        poly = MultiPoly.one(nv)
+        for i in part:
+            poly = poly * cross[i]
+        total = Fraction(0)
+        for exp, coeff in poly.terms.items():
+            if 4 * sum((j + 1) * exp[j] for j in range(k)) != a.dim:
+                continue
+            part_a = [j + 1 for j in range(k) for _ in range(exp[j])]
+            part_b = [j + 1 for j in range(k) for _ in range(exp[k + j])]
+            total += coeff * a.number(part_a) * b.number(part_b)
+        if total:
+            numbers[part] = total
+    return CharClassData(dim, numbers)
+
+
 class TestProductData:
     def test_point_is_unit(self):
         b = cp_projective_data(2)
@@ -175,6 +215,22 @@ class TestProductData:
         a = cp_projective_data(2)
         b = cp_projective_data(4)
         assert product_data(a, b) == product_data(b, a)
+
+    def test_matches_polynomial_oracle_on_chained_products(self):
+        # random chains of CP1..CP8 up to MAX_DIM; every intermediate product is compared.
+        # A factor CP(odd) zeroes every later number, so most chains use even factors only.
+        rng = _rng(0, "product-data-oracle")
+        for chain in range(30):
+            indices = range(1, 9) if chain % 3 == 0 else (2, 4, 6, 8)
+            data = point_data()
+            while True:
+                n = rng.choice(indices)
+                if data.dim + 2 * n > MAX_DIM:
+                    break
+                cp = cp_projective_data(n)
+                expected = product_data_oracle(data, cp)
+                data = product_data(data, cp)
+                assert data == expected
 
     def test_odd_pontryagin_dimension_vanishes(self):
         s2 = cp_projective_data(1)

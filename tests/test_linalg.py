@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +235,31 @@ class TestToleranceOverride:
         assert default_tol() == 1e-9
         assert not is_unitary(noisy)
 
+
+    def test_no_per_call_tolerance(self):
+        # C2ALG_TOL is the only override; only the two threshold predicates take a tol
+        import c2alg
+        from c2alg import linalg, pin_spin
+        public = {name: getattr(c2alg, name) for name in c2alg.__all__}
+        for module in (pin_spin, linalg):
+            public.update((name, obj) for name, obj in vars(module).items()
+                          if not name.startswith("_")
+                          and getattr(obj, "__module__", None) == module.__name__)
+        members = dict(public)
+        for name, obj in public.items():
+            if inspect.isclass(obj):
+                members.update((f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
+                               if not attr.startswith("_"))
+        with_tol = {name for name, obj in members.items()
+                    if callable(obj) and "tol" in inspect.signature(obj).parameters}
+        assert with_tol == {"is_unitary", "Multivector.is_real"}
+
+    def test_stale_positional_tolerance_rejected(self):
+        from c2alg.pin_spin import OrthogonalAction, spin_lift
+        with pytest.raises(TypeError):
+            spin_lift(np.eye(2), 1e-9)
+        with pytest.raises(ValueError, match="is_orthogonal needs an exact action"):
+            OrthogonalAction(False, ((1.0, 0.0), (0.0, 1.0))).is_orthogonal()
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0"])
     def test_invalid_values_rejected(self, monkeypatch, value):

@@ -326,7 +326,7 @@ class TestSpinLift:
     def test_non_finite_rejected(self, bad):
         R = np.eye(3)
         R[1, 2] = bad
-        for lift in (spin_lift, lambda M: householder_factors(M, 1e-9),
+        for lift in (spin_lift, householder_factors,
                      lambda M: phi_lift(M.astype(complex))):
             with pytest.raises(ValueError, match="matrix entries must be finite"):
                 lift(R)

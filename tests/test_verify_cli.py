@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from c2alg import cli
-from c2alg.verify import MAX_CASES, run_verify
+from c2alg.linalg import matrix_to_json, random_unitary
+from c2alg.verify import MAX_CASES, random_special_orthogonal, run_verify
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +171,25 @@ class TestLiftCommands:
         assert code == 64
         assert out == ""
         assert err == "error: empty matrix: rows and cols must be at least 1\n"
+
+    @pytest.mark.parametrize("command, flag, make, kind", [
+        ("spin-lift", "--matrix", lambda nrng: random_special_orthogonal(nrng, 5), "orthogonal"),
+        ("phi-lift", "--unitary", lambda nrng: random_unitary(nrng, 3), "unitary")])
+    def test_env_tolerance_reaches_every_nested_check(self, capsys, tmp_path, monkeypatch,
+                                                      command, flag, make, kind):
+        # C2ALG_TOL is the only override: a 1e-6 perturbation fails the first check at the
+        # default and passes every later one (eigh, realify, lift, unit check, residuals)
+        path = tmp_path / "noisy.json"
+        noisy = make(np.random.default_rng(5)) + 1e-6
+        path.write_text(json.dumps(matrix_to_json(noisy)), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, flag, str(path), "--json")
+        assert code == 64
+        assert out == ""
+        assert err == f"error: input is not {kind} within tolerance\n"
+        monkeypatch.setenv("C2ALG_TOL", "1e-3")
+        code, out, _ = run_cli(capsys, command, flag, str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "phi-lift", "--unitary", "/nonexistent.json")
