@@ -6,6 +6,8 @@ A report whose reader has closed stdout (``c2alg verify --json | head``) is
 dropped quietly with exit code 1.
 Reports are deterministic for fixed arguments and seed; ``--json`` switches to
 the stable machine-readable format.
+Each handler imports what it runs, so the exact commands (``clifford``,
+``ahat``, ``obstruction``) load neither numpy nor the spectral modules.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import genus, mackey
-from .clifford import ccl, parse_multivector
-from .linalg import default_tol, matrix_from_json, matrix_to_json, realify
-from .pin_spin import PinElement, phi_lift, rho_residual, spin_lift, unit_residual
-from .scalars import rational_from_string, rational_to_string
-from .verify import MAX_CASES, run_verify
+from .scalars import default_tol, rational_from_string, rational_to_string
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -41,6 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _case_count(text: str) -> int:
     """The --cases value: an integer from 0 to ``verify.MAX_CASES``."""
+    from .verify import MAX_CASES
+
     try:
         count = int(text)
     except ValueError:
@@ -99,7 +96,9 @@ def _emit(report: dict, as_json: bool, human_lines):
     sys.stdout.flush()  # a closed stdout raises here, inside main, not at exit
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str):
+    from .linalg import matrix_from_json
+
     try:
         return matrix_from_json(_load_json_file(path))
     except ValueError as exc:
@@ -117,6 +116,8 @@ def _load_json_file(path: str):
 
 
 def _cmd_clifford(args) -> int:
+    from .clifford import ccl, parse_multivector
+
     try:
         p_str, q_str = args.signature.split(",")
         p, q = int(p_str), int(q_str)
@@ -154,7 +155,9 @@ def _cmd_clifford(args) -> int:
     return EXIT_OK
 
 
-def _lift_report(command: str, matrix, element: PinElement, residuals: dict) -> dict:
+def _lift_report(command: str, matrix, element, residuals: dict) -> dict:
+    from .linalg import matrix_to_json
+
     tol = default_tol()
     return {
         "command": command,
@@ -172,6 +175,10 @@ def _lift_report(command: str, matrix, element: PinElement, residuals: dict) -> 
 
 
 def _cmd_spin_lift(args) -> int:
+    import numpy as np
+
+    from .pin_spin import rho_residual, spin_lift, unit_residual
+
     M = _load_matrix(args.matrix)
     try:
         R = np.asarray(M.real, dtype=float)
@@ -194,6 +201,11 @@ def _cmd_spin_lift(args) -> int:
 
 
 def _cmd_phi_lift(args) -> int:
+    import numpy as np
+
+    from .linalg import realify
+    from .pin_spin import phi_lift, rho_residual, unit_residual
+
     U = _load_matrix(args.unitary)
     try:
         g = phi_lift(U)
@@ -214,6 +226,8 @@ def _cmd_phi_lift(args) -> int:
 
 
 def _cmd_ahat(args) -> int:
+    from . import genus
+
     if (args.manifold is None) == (args.pontryagin is None):
         raise UsageError("provide exactly one of --manifold or --pontryagin")
     if args.manifold is not None:
@@ -242,6 +256,8 @@ def _cmd_ahat(args) -> int:
 
 
 def _cmd_obstruction(args) -> int:
+    from . import mackey
+
     try:
         q = rational_from_string(args.genus)
     except ValueError as exc:
@@ -262,6 +278,8 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verify
+
     report = run_verify(args.suite, args.seed, args.cases)
     lines = []
     for name, out in report["outputs"].items():

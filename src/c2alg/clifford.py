@@ -7,7 +7,8 @@ each operand to integer numerators over one common denominator
 (``integer_terms``), run the sparse loop over term pairs on Python ints, and
 build one GaussianRational per output blade, so a product takes one gcd per
 output coefficient instead of several per term pair. Numeric products run a
-dense kernel over complex arrays of length 2^n indexed by blade mask.
+dense kernel over complex arrays of length 2^n indexed by blade mask; its
+methods import numpy where they run, so exact work never loads it.
 Both serve the complexified Clifford algebras CCl(p,q) (all generators square
 to +1, Real structure fixes the first p generators and negates the last q),
 the Kasparov-style presentation C_{p,q} (last q generators square to -1), and
@@ -20,8 +21,6 @@ import math
 import re as _re
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .scalars import GaussianRational
 
@@ -107,6 +106,8 @@ class CliffordAlgebra:
         linear in m1 over GF(2): it is parity[m1 & flip[m2]] (see ``flip``).
         """
         if self._dense_tables is None:
+            import numpy as np
+
             index = np.arange(1 << self.dim)
             grade = np.zeros(1, dtype=np.int64)
             for _ in range(self.dim):
@@ -128,6 +129,8 @@ class CliffordAlgebra:
         applied as one matrix product, and it is chosen unless the support
         of ``b`` times the row count is smaller.
         """
+        import numpy as np
+
         index, parity, flip, _ = self._tables()
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
         a_support = np.flatnonzero(np.any(a.reshape(-1, index.size), axis=0))
@@ -149,6 +152,8 @@ class CliffordAlgebra:
         return values.conj() * self._tables()[3]
 
     def from_dense(self, values: np.ndarray) -> "Multivector":
+        import numpy as np
+
         support = np.flatnonzero(values)
         return Multivector(self, dict(zip(support.tolist(), values[support].tolist())))
 
@@ -400,6 +405,8 @@ class Multivector:
 
     def to_dense(self) -> np.ndarray:
         """Complex coefficient array of length 2^n, indexed by blade mask."""
+        import numpy as np
+
         out = np.zeros(1 << self.algebra.dim, dtype=complex)
         terms = self.to_numeric().terms
         if terms:
@@ -408,6 +415,8 @@ class Multivector:
 
     def max_diff(self, other: "Multivector") -> float:
         """Max absolute coefficient difference (numeric comparison); NaN propagates."""
+        import numpy as np
+
         self._check(other)
         masks = set(self.terms) | set(other.terms)
         diffs = [complex(self.terms.get(m, 0)) - complex(other.terms.get(m, 0)) for m in masks]

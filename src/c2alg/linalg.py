@@ -2,34 +2,21 @@
 square roots, fixed-point retraction.
 
 Eigenvalue-based routines work in double precision against one tolerance,
-``default_tol()``: 1e-9, or the ``C2ALG_TOL`` environment variable, which is the
-only override. Each routine reads it where it compares; only the predicate
-``is_unitary`` takes an explicit threshold.
+``default_tol()`` (defined in ``scalars``): 1e-9, or the ``C2ALG_TOL``
+environment variable, which is the only override. Each routine reads it where
+it compares; only the predicate ``is_unitary`` takes an explicit threshold.
 The Real-vector-space splitting works exactly on Gaussian-rational data.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianRational, rational_from_string
-
-
-def default_tol() -> float:
-    """The ``C2ALG_TOL`` value, or 1e-9; anything but a positive finite number is an error."""
-    raw = os.environ.get("C2ALG_TOL", "1e-9")
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"C2ALG_TOL must be a positive finite number, got {raw!r}")
-    return tol
+from .scalars import GaussianRational, default_tol, rational_from_string
 
 
 def check_finite(A: np.ndarray) -> np.ndarray:

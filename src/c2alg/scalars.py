@@ -2,11 +2,15 @@
 
 Rationals are plain ``fractions.Fraction`` (always in lowest terms, positive
 denominator). Everything in this module is immutable and safe to share.
+``default_tol`` lives here, away from numpy, so that exact CLI commands can
+check ``C2ALG_TOL`` without loading the spectral modules.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+import os
 import re
 from fractions import Fraction
 from typing import Mapping
@@ -21,6 +25,18 @@ _ONE = Fraction(1)
 # exponents are held to the 4300 digits Python allows in an integer string.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][+-]?(\d+)")
+
+
+def default_tol() -> float:
+    """The ``C2ALG_TOL`` value, or 1e-9; anything but a positive finite number is an error."""
+    raw = os.environ.get("C2ALG_TOL", "1e-9")
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"C2ALG_TOL must be a positive finite number, got {raw!r}")
+    return tol
 
 
 def rational_from_string(text: str) -> Fraction:

@@ -27,9 +27,9 @@ SUITE_NAMES = ["clifford", "pin-spin", "genus", "mackey", "functional-calculus"]
 MAX_REPORTED_FAILURES = 20
 
 # Largest case count the CLI accepts. Time is linear in the count and memory
-# flat: `verify --suite all` takes about 1.5 s at 100 cases, 5.8 s at 1000 and
-# 16 s at 3000 (peak RSS 42 MiB throughout) on a 2-vCPU Xeon VM with Python
-# 3.11, so a run at the cap ends in about a minute.
+# flat: cold `verify --suite all` takes about 0.9 s at 100 cases, 5.0 s at 1000
+# and 13.4 s at 3000 (peak RSS 42 MiB throughout) on a 2-vCPU Xeon VM with
+# Python 3.11, so a run at the cap ends in under a minute.
 MAX_CASES = 10_000
 
 

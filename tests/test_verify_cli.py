@@ -1,11 +1,13 @@
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import c2alg
 from c2alg import cli
 from c2alg.linalg import matrix_to_json, random_unitary
 from c2alg.verify import MAX_CASES, random_special_orthogonal, run_verify
@@ -250,12 +252,20 @@ class TestUsage:
         assert cli.main([]) == 64
 
     @pytest.mark.parametrize("value", ["abc", "nan", "-1"])
-    def test_bad_tolerance_is_usage_error(self, capsys, monkeypatch, value):
+    def test_bad_tolerance_is_usage_error(self, capsys, monkeypatch, tmp_path, value):
+        # main checks C2ALG_TOL before any handler runs, exact commands included
+        rotation = tmp_path / "rot.json"
+        rotation.write_text(json.dumps(matrix_to_json(np.eye(3))), encoding="utf-8")
         monkeypatch.setenv("C2ALG_TOL", value)
-        code, out, err = run_cli(capsys, "verify", "--suite", "pin-spin", "--cases", "1")
-        assert code == 64
-        assert out == ""
-        assert err == f"error: C2ALG_TOL must be a positive finite number, got {value!r}\n"
+        for argv in (["verify", "--suite", "pin-spin", "--cases", "1"],
+                     ["obstruction", "--genus", "-1/8"],
+                     ["ahat", "--manifold", "CP2"],
+                     ["clifford", "mul", "--signature", "2,0", "--a", "e1", "--b", "e2"],
+                     ["spin-lift", "--matrix", str(rotation)],
+                     ["phi-lift", "--unitary", str(rotation)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (64, ""), argv
+            assert err == f"error: C2ALG_TOL must be a positive finite number, got {value!r}\n"
 
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 64
@@ -314,20 +324,61 @@ class TestRunVerifyApi:
         assert report["verdict"] == "pass"
 
 
-class TestImportFootprint:
-    def test_cli_import_loads_no_scipy(self):
-        code = ("import sys, c2alg.cli; print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              check=True, text=True)
-        assert proc.stdout == "[]\n"
+# Runs one command line (a list) under the real entry point, or imports one
+# module (a string), in a fresh interpreter; prints the loaded module names.
+_FOOTPRINT_PROBE = """\
+import importlib, json, runpy, sys
+target = json.loads(sys.argv[1])
+if isinstance(target, str):
+    importlib.import_module(target)
+else:
+    sys.argv = ["c2alg", *target]
+    try:
+        runpy.run_module("c2alg.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(json.dumps(sorted(sys.modules)))
+"""
+_SUBMODULES = tuple(f"c2alg.{info.name}" for info in pkgutil.iter_modules(c2alg.__path__))
+_NEVER = ("scipy", "sympy")
+_FORBIDDEN_IN_EXACT = ("numpy", "c2alg.linalg", "c2alg.pin_spin", "c2alg.funcalc",
+                       "c2alg.verify", *_NEVER)
+_FORBIDDEN_IN_LIFTS = ("c2alg.genus", "c2alg.mackey", "c2alg.funcalc", "c2alg.verify",
+                       *_NEVER)
+_ROTATION = json.dumps(matrix_to_json(np.array([[0.0, -1.0], [1.0, 0.0]])))
+_PONTRYAGIN = json.dumps({"dim": 8, "pontryagin": {"1,1": "18/1", "2": "9/1"}})
 
-    def test_functional_calculus_verify_loads_no_sympy(self):
-        code = ("import runpy, sys; sys.argv = ['c2alg', 'verify', '--suite', "
-                "'functional-calculus', '--cases', '5']\n"
-                "try:\n    runpy.run_module('c2alg.cli', run_name='__main__')\n"
-                "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
-                "print(sorted(m for m in sys.modules if m == 'sympy' or m.startswith('sympy.')))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              check=True, text=True)
-        assert proc.stdout.endswith("[]\n")
+# (module or command line, file text for "FILE", module trees it must not load)
+FOOTPRINTS = [
+    ("c2alg", None, _SUBMODULES + _NEVER),
+    ("c2alg.cli", None, (*(m for m in _SUBMODULES if m not in ("c2alg.cli", "c2alg.scalars")),
+                         "numpy", *_NEVER)),
+    (["obstruction", "--genus", "-1/8"], None, _FORBIDDEN_IN_EXACT),
+    (["ahat", "--manifold", "CP2 x CP2"], None, _FORBIDDEN_IN_EXACT),
+    (["ahat", "--pontryagin", "FILE"], _PONTRYAGIN, _FORBIDDEN_IN_EXACT),
+    (["clifford", "mul", "--signature", "2,1", "--a", "e1+e3", "--b", "e2"], None,
+     _FORBIDDEN_IN_EXACT),
+    (["clifford", "conj", "--signature", "2,1", "--a", "i*e1e3"], None, _FORBIDDEN_IN_EXACT),
+    (["clifford", "star", "--signature", "2,1", "--a", "i*e1e3"], None, _FORBIDDEN_IN_EXACT),
+    (["spin-lift", "--matrix", "FILE"], _ROTATION, _FORBIDDEN_IN_LIFTS),
+    (["phi-lift", "--unitary", "FILE"], _ROTATION, _FORBIDDEN_IN_LIFTS),
+    (["verify", "--suite", "functional-calculus", "--cases", "5"], None, _NEVER),
+]
+
+
+@pytest.mark.parametrize("target, text, forbidden", FOOTPRINTS,
+                         ids=["import-c2alg", "import-cli", "obstruction", "ahat-manifold",
+                              "ahat-pontryagin", "clifford-mul", "clifford-conj",
+                              "clifford-star", "spin-lift", "phi-lift",
+                              "verify-functional-calculus"])
+def test_import_footprint(tmp_path, target, text, forbidden):
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        target = [str(path) if a == "FILE" else a for a in target]
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, json.dumps(target)],
+                          capture_output=True, check=True, text=True, timeout=120)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "c2alg" in loaded
+    assert [m for m in loaded
+            if any(m == f or m.startswith(f + ".") for f in forbidden)] == []
