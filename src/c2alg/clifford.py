@@ -13,6 +13,10 @@ Both serve the complexified Clifford algebras CCl(p,q) (all generators square
 to +1, Real structure fixes the first p generators and negates the last q),
 the Kasparov-style presentation C_{p,q} (last q generators square to -1), and
 the interleaved model of CCl(n,n) used by the unitary-group lifts.
+A graded tensor split CCl(V + W) = CCl(V) (x) CCl(W) is a relabelling of
+generators (``relabel``) into one joined algebra (``SplitSpec.joined``), whose
+reordering sign is the Koszul sign; the tensor product is a ``Multivector``
+there.
 """
 
 from __future__ import annotations
@@ -508,145 +512,74 @@ def rational_terms(den: int, triples) -> dict:
 # -- graded tensor decomposition ---------------------------------------------------
 
 
-class TensorElement:
-    """Element of a graded tensor product of two blade algebras.
+def relabel(mask: int, positions) -> tuple[int, int]:
+    """(sign, mask) of blade ``mask`` after generator i moves to index positions[i].
 
-    Terms map (mask1, mask2) to coefficients; the product obeys the Koszul
-    rule (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd.
+    The sign is -1 when an odd number of pairs of its generators change
+    order. Walking the bits upward, each generator is counted against the
+    already placed ones that now sit above it: O(popcount).
     """
+    out = swaps = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        k = positions[low.bit_length() - 1]
+        swaps += (out >> k).bit_count()
+        out |= 1 << k
+    return (-1 if swaps & 1 else 1), out
 
-    __slots__ = ("alg1", "alg2", "terms")
 
-    def __init__(self, alg1: CliffordAlgebra, alg2: CliffordAlgebra, terms: dict):
-        self.alg1 = alg1
-        self.alg2 = alg2
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            s = c if acc is None else acc + c
-            if s:
-                out[k] = s
-            elif acc is not None:
-                del out[k]
-        return TensorElement(self.alg1, self.alg2, out)
-
-    def __neg__(self):
-        return TensorElement(self.alg1, self.alg2, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Product in the algebra on alg1's generators followed by alg2's.
-
-        Key (a, b) is the blade a | b << n1 there, and that algebra's
-        reordering sign is the Koszul sign: carrying b1 past a2 takes
-        |b1||a2| swaps. ``Multivector.__mul__`` then multiplies exact data
-        on integers and numeric data densely.
-        """
-        alg1, alg2 = self.alg1, self.alg2
-        n1 = alg1.dim
-        joined = CliffordAlgebra(
-            alg1.p + alg2.p, alg1.q + alg2.q, alg1.squares + alg2.squares,
-            alg1.bar_signs + alg2.bar_signs, alg1.star_signs + alg2.star_signs,
-            label=f"{alg1.label}(x){alg2.label}")
-
-        def packed(t):
-            return Multivector(joined, {a | b << n1: c for (a, b), c in t.terms.items()})
-
-        low = (1 << n1) - 1
-        product = packed(self) * packed(other)
-        return TensorElement(alg1, alg2,
-                             {(m & low, m >> n1): c for m, c in product.terms.items()})
-
-    def bar(self) -> "TensorElement":
-        n1, n2 = self.alg1.bar_neg_mask, self.alg2.bar_neg_mask
-        out = {}
-        for (a, b), c in self.terms.items():
-            c = c.conjugate()
-            if ((a & n1).bit_count() + (b & n2).bit_count()) & 1:
-                c = -c
-            out[(a, b)] = c
-        return TensorElement(self.alg1, self.alg2, out)
-
-    def star(self) -> "TensorElement":
-        """Graded *: (a (x) b)* = (-1)^{|a||b|} a* (x) b*."""
-        out = {}
-        s1, s2 = self.alg1.star_neg_mask, self.alg2.star_neg_mask
-        for (a, b), c in self.terms.items():
-            c = c.conjugate()
-            ka, kb = a.bit_count(), b.bit_count()
-            sign = (ka * (ka - 1) // 2) + (kb * (kb - 1) // 2) + ka * kb
-            sign += (a & s1).bit_count() + (b & s2).bit_count()
-            if sign & 1:
-                c = -c
-            out[(a, b)] = c
-        return TensorElement(self.alg1, self.alg2, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return f"TensorElement({self.terms})"
+def _relabel_terms(terms: dict, positions) -> dict:
+    out = {}
+    for m, c in terms.items():
+        sign, m = relabel(m, positions)
+        out[m] = -c if sign < 0 else c
+    return out
 
 
 class SplitSpec:
-    """Partition of the generators of an algebra into two tensor factors."""
+    """Partition of the generators of an algebra into two graded tensor factors.
+
+    ``joined`` is the algebra on the ``first`` generators, in order, followed
+    by the rest; each keeps its square, bar sign and star sign. Its
+    reordering sign is the Koszul sign, so it is the graded tensor product:
+    a (x) b is the blade a | b << len(first), and product, bar and graded
+    star are those of ``Multivector``.
+    """
 
     def __init__(self, algebra: CliffordAlgebra, first_indices):
+        first_indices = list(first_indices)
         first = sorted(set(first_indices))
         if any(i < 1 or i > algebra.dim for i in first):
             raise ValueError("inconsistent partition: index out of range")
-        if len(first) != len(set(first_indices)):
+        if len(first) != len(first_indices):
             raise ValueError("inconsistent partition: repeated index")
         self.algebra = algebra
         self.first = first
-        self.second = [i for i in range(1, algebra.dim + 1) if i not in set(first)]
-        self.first_mask = sum(1 << (i - 1) for i in self.first)
-        self.second_mask = sum(1 << (i - 1) for i in self.second)
+        self.second = [i for i in range(1, algebra.dim + 1) if i not in first]
+        # generator k of joined is generator order[k] of algebra (0-based)
+        order = [i - 1 for i in first + self.second]
+        self._from_joined = order
+        self._to_joined = [order.index(i) for i in range(algebra.dim)]
+        self.joined = CliffordAlgebra(
+            algebra.p, algebra.q,
+            [algebra.squares[i] for i in order],
+            [algebra.bar_signs[i] for i in order],
+            [algebra.star_signs[i] for i in order],
+            label=f"{algebra.label}|{first}(x){self.second}")
 
-        def sub_algebra(indices):
-            squares = tuple(algebra.squares[i - 1] for i in indices)
-            bars = tuple(algebra.bar_signs[i - 1] for i in indices)
-            stars = tuple(algebra.star_signs[i - 1] for i in indices)
-            p = sum(1 for s in bars if s > 0)
-            q = len(bars) - p
-            return CliffordAlgebra(p, q, squares, bars, stars,
-                                   label=f"{algebra.label}|{indices}")
-
-        self.alg1 = sub_algebra(self.first)
-        self.alg2 = sub_algebra(self.second)
-
-    def split(self, mv: Multivector) -> TensorElement:
+    def split(self, mv: Multivector) -> Multivector:
         if mv.algebra is not self.algebra:
             raise ValueError("element does not live in the split algebra")
-        out = {}
-        for mask, coeff in mv.terms.items():
-            m1 = sum(1 << k for k, i in enumerate(self.first) if mask >> (i - 1) & 1)
-            m2 = sum(1 << k for k, i in enumerate(self.second) if mask >> (i - 1) & 1)
-            # moving each first-factor generator left past the second-factor ones below it
-            swaps = (mask & self.first_mask & _below_parity(mask & self.second_mask)).bit_count()
-            out[(m1, m2)] = -coeff if swaps & 1 else coeff
-        return TensorElement(self.alg1, self.alg2, out)
+        return Multivector(self.joined, _relabel_terms(mv.terms, self._to_joined))
 
-    def merge(self, t: TensorElement) -> Multivector:
-        out: dict = {}
-        for (m1, m2), coeff in t.terms.items():
-            mask = (sum(1 << (i - 1) for k, i in enumerate(self.first) if m1 >> k & 1)
-                    | sum(1 << (i - 1) for k, i in enumerate(self.second) if m2 >> k & 1))
-            swaps = (mask & self.first_mask & _below_parity(mask & self.second_mask)).bit_count()
-            c = -coeff if swaps & 1 else coeff
-            acc = out.get(mask)
-            out[mask] = c if acc is None else acc + c
-        return Multivector(self.algebra, {m: c for m, c in out.items() if c})
+    def merge(self, t: Multivector) -> Multivector:
+        if t.algebra is not self.joined:
+            raise ValueError("element does not live in this split's tensor product")
+        return Multivector(self.algebra, _relabel_terms(t.terms, self._from_joined))
 
 
-def graded_tensor_split(mv: Multivector, first_indices) -> tuple[SplitSpec, TensorElement]:
+def graded_tensor_split(mv: Multivector, first_indices) -> tuple[SplitSpec, Multivector]:
     spec = SplitSpec(mv.algebra, first_indices)
     return spec, spec.split(mv)
 

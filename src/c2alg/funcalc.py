@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import MAX_GENERATORS, Multivector, _below_parity, vector_norm_sq
+from .clifford import MAX_GENERATORS, Multivector, _below_parity, relabel, vector_norm_sq
 from .pin_spin import PinElement
 from .scalars import MultiPoly, RatFunc
 
@@ -147,27 +147,13 @@ class GradedRatFunc:
         perm = list(range(self.nvars))
         if i < self.nvars and j < self.nvars:
             perm[i], perm[j] = perm[j], perm[i]
+        positions = list(range(self.nslots))
+        positions[i], positions[j] = j, i
         out: dict = {}
         for mask, f in self.terms.items():
-            bit_i = bool(mask & (1 << i))
-            bit_j = bool(mask & (1 << j))
-            new_mask = mask
-            sign = 1
-            if bit_i != bit_j:
-                new_mask = mask ^ (1 << i) ^ (1 << j)
-                # count generators strictly between the two positions: the moved
-                # generator hops past each of them once
-                lo, hi = (i, j) if i < j else (j, i)
-                between = mask & (((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1))
-                if between.bit_count() & 1:
-                    sign = -1
-            elif bit_i and bit_j:
-                sign = -1
+            sign, mask = relabel(mask, positions)
             g = f.permute_vars(perm)
-            if sign < 0:
-                g = -g
-            acc = out.get(new_mask)
-            out[new_mask] = g if acc is None else acc + g
+            out[mask] = -g if sign < 0 else g
         return GradedRatFunc(self.nvars, self.nslots, out)
 
     def __repr__(self):

@@ -64,7 +64,7 @@ def _mat_shape(A) -> tuple[int, int]:
 def mat_mul(A, B):
     ra, ca = _mat_shape(A)
     rb, cb = _mat_shape(B)
-    if ca != rb:
+    if ra and ca != rb:  # [] has no rows and any column count
         raise ValueError("dimension mismatch in matrix product")
     return [[sum(A[i][k] * B[k][j] for k in range(ca)) for j in range(cb)] for i in range(ra)]
 
@@ -86,8 +86,8 @@ def map_well_defined(A, src: AbelianGroup, dst: AbelianGroup) -> bool:
     With diagonal relation matrices the Smith-normal-form condition reduces
     to: d_i * column_i must vanish in dst for every torsion generator.
     """
-    rows, cols = _mat_shape(A) if A else (dst.ngens, 0)
-    if A and (rows != dst.ngens or cols != src.ngens):
+    rows, cols = _mat_shape(A) if A else (0, src.ngens)
+    if rows != dst.ngens or cols != src.ngens:
         raise ValueError("matrix shape does not match the groups")
     for i, d in enumerate(src.orders):
         if d == 0:
@@ -116,8 +116,8 @@ class MackeyPresentation:
             (self.conj, self.m_e.ngens, self.m_e.ngens, "conj"),
         ]
         for M, rows, cols, name in checks:
-            r, c = _mat_shape(M) if M else (rows, 0)
-            if M and (r != rows or c != cols):
+            r, c = _mat_shape(M) if M else (0, cols)
+            if r != rows or c != cols:
                 raise ValueError(f"dimension mismatch in {name}: got {r}x{c}, want {rows}x{cols}")
 
 

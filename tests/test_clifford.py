@@ -7,7 +7,7 @@ import pytest
 
 from c2alg.clifford import (SplitSpec, ccl, ccl_interleaved, format_multivector,
                             from_kasparov, graded_tensor_split, kasparov,
-                            parse_multivector, to_kasparov, vector_norm_sq)
+                            parse_multivector, relabel, to_kasparov, vector_norm_sq)
 from c2alg.scalars import GaussianRational
 from c2alg.verify import rand_multivector, _rng
 
@@ -267,7 +267,7 @@ class TestGradedTensorSplit:
     def test_round_trip_single_generator(self):
         alg = ccl(2, 0)
         spec, t = graded_tensor_split(alg.generator(1), [1])
-        assert list(t.terms) == [(1, 0)]
+        assert list(t.terms) == [1]
         assert spec.merge(t) == alg.generator(1)
 
     def test_koszul_sign(self):
@@ -297,8 +297,47 @@ class TestGradedTensorSplit:
 
     def test_inconsistent_partition_rejected(self):
         alg = ccl(2, 0)
-        with pytest.raises(ValueError):
-            graded_tensor_split(alg.generator(1), [3])
+        for first in ([3], [1, 1]):
+            with pytest.raises(ValueError, match="inconsistent partition"):
+                graded_tensor_split(alg.generator(1), first)
+
+    def test_merge_refuses_foreign_element(self):
+        alg = ccl(3, 0)
+        spec, other = SplitSpec(alg, [1]), SplitSpec(alg, [2])
+        for foreign in (alg.generator(1), other.split(alg.generator(1))):
+            with pytest.raises(ValueError, match="does not live"):
+                spec.merge(foreign)
+
+
+def _inversion_sign(mask, positions):
+    """Reference relabelling: (-1)^inversions of the relabelled index word."""
+    word = [positions[i] for i in range(mask.bit_length()) if mask >> i & 1]
+    inversions = sum(a > b for k, a in enumerate(word) for b in word[k + 1:])
+    return (-1) ** inversions, sum(1 << p for p in word)
+
+
+class TestRelabel:
+    N = 6
+
+    def test_identity(self):
+        identity = list(range(self.N))
+        for mask in range(1 << self.N):
+            assert relabel(mask, identity) == (1, mask)
+
+    @pytest.mark.parametrize("i", range(N))
+    def test_transpositions(self, i):
+        for j in range(self.N):
+            positions = list(range(self.N))
+            positions[i], positions[j] = j, i
+            for mask in range(1 << self.N):
+                assert relabel(mask, positions) == _inversion_sign(mask, positions)
+
+    def test_random_permutations(self):
+        rng = random.Random("relabel")
+        for _ in range(20):
+            positions = rng.sample(range(self.N), self.N)
+            for mask in range(1 << self.N):
+                assert relabel(mask, positions) == _inversion_sign(mask, positions)
 
 
 class TestConventions:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from c2alg import clifford
-from c2alg.clifford import (CliffordAlgebra, Multivector, SplitSpec, TensorElement,
-                            ccl, ccl_interleaved, integer_terms, kasparov)
+from c2alg.clifford import (CliffordAlgebra, Multivector, SplitSpec, ccl, ccl_interleaved,
+                            integer_terms, kasparov)
 from c2alg.pin_spin import OrthogonalAction, PinElement, twisted_adjoint
 from c2alg.scalars import GaussianRational, MultiPoly
 from c2alg.verify import rand_pin, rational_phase, rational_unit_vector
@@ -32,16 +32,26 @@ def reference_mul(x: Multivector, y: Multivector) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def reference_tensor_mul(s: TensorElement, t: TensorElement) -> dict:
+def reference_tensor_mul(spec: SplitSpec, s: Multivector, t: Multivector) -> dict:
+    """Key a | b << k is a (x) b; each factor multiplies in its own sub-algebra."""
+    def sub_algebra(indices):
+        squares = [spec.algebra.squares[i - 1] for i in indices]
+        ones = [1] * len(indices)
+        return CliffordAlgebra(len(indices), 0, squares, ones, ones, "factor")
+
+    alg1, alg2 = sub_algebra(spec.first), sub_algebra(spec.second)
+    k = len(spec.first)
+    low = (1 << k) - 1
     out = {}
-    for (a1, b1), c1 in s.terms.items():
-        for (a2, b2), c2 in t.terms.items():
-            sa, ma = s.alg1.blade_product(a1, a2)
-            sb, mb = s.alg2.blade_product(b1, b2)
+    for m1, c1 in s.terms.items():
+        for m2, c2 in t.terms.items():
+            a1, b1, a2, b2 = m1 & low, m1 >> k, m2 & low, m2 >> k
+            sa, ma = alg1.blade_product(a1, a2)
+            sb, mb = alg2.blade_product(b1, b2)
             koszul = -1 if (b1.bit_count() * a2.bit_count()) & 1 else 1
-            key = (ma, mb)
+            key = ma | mb << k
             out[key] = out.get(key, GaussianRational.ZERO) + c1 * c2 * (sa * sb * koszul)
-    return {k: c for k, c in out.items() if c}
+    return {key: c for key, c in out.items() if c}
 
 
 def rand_rational(rng, num=9):
@@ -146,7 +156,7 @@ class TestTensorProduct:
             s = spec.split(rand_element(rng, alg, 4))
             t = spec.split(rand_element(rng, alg, 4))
             product = s * t
-            assert product.terms == reference_tensor_mul(s, t)
+            assert product.terms == reference_tensor_mul(spec, s, t)
             assert_no_zero_terms(product.terms)
 
     def test_cancellation_and_empty(self):

@@ -69,6 +69,16 @@ class TestAxioms:
         z = AbelianGroup(1)
         with pytest.raises(ValueError):
             MackeyPresentation(z, z, [[1], [0]], [[2]], [[1]])
+        # [] is a matrix with no rows, never a 1 x 1 one
+        with pytest.raises(ValueError, match="res: got 0x1, want 1x1"):
+            MackeyPresentation(AbelianGroup(0, [2]), AbelianGroup(1), [], [[0]], [[1]])
+        with pytest.raises(ValueError, match="shape"):
+            map_well_defined([], AbelianGroup(0, [2]), AbelianGroup(1))
+
+    def test_trivial_underlying_group(self):
+        # m_e = 0: res and conj have no rows, tr is 1 x 0
+        fixture = MackeyPresentation(AbelianGroup(1), AbelianGroup(0), [], [[]], [])
+        assert check_mackey_axioms(fixture).all_passed
 
     def test_torsion_aware_comparison(self):
         # res(tr) = id + conj can hold modulo torsion without integer equality

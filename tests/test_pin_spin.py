@@ -125,15 +125,18 @@ class TestTwistedAdjoint:
                 assert np.max(np.abs(numeric.as_numpy() - exact)) <= 1e-12
 
     def test_unit_element_outside_pin_rejected(self):
-        # (1 + i e1e2e3e4)/sqrt(2) satisfies g * star(g) = 1, but g e_k g* is
-        # -i e_k e1e2e3e4, of grade 3
+        # cos t + i sin t e1e2e3e4 satisfies g * star(g) = 1, but g e_k g* has
+        # an off-grade part of about 2 sin t, of grade 3. At t = 1e-5 its
+        # squared norm (4e-10) is below 100 * tol, so only a test linear in
+        # the off-grade part rejects it.
         alg = ccl(4, 0)
-        s = 1 / math.sqrt(2)
-        value = alg.scalar(complex(s)) + alg.blade([1, 2, 3, 4]).scale(complex(0, s))
-        g = PinElement(value)
-        assert unit_residual(g) <= 1e-15
-        with pytest.raises(ValueError, match="does not preserve grade 1"):
-            twisted_adjoint(g)
+        for t in (math.pi / 4, 1e-5):
+            value = (alg.scalar(complex(math.cos(t)))
+                     + alg.blade([1, 2, 3, 4]).scale(complex(0, math.sin(t))))
+            g = PinElement(value)
+            assert unit_residual(g) <= 1e-15
+            with pytest.raises(ValueError, match="does not preserve grade 1"):
+                twisted_adjoint(g)
 
     def test_homomorphism_exact(self):
         rng = _rng(21, "rho-hom")
