@@ -74,6 +74,7 @@ class CliffordAlgebra:
         self.label = label
         self.convention = convention
         self._dense_tables = None
+        self._dense_gen_tables = None
         # masks of generators that pick up a sign under the listed structure
         self.neg_square_mask = sum(1 << i for i, s in enumerate(self.squares) if s < 0)
         self.bar_neg_mask = sum(1 << i for i, s in enumerate(self.bar_signs) if s < 0)
@@ -150,6 +151,32 @@ class CliffordAlgebra:
             else:
                 out += b[m[:, 0]] @ (parity[idx & flip[m]] * a[..., idx])
         return out
+
+    def _generator_tables(self):
+        """(perm, right, left) arrays of shape (n, 2^n), built on first use.
+
+        perm[i] is index ^ (1 << i); right[i] and left[i] are the signs of
+        e_perm * e_i and e_i * e_perm, so the coefficients of a * e_i are
+        a[perm[i]] * right[i] and those of e_i * a are a[perm[i]] * left[i].
+        """
+        if self._dense_gen_tables is None:
+            import numpy as np
+
+            index, parity, flip, _ = self._tables()
+            gens = 1 << np.arange(self.dim)[:, None]
+            perm = index ^ gens
+            self._dense_gen_tables = (perm, parity[perm & flip[gens]], parity[gens & flip[perm]])
+        return self._dense_gen_tables
+
+    def dense_mul_vector(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Product a * (sum_i u_i e_i) of dense elements ``a`` and a vector ``u``.
+
+        ``a`` may carry leading batch axes. One gather and one contraction
+        over the n generators: O(n 2^n) per row, against O(4^n) for a
+        ``dense_mul`` by the dense form of the vector.
+        """
+        perm, right, _ = self._generator_tables()
+        return u @ (a[..., perm] * right)
 
     def dense_star(self, values: np.ndarray) -> np.ndarray:
         """The *-structure on dense numeric elements."""
@@ -594,32 +621,37 @@ def _i_power_times(c: GaussianRational, k: int) -> GaussianRational:
     return c
 
 
-def to_kasparov(mv: Multivector) -> Multivector:
-    """Isomorphism CCl(p,q) -> C_{p,q}: v_i -> eps_i, w_j -> i*e_j."""
+def _turn_last_q(mv: Multivector, target: CliffordAlgebra, turn: int) -> Multivector:
+    """mv in ``target``, each coefficient times i^(turn * k), k its count of the last q generators."""
     alg = mv.algebra
-    target = kasparov(alg.p, alg.q)
     w_mask = ((1 << alg.q) - 1) << alg.p
     out = {}
     for mask, c in mv.terms.items():
-        k = (mask & w_mask).bit_count()
+        k = turn * (mask & w_mask).bit_count()
         if k:
-            c = _i_power_times(c, k) if isinstance(c, GaussianRational) else c * (1j ** k)
+            c = _i_power_times(c, k) if isinstance(c, GaussianRational) else c * (1j ** (k & 3))
         out[mask] = c
     return Multivector(target, out)
+
+
+def to_kasparov(mv: Multivector) -> Multivector:
+    """Isomorphism CCl(p,q) -> C_{p,q}: v_i -> eps_i, w_j -> i*e_j.
+
+    The source must be blocked CCl(p,q): every square +1, and bar negating
+    exactly the last q generators, which are the ones sent to i*e_j.
+    """
+    alg = mv.algebra
+    if alg.squares != (1,) * alg.dim or alg.bar_signs != (1,) * alg.p + (-1,) * alg.q:
+        raise ValueError(f"to_kasparov needs blocked CCl(p,q), not {alg.label}")
+    return _turn_last_q(mv, kasparov(alg.p, alg.q), 1)
 
 
 def from_kasparov(mv: Multivector) -> Multivector:
-    """Inverse of :func:`to_kasparov`."""
+    """Inverse of :func:`to_kasparov`; the source must be ``kasparov(p, q)``."""
     alg = mv.algebra
-    target = ccl(alg.p, alg.q)
-    w_mask = ((1 << alg.q) - 1) << alg.p
-    out = {}
-    for mask, c in mv.terms.items():
-        k = (mask & w_mask).bit_count()
-        if k:
-            c = _i_power_times(c, -k) if isinstance(c, GaussianRational) else c * ((-1j) ** k)
-        out[mask] = c
-    return Multivector(target, out)
+    if alg is not kasparov(alg.p, alg.q):
+        raise ValueError(f"from_kasparov needs C_({alg.p},{alg.q}), not {alg.label}")
+    return _turn_last_q(mv, ccl(alg.p, alg.q), -1)
 
 
 # -- expression grammar --------------------------------------------------------------

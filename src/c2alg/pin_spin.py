@@ -7,16 +7,19 @@ product of factors with v v* = 1 needs no further check), or a raw
 homogeneous multivector whose unit condition g * star(g) = 1 is checked
 (exactly for rational data, within tolerance for numeric data). Every numeric
 comparison reads ``linalg.default_tol()`` (1e-9 or ``C2ALG_TOL``) where it
-compares; no function here takes a per-call tolerance. The exact
-twisted adjoint is a projection onto grade 1 in integer arithmetic, with no
-product: its entries are l2 inner products <e_i g, g e_k>, and grade 1 is
-preserved exactly when each column has norm 1, because x -> g x g* is an l2
-isometry. Exact work runs on integer numerators over one common denominator
+compares; no function here takes a per-call tolerance. Both modes take the
+twisted adjoint by the same projection onto grade 1, with no product: its
+entries are l2 inner products <e_i g, g e_k>, and since x -> g x g* is an l2
+isometry, whatever is missing from a column's norm lies off grade 1. Exact
+work runs on integer numerators over one common denominator
 (``clifford.integer_numerators``): the projection, the accumulated product of
 certificate factors, and the matrix product and orthogonality test of
-``OrthogonalAction``; a Fraction is built once per output entry. Numeric unit
-checks, the numeric twisted adjoint and the lifts call the dense kernel of
-the algebra directly (``CliffordAlgebra.dense_mul``).
+``OrthogonalAction``; a Fraction is built once per output entry. Numeric work
+runs on dense arrays: the rows e_i g and g e_k are gathered from the
+per-generator tables of the algebra, the lifts multiply only by vectors
+(``CliffordAlgebra.dense_mul_vector``, O(n 2^n)), and the O(4^n) dense
+product (``CliffordAlgebra.dense_mul``) runs only in the unit check
+g * star(g) = 1.
 """
 
 from __future__ import annotations
@@ -37,11 +40,16 @@ EVEN, ODD = 0, 1
 
 
 class PinElement:
-    """Validated element of Pin^c: homogeneous parity and unit norm."""
+    """Validated element of Pin^c: homogeneous parity and unit norm.
 
-    __slots__ = ("value", "parity", "meta")
+    ``certificate`` is (sign, [u_1, ..., u_m]) with value = sign * u_1 ... u_m
+    for real unit vectors u_j, when the element was built that way
+    (``spin_lift``), else None. ``meta`` holds report data only.
+    """
 
-    def __init__(self, value: Multivector, *, meta=None):
+    __slots__ = ("value", "parity", "meta", "certificate")
+
+    def __init__(self, value: Multivector, *, meta=None, certificate=None):
         parity = value.parity()
         if parity is None:
             raise ValueError("Pin element must have homogeneous parity")
@@ -53,6 +61,7 @@ class PinElement:
         self.value = value
         self.parity = parity
         self.meta = meta or {}
+        self.certificate = certificate
 
     @classmethod
     def _trusted(cls, value: Multivector, parity: int) -> "PinElement":
@@ -61,6 +70,7 @@ class PinElement:
         self.value = value
         self.parity = parity
         self.meta = {}
+        self.certificate = None
         return self
 
     @staticmethod
@@ -216,7 +226,8 @@ _OFF_GRADE = "twisted adjoint does not preserve grade 1; invalid Pin element"
 def twisted_adjoint(g: PinElement) -> OrthogonalAction:
     """Matrix of rho(g): column k is (-1)^{|g|} g e_k g^{-1} in the generator basis.
 
-    Exact data is projected, not multiplied out. Every blade is unitary
+    Exact data is projected, not multiplied out; numeric data takes the same
+    projection in floats (``_twisted_adjoint_numeric``). Every blade is unitary
     (e_m* e_m = 1 in ``ccl``, ``kasparov`` and ``ccl_interleaved``), so
     <x* y>_0 is the l2 inner product <x, y> = sum_m conj(x_m) y_m, and since
     <.>_0 is a trace the e_i coefficient of g e_k g* is
@@ -277,31 +288,29 @@ def twisted_adjoint(g: PinElement) -> OrthogonalAction:
 
 
 def _twisted_adjoint_numeric(g: PinElement, tol: float) -> OrthogonalAction:
-    """One kernel pass right-multiplies the block [g e_1, ..., g e_n, g] by g*.
+    """The projection of the exact path in floats, by gathers and two n x n contractions.
 
-    Row k is g e_k g* at all grades, so a component off grade 1 is seen, and
-    the last row is the unit product g g*, which must be 1 for g* to be the
-    inverse of g.
+    Rows A[i] = e_i g and B[k] = g e_k are signed relabellings of g, and
+    M = (-1)^{|g|} conj(A) B^T is the matrix of rho(g). The off-grade part of
+    g e_k g* is measured linearly: g e_k - (-1)^{|g|} (rho(g) e_k) g is that
+    part times g, and x -> x g is an l2 isometry once g g* = 1 is checked.
     """
     alg = g.algebra
-    n = alg.dim
     value = g.value.to_dense()
-    block = np.stack([alg.dense_mul(value, alg.generator(k + 1).to_dense())
-                      for k in range(n)] + [value])
-    conj = alg.dense_mul(block, alg.dense_star(value))
-    conj[n, 0] -= 1.0
-    _check_unit_error(float(np.max(np.abs(conj[n]))), tol)
-    w = -conj[:n] if g.parity == ODD else conj[:n]
-    gens = 1 << np.arange(n)
-    cols = w[:, gens]  # cols[k, i]: e_i coefficient of rho(g) e_k
-    residue = w.copy()
-    residue[:, gens] = 1j * cols.imag
-    non_real = ~np.all(np.abs(cols.imag) <= 100 * tol, axis=1)
-    off_grade = ~(np.max(np.abs(residue), axis=1) <= 100 * tol)
+    _check_unit_error(_unit_error(alg, value), tol)
+    perm, right, left = alg._generator_tables()
+    rows = value[perm]
+    A = rows * left
+    B = rows * right
+    if g.parity == ODD:
+        B = -B
+    M = A.conj() @ B.T
+    non_real = ~np.all(np.abs(M.imag) <= 100 * tol, axis=0)
+    off_grade = ~(np.max(np.abs(B - M.T @ A), axis=1) <= 100 * tol)
     bad = np.flatnonzero(non_real | off_grade)
     if bad.size:
         raise ValueError(_NON_REAL if non_real[bad[0]] else _OFF_GRADE)
-    return OrthogonalAction(False, tuple(map(tuple, cols.real.T.tolist())))
+    return OrthogonalAction(False, tuple(map(tuple, M.real.tolist())))
 
 
 def check_rho_real_equivariance(g: PinElement, rho: OrthogonalAction | None = None) -> bool:
@@ -369,29 +378,22 @@ def householder_factors(R: np.ndarray) -> list[np.ndarray]:
     return factors
 
 
-def _lex_leading_mask(mv: Multivector, floor: float) -> int | None:
-    """Smallest blade (lexicographic on index words) with magnitude above floor."""
-    alg = mv.algebra
-    best = None
-    best_key = None
-    for mask, c in mv.terms.items():
-        if abs(complex(c)) <= floor:
-            continue
-        key = tuple(i for i in range(alg.dim) if mask & (1 << i))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = mask
-    return best
+def _normalize_sign(values: np.ndarray, tol: float) -> int:
+    """Sign that makes the lexicographically smallest blade above tol positive.
 
-
-def _normalize_sign(mv: Multivector, tol: float) -> Multivector:
-    lead = _lex_leading_mask(mv, tol)
-    if lead is None:
-        return mv
-    c = complex(mv.terms[lead])
-    if c.real < -tol or (abs(c.real) <= tol and c.imag < 0):
-        return -mv
-    return mv
+    Blades compare as their index words; the empty word comes first, so a
+    scalar part above tol is the lead and no scan is needed. A lead with
+    zero real part (within tol) is made positive imaginary.
+    """
+    if abs(values[0]) > tol:
+        lead = 0
+    else:
+        support = np.flatnonzero(np.abs(values) > tol).tolist()
+        if not support:
+            return 1
+        lead = min(support, key=lambda m: [i for i in range(m.bit_length()) if m >> i & 1])
+    c = complex(values[lead])
+    return -1 if c.real < -tol or (abs(c.real) <= tol and c.imag < 0) else 1
 
 
 def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> PinElement:
@@ -399,7 +401,9 @@ def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> PinElement:
 
     The branch sign is fixed so the lexicographically smallest blade with
     magnitude above tolerance has positive real part (ties broken by positive
-    imaginary part). Matrices with determinant -1 are rejected.
+    imaginary part). Matrices with determinant -1 are rejected. The returned
+    element carries its certificate (sign, Householder vectors u_1..u_m),
+    with g = sign * u_1 ... u_m.
     """
     tol = default_tol()
     A = np.asarray(R, dtype=float)
@@ -416,14 +420,13 @@ def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> PinElement:
     elif algebra.dim != n:
         raise ValueError("algebra dimension does not match the matrix")
     factors = householder_factors(A)
-    value = algebra.scalar(1 + 0j).to_dense()
-    generators = 1 << np.arange(n)
+    value = np.zeros(1 << n, dtype=complex)
+    value[0] = 1.0
     for u in factors:
-        v = np.zeros(1 << n, dtype=complex)
-        v[generators] = u
-        value = algebra.dense_mul(value, v)
-    value = _normalize_sign(algebra.from_dense(value), tol)
-    return PinElement(value, meta={"reflections": len(factors)})
+        value = algebra.dense_mul_vector(value, u)
+    sign = _normalize_sign(value, tol)
+    return PinElement(algebra.from_dense(sign * value), meta={"reflections": len(factors)},
+                      certificate=(sign, factors))
 
 
 def rho_residual(g: PinElement, R) -> float:
@@ -465,22 +468,23 @@ def phi_lift(U, *, rng=None) -> PinElement:
         V = Q @ V
     near_branch = bool(np.any(np.abs(np.abs(thetas) - math.pi) < 1e-6))
 
-    rotor = algebra.scalar(1 + 0j)
+    L = spin_lift(realify(V), algebra=algebra)
+    sign, factors = L.certificate
+    phase = complex(np.exp(1j * float(np.sum(thetas)) / 2.0))
+    # phase * L * rotor * L*, with L* = sign * u_m ... u_1 and the rotor a
+    # product of vector pairs (c e_{2j-1} + s e_{2j}) e_{2j-1}
+    value = phase * L.value.to_dense()
+    eye = np.eye(2 * n)
     for j, theta in enumerate(thetas):
         c = math.cos(theta / 2.0)
         s = math.sin(theta / 2.0)
         if abs(s) < 1e-300 and c > 0:
             continue
-        coeffs = [0j] * (2 * n)
-        coeffs[2 * j] = complex(c)
-        coeffs[2 * j + 1] = complex(s)
-        v1 = algebra.vector(coeffs)
-        v2 = algebra.generator(2 * j + 1).to_numeric()
-        rotor = rotor * v1 * v2
-
-    L = spin_lift(realify(V), algebra=algebra)
-    phase = complex(np.exp(1j * float(np.sum(thetas)) / 2.0))
-    value = (L.value * rotor * L.value.star()).scale(phase)
+        value = algebra.dense_mul_vector(value, c * eye[2 * j] + s * eye[2 * j + 1])
+        value = algebra.dense_mul_vector(value, eye[2 * j])
+    for u in reversed(factors):
+        value = algebra.dense_mul_vector(value, u)
+    value = algebra.from_dense(sign * value)
     return PinElement(
         value,
         meta={

@@ -212,6 +212,14 @@ class TestKasparov:
         alg = ccl(1, 1)
         assert to_kasparov(alg.generator(1)) == kasparov(1, 1).generator(1)
 
+    def test_wrong_source_algebra_rejected(self):
+        # interleaved CCl(2,2) bar-negates generators 2 and 4, not the last two
+        for alg in (ccl_interleaved(2), kasparov(1, 2)):
+            with pytest.raises(ValueError, match="blocked CCl"):
+                to_kasparov(alg.generator(3))
+        with pytest.raises(ValueError, match="from_kasparov needs"):
+            from_kasparov(ccl(1, 2).generator(3))
+
     def test_target_relations(self):
         target = kasparov(1, 1)
         eps, e = target.generator(1), target.generator(2)

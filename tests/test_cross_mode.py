@@ -1,0 +1,85 @@
+"""Exact Spin/Spin^c elements as oracles for the numeric lifts and twisted adjoint.
+
+A complex reflection H_u = 1 - 2 u u* / |u|^2 with u in Q(i)^n realifies to
+the half turn in the real plane spanned by u_R and (iu)_R, and
+g = u_R (iu)_R / |u|^2 is an exact Spin element of ``ccl_interleaved(n)``
+over it: rho(g) = realify(H_u). Products of such elements give exact lifts
+of products of reflections, against which the float paths are checked.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from c2alg.clifford import ccl_interleaved
+from c2alg.linalg import realify
+from c2alg.pin_spin import PinElement, phi_lift, rho_residual, spin_lift, twisted_adjoint
+from c2alg.scalars import GaussianRational
+
+SIZES = (1, 2, 3, 4)  # complex dimension n: ccl_interleaved(n) has 2n <= 8 generators
+
+
+def _rational_vector(rng, n):
+    while True:
+        u = [GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                              Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+             for _ in range(n)]
+        if any(u):
+            return u
+
+
+def _reflection(rng, n):
+    """(H_u as a complex matrix, exact Spin element over realify(H_u))."""
+    alg = ccl_interleaved(n)
+    u = _rational_vector(rng, n)
+    norm_sq = sum(c.re * c.re + c.im * c.im for c in u)
+    u_r = alg.vector([x for c in u for x in (c.re, c.im)])
+    iu_r = alg.vector([x for c in u for x in (-c.im, c.re)])
+    g = PinElement((u_r * iu_r).scale(GaussianRational(1 / norm_sq)))
+    uc = np.array([complex(c) for c in u])
+    H = np.eye(n) - 2 * np.outer(uc, uc.conj()) / float(norm_sq)
+    return H, g
+
+
+def _cases():
+    rng = random.Random("cross-mode")
+    for n in SIZES:
+        for _ in range(3):
+            H1, g1 = _reflection(rng, n)
+            H2, g2 = _reflection(rng, n)
+            yield n, H1, g1
+            yield n, H1 @ H2, g1 * g2
+
+
+def _proportionality(numeric, exact):
+    """(lambda, residual) with numeric ~ lambda * exact, lambda read at exact's largest blade."""
+    values = exact.value.to_numeric()
+    mask = max(values.terms, key=lambda m: abs(values.terms[m]))
+    lam = numeric.value.coeff(mask) / values.terms[mask]
+    return lam, numeric.value.max_diff(values.scale(lam))
+
+
+@pytest.mark.parametrize("n, U, g", list(_cases()))
+class TestExactOracle:
+    def test_spin_lift_of_exact_rho(self, n, U, g):
+        R = twisted_adjoint(g).as_numpy()
+        assert np.max(np.abs(R - realify(U))) <= 1e-12
+        lifted = spin_lift(R, algebra=g.algebra)
+        lam, res = _proportionality(lifted, g)
+        assert abs(abs(lam.real) - 1) <= 1e-12 and abs(lam.imag) <= 1e-12
+        assert res <= 1e-12
+        assert rho_residual(lifted, R) <= 1e-12
+
+    def test_phi_lift_is_phase_times_exact(self, n, U, g):
+        lifted = phi_lift(U)
+        lam, res = _proportionality(lifted, g)
+        assert abs(lam * lam - np.linalg.det(U)) <= 1e-12
+        assert res <= 1e-12
+
+    def test_numeric_twisted_adjoint_matches_exact(self, n, U, g):
+        exact = twisted_adjoint(g).as_numpy()
+        numeric = twisted_adjoint(PinElement(g.value.to_numeric()))
+        assert not numeric.exact
+        assert np.max(np.abs(numeric.as_numpy() - exact)) <= 1e-12

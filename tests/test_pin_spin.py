@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from c2alg.clifford import Multivector, ccl, ccl_interleaved, kasparov
+from c2alg.clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, kasparov
 from c2alg.linalg import realify
 from c2alg.pin_spin import (PinElement, check_phi_real,
                             check_rho_real_equivariance, householder_factors,
@@ -128,15 +128,21 @@ class TestTwistedAdjoint:
         # cos t + i sin t e1e2e3e4 satisfies g * star(g) = 1, but g e_k g* has
         # an off-grade part of about 2 sin t, of grade 3. At t = 1e-5 its
         # squared norm (4e-10) is below 100 * tol, so only a test linear in
-        # the off-grade part rejects it.
-        alg = ccl(4, 0)
-        for t in (math.pi / 4, 1e-5):
-            value = (alg.scalar(complex(math.cos(t)))
-                     + alg.blade([1, 2, 3, 4]).scale(complex(0, math.sin(t))))
-            g = PinElement(value)
-            assert unit_residual(g) <= 1e-15
-            with pytest.raises(ValueError, match="does not preserve grade 1"):
-                twisted_adjoint(g)
+        # the off-grade part rejects it, at every algebra size.
+        for alg in (ccl(4, 0), ccl(10, 0), ccl_interleaved(2)):
+            for t in (math.pi / 4, 1e-5):
+                value = (alg.scalar(complex(math.cos(t)))
+                         + alg.blade([1, 2, 3, 4]).scale(complex(0, math.sin(t))))
+                g = PinElement(value)
+                assert unit_residual(g) <= 1e-15
+                with pytest.raises(ValueError, match="does not preserve grade 1"):
+                    twisted_adjoint(g)
+
+    def test_non_unit_trusted_element_rejected(self):
+        # g* is the inverse of g only when g g* = 1, which the numeric path checks
+        g = PinElement._trusted(ccl(3, 0).scalar(1.001 + 0j), 0)
+        with pytest.raises(ValueError, match=r"g \* star\(g\) = 1"):
+            twisted_adjoint(g)
 
     def test_homomorphism_exact(self):
         rng = _rng(21, "rho-hom")
@@ -354,6 +360,51 @@ class TestSpinLift:
         g = spin_lift(R)
         assert rho_residual(g, R) < 1e-12
         assert g.value.grades() == {4}
+
+    def test_sign_of_lifts_without_scalar_part(self):
+        # zero scalar part: the lead blade comes from the lexicographic scan
+        assert spin_lift(-np.eye(4)).value.terms == {15: 1}
+        assert spin_lift(np.diag([-1.0, -1.0, 1.0, 1.0])).value.terms == {3: 1}
+
+    def test_sign_matches_lexicographic_scan(self):
+        # the lead is the smallest index word above tol, the empty word first
+        nrng = np.random.default_rng(41)
+        for n in range(2, 10):
+            for _ in range(3):
+                terms = spin_lift(random_special_orthogonal(nrng, n)).value.terms
+                lead = min((m for m, c in terms.items() if abs(c) > 1e-9),
+                           key=lambda m: [i for i in range(n) if m >> i & 1])
+                assert terms[lead].real > 1e-9
+
+
+class TestVectorProductsOnly:
+    """Lifts and the numeric twisted adjoint use dense_mul only for unit checks."""
+
+    @pytest.fixture
+    def dense_mul_calls(self, monkeypatch):
+        calls = []
+        original = CliffordAlgebra.dense_mul
+
+        def counting(self, a, b):
+            calls.append(self.dim)
+            return original(self, a, b)
+
+        monkeypatch.setattr(CliffordAlgebra, "dense_mul", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_spin_lift_and_twisted_adjoint(self, n, dense_mul_calls):
+        R = random_special_orthogonal(np.random.default_rng(n), n)
+        g = spin_lift(R)
+        assert len(dense_mul_calls) == 1
+        twisted_adjoint(g)
+        assert len(dense_mul_calls) == 2
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_phi_lift(self, n, dense_mul_calls):
+        # U(n) acts on 2n generators
+        phi_lift(random_unitary(np.random.default_rng(n), n))
+        assert dense_mul_calls == [2 * n, 2 * n]
 
 
 def _with_spectrum(nrng, angles):
