@@ -622,7 +622,7 @@ def _i_power_times(c: GaussianRational, k: int) -> GaussianRational:
 
 
 def _turn_last_q(mv: Multivector, target: CliffordAlgebra, turn: int) -> Multivector:
-    """mv in ``target``, each coefficient times i^(turn * k), k its count of the last q generators."""
+    """mv in ``target``, each coefficient times i^(turn * k) for k its last-q generators."""
     alg = mv.algebra
     w_mask = ((1 << alg.q) - 1) << alg.p
     out = {}

@@ -420,8 +420,7 @@ def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> PinElement:
     elif algebra.dim != n:
         raise ValueError("algebra dimension does not match the matrix")
     factors = householder_factors(A)
-    value = np.zeros(1 << n, dtype=complex)
-    value[0] = 1.0
+    value = algebra.scalar(1 + 0j).to_dense()
     for u in factors:
         value = algebra.dense_mul_vector(value, u)
     sign = _normalize_sign(value, tol)
