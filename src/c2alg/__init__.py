@@ -28,7 +28,7 @@ _EXPORTS = {
                "symmetric_unitary_sqrt"),
     "mackey": ("AbelianGroup", "MackeyPresentation", "ObstructionCertificate",
                "check_mackey_axioms", "fixed_point_obstruction", "obstruction_chain_report"),
-    "pin_spin": ("OrthogonalAction", "PinElement", "check_phi_real",
+    "pin_spin": ("DensePin", "OrthogonalAction", "PinElement", "check_phi_real",
                  "check_rho_real_equivariance", "is_fixed_spinc", "iv_model_action",
                  "phi_lift", "spin_lift", "twisted_adjoint"),
     "scalars": ("GaussianRational", "MultiPoly", "RatFunc", "Rational"),

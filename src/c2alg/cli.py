@@ -159,13 +159,14 @@ def _lift_report(command: str, matrix, element, residuals: dict) -> dict:
     from .linalg import matrix_to_json
 
     tol = default_tol()
+    value = element.algebra.from_dense(element.values)
     return {
         "command": command,
         "inputs": {"matrix": matrix_to_json(matrix)},
         "outputs": {
-            "expression": str(element.value),
-            "terms": element.value.serialized_terms(),
-            "parity": "even" if element.is_even else "odd",
+            "expression": str(value),
+            "terms": value.serialized_terms(),
+            "parity": "even" if element.parity == 0 else "odd",
             "generator_convention": element.algebra.convention,
             "metadata": {k: v for k, v in element.meta.items() if k != "phase"},
         },
@@ -190,11 +191,11 @@ def _cmd_spin_lift(args) -> int:
     residuals = {
         "rho": rho_residual(g, R),
         "unit": unit_residual(g),
-        "real_equivariance": g.value.max_diff(g.value.bar()),
+        "real_equivariance": float(np.max(np.abs(g.values - g.algebra.dense_bar(g.values)))),
     }
     report = _lift_report("spin-lift", M, g, residuals)
     _emit(report, args.json, [
-        f"lift: {g.value}",
+        f"lift: {report['outputs']['expression']}",
         *(f"residual {k}: {v:.3e}" for k, v in residuals.items()),
     ])
     return EXIT_OK if report["verdict"] == "pass" else EXIT_FAIL
@@ -215,11 +216,12 @@ def _cmd_phi_lift(args) -> int:
     residuals = {
         "rho": rho_residual(g, realify(U)),
         "unit": unit_residual(g),
-        "real_equivariance": conj_lift.value.max_diff(g.value.bar()),
+        "real_equivariance": float(
+            np.max(np.abs(conj_lift.values - g.algebra.dense_bar(g.values)))),
     }
     report = _lift_report("phi-lift", U, g, residuals)
     _emit(report, args.json, [
-        f"lift: {g.value}",
+        f"lift: {report['outputs']['expression']}",
         *(f"residual {k}: {v:.3e}" for k, v in residuals.items()),
     ])
     return EXIT_OK if report["verdict"] == "pass" else EXIT_FAIL

@@ -32,9 +32,9 @@ from .scalars import GaussianRational
 MAX_GENERATORS = 16
 
 # Element budget of one temporary block in the dense kernel: support elements
-# are taken in chunks whose gathered copies (chunk x 2^n, times the rows of a
-# gathered batch) stay within it. 2^14 complex values (256 KiB) fit in cache;
-# 2^15 and above measured slower on products at n = 8..10.
+# are taken in chunks whose gathered copies (chunk x 2^n) stay within it.
+# 2^14 complex values (256 KiB) fit in cache; 2^15 and above measured slower
+# on products at n = 8..10.
 _DENSE_BLOCK = 16384
 
 
@@ -105,7 +105,7 @@ class CliffordAlgebra:
     # -- dense numeric kernel ------------------------------------------------------
 
     def _tables(self):
-        """(index, parity, flip, star_sign) arrays of length 2^n, built on first use.
+        """(index, parity, flip, star_sign, bar_sign) arrays of length 2^n, built on first use.
 
         For a fixed right blade m2 the sign of the blade product m1 * m2 is
         linear in m1 over GF(2): it is parity[m1 & flip[m2]] (see ``flip``).
@@ -120,36 +120,33 @@ class CliffordAlgebra:
             flip = self.flip(index) & index[-1]  # bits at or above n carry no sign
             parity = 1.0 - 2.0 * (grade & 1)
             star_sign = np.where(grade % 4 >= 2, -1.0, 1.0) * parity[index & self.star_neg_mask]
-            self._dense_tables = (index, parity, flip, star_sign)
+            bar_sign = parity[index & self.bar_neg_mask]
+            self._dense_tables = (index, parity, flip, star_sign, bar_sign)
         return self._dense_tables
 
     def dense_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product a * b of dense numeric elements (complex arrays by blade mask).
 
-        ``a`` may carry leading batch axes; each of its rows is multiplied by
-        ``b``. The loop runs over the support of the sparser operand and adds
-        one signed, XOR-permuted copy of the other operand per support
-        element. The support of a batch is every blade any row uses; the
-        copies of ``b`` made for it serve all rows, so a chunk of them is
-        applied as one matrix product, and it is chosen unless the support
-        of ``b`` times the row count is smaller.
+        The loop runs over the support of the sparser operand and adds one
+        signed, XOR-permuted copy of the other operand per support element,
+        a chunk of copies at a time as one matrix product.
         """
         import numpy as np
 
-        index, parity, flip, _ = self._tables()
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-        a_support = np.flatnonzero(np.any(a.reshape(-1, index.size), axis=0))
+        index, parity, flip = self._tables()[:3]
+        out = np.zeros(index.size, dtype=complex)
+        a_support = np.flatnonzero(a)
         b_support = np.flatnonzero(b)
-        left = a_support.size * index.size < b_support.size * a.size
+        left = a_support.size < b_support.size
         support = a_support if left else b_support
-        step = max(1, _DENSE_BLOCK // (index.size if left else out.size))
+        step = max(1, _DENSE_BLOCK // index.size)
         for start in range(0, support.size, step):
             m = support[start:start + step, None]
             idx = index ^ m
             if left:
-                out += a[..., m[:, 0]] @ (parity[m & flip[idx]] * b[idx])
+                out += a[m[:, 0]] @ (parity[m & flip[idx]] * b[idx])
             else:
-                out += b[m[:, 0]] @ (parity[idx & flip[m]] * a[..., idx])
+                out += b[m[:, 0]] @ (parity[idx & flip[m]] * a[idx])
         return out
 
     def _generator_tables(self):
@@ -162,7 +159,7 @@ class CliffordAlgebra:
         if self._dense_gen_tables is None:
             import numpy as np
 
-            index, parity, flip, _ = self._tables()
+            index, parity, flip = self._tables()[:3]
             gens = 1 << np.arange(self.dim)[:, None]
             perm = index ^ gens
             self._dense_gen_tables = (perm, parity[perm & flip[gens]], parity[gens & flip[perm]])
@@ -171,16 +168,19 @@ class CliffordAlgebra:
     def dense_mul_vector(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Product a * (sum_i u_i e_i) of dense elements ``a`` and a vector ``u``.
 
-        ``a`` may carry leading batch axes. One gather and one contraction
-        over the n generators: O(n 2^n) per row, against O(4^n) for a
-        ``dense_mul`` by the dense form of the vector.
+        One gather and one contraction over the n generators: O(n 2^n),
+        against O(4^n) for a ``dense_mul`` by the dense form of the vector.
         """
         perm, right, _ = self._generator_tables()
-        return u @ (a[..., perm] * right)
+        return u @ (a[perm] * right)
 
     def dense_star(self, values: np.ndarray) -> np.ndarray:
         """The *-structure on dense numeric elements."""
         return values.conj() * self._tables()[3]
+
+    def dense_bar(self, values: np.ndarray) -> np.ndarray:
+        """The Real structure on dense numeric elements."""
+        return values.conj() * self._tables()[4]
 
     def from_dense(self, values: np.ndarray) -> "Multivector":
         import numpy as np
@@ -423,11 +423,9 @@ class Multivector:
             out[m] = c
         return Multivector(self.algebra, out)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        """All coefficients real (exactly, or within tol for numeric data)."""
-        if self.exact:
-            return all(c.is_real for c in self.terms.values())
-        return all(abs(c.imag) <= tol for c in self.terms.values())
+    def is_real(self) -> bool:
+        """All coefficients real (exact data)."""
+        return all(c.is_real for c in self.terms.values())
 
     def to_numeric(self) -> "Multivector":
         if not self.exact:
@@ -443,15 +441,6 @@ class Multivector:
         if terms:
             out[list(terms)] = list(terms.values())
         return out
-
-    def max_diff(self, other: "Multivector") -> float:
-        """Max absolute coefficient difference (numeric comparison); NaN propagates."""
-        import numpy as np
-
-        self._check(other)
-        masks = set(self.terms) | set(other.terms)
-        diffs = [complex(self.terms.get(m, 0)) - complex(other.terms.get(m, 0)) for m in masks]
-        return float(np.max(np.abs(diffs), initial=0.0))
 
     def __str__(self):
         return format_multivector(self)

@@ -350,8 +350,6 @@ def alpha_conjugation_check(g: PinElement, v: Multivector, w: Multivector) -> bo
     """
     if not g.is_even:
         raise ValueError("conjugating element must be even")
-    if not g.value.exact:
-        raise ValueError("exact check requires rational data")
     ginv = g.inverse_value()
     gv = g.value * v * ginv
     lhs = ginv * (gv * (g.value * w))

@@ -1,11 +1,14 @@
 """Pin^c/Spin^c elements, the twisted adjoint, and Spin/Spin^c lifts.
 
 The twisted adjoint rho(g)(v) = (-1)^{|g|} g v g^{-1} lands in the orthogonal
-group. Element validation is by certificate: constructors accept a product
-of unit vectors times a unit phase (each factor is checked, and an exact
-product of factors with v v* = 1 needs no further check), or a raw
+group. There are two element types, one per mode. ``PinElement`` holds exact
+data: a product of unit vectors times a unit phase (each factor is checked,
+and a product of factors with v v* = 1 needs no further check), or a raw
 homogeneous multivector whose unit condition g * star(g) = 1 is checked
-(exactly for rational data, within tolerance for numeric data). Every numeric
+exactly. ``DensePin`` holds numeric data as a read-only dense array; its
+constructor measures g * star(g) - 1 once, with the O(4^n) dense product
+(``CliffordAlgebra.dense_mul``), so each numeric element gets one unit check
+and nothing downstream repeats it. Every numeric
 comparison reads ``linalg.default_tol()`` (1e-9 or ``C2ALG_TOL``) where it
 compares; no function here takes a per-call tolerance. Both modes take the
 twisted adjoint by the same projection onto grade 1, with no product: its
@@ -15,11 +18,10 @@ work runs on integer numerators over one common denominator
 (``clifford.integer_numerators``): the projection, the accumulated product of
 certificate factors, and the matrix product and orthogonality test of
 ``OrthogonalAction``; a Fraction is built once per output entry. Numeric work
-runs on dense arrays: the rows e_i g and g e_k are gathered from the
+runs on the dense arrays: the rows e_i g and g e_k are gathered from the
 per-generator tables of the algebra, the lifts multiply only by vectors
-(``CliffordAlgebra.dense_mul_vector``, O(n 2^n)), and the O(4^n) dense
-product (``CliffordAlgebra.dense_mul``) runs only in the unit check
-g * star(g) = 1.
+(``CliffordAlgebra.dense_mul_vector``, O(n 2^n)), and a numeric rho is an
+ndarray.
 """
 
 from __future__ import annotations
@@ -39,29 +41,30 @@ from .scalars import GaussianRational, MultiPoly
 EVEN, ODD = 0, 1
 
 
+_NUMERIC = "PinElement holds exact data; build a DensePin for numeric data"
+
+
+def _require_exact(mv: Multivector) -> Multivector:
+    """``mv`` itself when every coefficient is exact; numeric data is refused."""
+    if not all(isinstance(c, GaussianRational) for c in mv.terms.values()):
+        raise ValueError(_NUMERIC)
+    return mv
+
+
 class PinElement:
-    """Validated element of Pin^c: homogeneous parity and unit norm.
+    """Validated exact element of Pin^c: homogeneous parity and g * star(g) = 1."""
 
-    ``certificate`` is (sign, [u_1, ..., u_m]) with value = sign * u_1 ... u_m
-    for real unit vectors u_j, when the element was built that way
-    (``spin_lift``), else None. ``meta`` holds report data only.
-    """
+    __slots__ = ("value", "parity")
 
-    __slots__ = ("value", "parity", "meta", "certificate")
-
-    def __init__(self, value: Multivector, *, meta=None, certificate=None):
+    def __init__(self, value: Multivector):
+        _require_exact(value)
         parity = value.parity()
         if parity is None:
             raise ValueError("Pin element must have homogeneous parity")
-        if value.exact:
-            if value * value.star() != value.algebra.scalar(1):
-                raise ValueError("Pin element must satisfy g * star(g) = 1")
-        else:
-            _check_unit_error(_unit_error(value.algebra, value.to_dense()), default_tol())
+        if value * value.star() != value.algebra.scalar(1):
+            raise ValueError("Pin element must satisfy g * star(g) = 1")
         self.value = value
         self.parity = parity
-        self.meta = meta or {}
-        self.certificate = certificate
 
     @classmethod
     def _trusted(cls, value: Multivector, parity: int) -> "PinElement":
@@ -69,8 +72,6 @@ class PinElement:
         self = object.__new__(cls)
         self.value = value
         self.parity = parity
-        self.meta = {}
-        self.certificate = None
         return self
 
     @staticmethod
@@ -79,57 +80,40 @@ class PinElement:
 
     @staticmethod
     def from_factors(algebra: CliffordAlgebra, vectors, phase=1) -> "PinElement":
-        """Product of unit grade-1 vectors times a unit complex scalar.
+        """Product of exact unit grade-1 vectors times an exact unit complex scalar.
 
-        Every factor must be real with v^2 = 1. An exact factor without weight
-        on a negative-square generator also has v v* = 1, so an exact product
-        of such factors times a phase with re^2 + im^2 = 1 is exactly unit
-        and is trusted without a product check. Any other product is checked
-        as a whole: exactly for rational data, within tolerance for numeric.
-        An exact product is accumulated on integer numerators
+        Every factor must be real with v^2 = 1. A factor without weight on a
+        negative-square generator also has v v* = 1, so a product of such
+        factors times a phase with re^2 + im^2 = 1 is exactly unit and is
+        trusted without a product check; any other product is checked as a
+        whole. The product is accumulated on integer numerators
         (``clifford.integer_product``) and normalised once at the end.
         """
         phase = algebra.coerce_coeff(phase)
-        exact = trusted = isinstance(phase, GaussianRational)
-        if trusted and phase.re * phase.re + phase.im * phase.im != 1:
+        if not isinstance(phase, GaussianRational):
+            raise ValueError(_NUMERIC)
+        if phase.re * phase.re + phase.im * phase.im != 1:
             raise ValueError("certificate phase is not a unit complex scalar")
         squares = algebra.squares
-        factors = []
-        integer_factors = []
-        for vec in vectors:
-            v = vec if isinstance(vec, Multivector) else algebra.vector(vec)
+        trusted = True
+        den, acc = integer_terms({0: phase})
+        vectors = [_require_exact(v if isinstance(v, Multivector) else algebra.vector(v))
+                   for v in vectors]
+        for v in vectors:
             if v.terms and v.grades() != {1}:
                 raise ValueError("certificate factors must be grade-1")
-            if v.exact:
-                # unit vectors live in the real span of the generators, and
-                # v * v is the scalar sum of squares[i] c_i^2 (cross terms cancel)
-                den, ints = integer_terms(v.terms)
-                if (any(y for _, _, y in ints)
-                        or sum(squares[m.bit_length() - 1] * x * x for m, x, _ in ints)
-                        != den * den):
-                    raise ValueError("certificate factor is not a real unit vector")
-                trusted = trusted and not any(m & algebra.neg_square_mask for m in v.terms)
-                integer_factors.append((den, ints))
-            else:
-                tol = default_tol()
-                nsq = sum(squares[m.bit_length() - 1] * c * c for m, c in v.terms.items())
-                if not v.is_real(100 * tol) or not abs(nsq - 1) <= 100 * tol:
-                    raise ValueError(
-                        "certificate factor is not a real unit vector within tolerance")
-                exact = trusted = False
-            factors.append(v)
-        if exact:
-            den, acc = integer_terms({0: phase})
-            for d, ints in integer_factors:
-                den *= d
-                acc = integer_product(algebra.flip, acc, ints)
-            value = Multivector(algebra, rational_terms(den, acc))
-        else:
-            value = algebra.scalar(phase)
-            for v in factors:
-                value = value * v
+            # unit vectors live in the real span of the generators, and
+            # v * v is the scalar sum of squares[i] c_i^2 (cross terms cancel)
+            d, ints = integer_terms(v.terms)
+            if (any(y for _, _, y in ints)
+                    or sum(squares[m.bit_length() - 1] * x * x for m, x, _ in ints) != d * d):
+                raise ValueError("certificate factor is not a real unit vector")
+            trusted = trusted and not any(m & algebra.neg_square_mask for m in v.terms)
+            den *= d
+            acc = integer_product(algebra.flip, acc, ints)
+        value = Multivector(algebra, rational_terms(den, acc))
         if trusted:
-            return PinElement._trusted(value, len(factors) & 1)
+            return PinElement._trusted(value, len(vectors) & 1)
         return PinElement(value)
 
     @property
@@ -155,10 +139,13 @@ class PinElement:
 
 @dataclass
 class OrthogonalAction:
-    """Image of a Pin element under the twisted adjoint representation."""
+    """Image of an exact Pin element under the twisted adjoint representation."""
 
-    exact: bool
-    rows: tuple  # tuple of row tuples; Fraction entries when exact, float otherwise
+    rows: tuple  # tuple of row tuples of Fractions
+
+    def __post_init__(self):
+        if not all(isinstance(x, (int, Fraction)) for row in self.rows for x in row):
+            raise ValueError("OrthogonalAction holds exact data; a numeric rho is an ndarray")
 
     @property
     def dim(self) -> int:
@@ -172,28 +159,22 @@ class OrthogonalAction:
         return [x for row in self.rows for x in row]
 
     def __matmul__(self, other: "OrthogonalAction") -> "OrthogonalAction":
-        if self.exact and other.exact:
-            n = self.dim
-            d1, a = integer_numerators(self._entries())
-            d2, b = integer_numerators(other._entries())
-            den = d1 * d2
-            cols = [b[j::n] for j in range(n)]
-            return OrthogonalAction(True, tuple(
-                tuple(Fraction(sum(map(operator.mul, a[i:i + n], col)), den) for col in cols)
-                for i in range(0, n * n, n)))
-        M = self.as_numpy() @ other.as_numpy()
-        return OrthogonalAction(False, tuple(tuple(row) for row in M))
+        n = self.dim
+        d1, a = integer_numerators(self._entries())
+        d2, b = integer_numerators(other._entries())
+        den = d1 * d2
+        cols = [b[j::n] for j in range(n)]
+        return OrthogonalAction(tuple(
+            tuple(Fraction(sum(map(operator.mul, a[i:i + n], col)), den) for col in cols)
+            for i in range(0, n * n, n)))
 
     def transpose(self) -> "OrthogonalAction":
         n = self.dim
-        return OrthogonalAction(self.exact,
-                                tuple(tuple(self.rows[j][i] for j in range(n))
+        return OrthogonalAction(tuple(tuple(self.rows[j][i] for j in range(n))
                                       for i in range(n)))
 
     def is_orthogonal(self) -> bool:
         """M^T M = 1 exactly, as integer column products against den^2."""
-        if not self.exact:
-            raise ValueError("is_orthogonal needs an exact action")
         n = self.dim
         den, a = integer_numerators(self._entries())
         cols = [a[j::n] for j in range(n)]
@@ -207,27 +188,50 @@ class OrthogonalAction:
         return self.rows == other.rows
 
 
-def _unit_error(alg: CliffordAlgebra, g: np.ndarray) -> float:
-    """Max-norm of g * star(g) - 1 for a dense numeric element; NaN propagates."""
-    unit = alg.dense_mul(g, alg.dense_star(g))
-    unit[0] -= 1.0
-    return float(np.max(np.abs(unit)))
+class DensePin:
+    """Validated numeric element of Pin^c, held as a dense array.
 
+    ``values`` is a read-only complex array of length 2^n indexed by blade
+    mask. The constructor, the only way to build one, checks the shape and
+    the parity of the nonzero support, and measures ``unit_error``, the
+    max-norm of g * star(g) - 1 (a NaN fails it). ``certificate`` is
+    (sign, [u_1, ..., u_m]) with g = sign * u_1 ... u_m for real unit vectors
+    u_j (``spin_lift``), else None; ``meta`` holds report data only.
+    """
 
-def _check_unit_error(err: float, tol: float):
-    if not err <= max(tol, 1e-9) * 100:
-        raise ValueError("Pin element must satisfy g * star(g) = 1 within tolerance")
+    __slots__ = ("algebra", "values", "parity", "unit_error", "meta", "certificate")
+
+    def __init__(self, algebra: CliffordAlgebra, values, *, meta=None, certificate=None):
+        values = np.array(values, dtype=complex)
+        if values.shape != (1 << algebra.dim,):
+            raise ValueError(f"a dense element of {algebra.label} has shape ({1 << algebra.dim},)")
+        signs = algebra._tables()[1][np.flatnonzero(values)]
+        if not signs.size or signs.min() != signs.max():
+            raise ValueError("Pin element must have homogeneous parity")
+        unit = algebra.dense_mul(values, algebra.dense_star(values))
+        unit[0] -= 1.0
+        unit_error = float(np.max(np.abs(unit)))
+        if not unit_error <= max(default_tol(), 1e-9) * 100:
+            raise ValueError("Pin element must satisfy g * star(g) = 1 within tolerance")
+        values.flags.writeable = False
+        self.algebra = algebra
+        self.values = values
+        self.parity = EVEN if signs[0] > 0 else ODD
+        self.unit_error = unit_error
+        self.meta = meta or {}
+        self.certificate = certificate
 
 
 _NON_REAL = "twisted adjoint has non-real entries; invalid Pin element"
 _OFF_GRADE = "twisted adjoint does not preserve grade 1; invalid Pin element"
 
 
-def twisted_adjoint(g: PinElement) -> OrthogonalAction:
+def twisted_adjoint(g: PinElement | DensePin) -> OrthogonalAction | np.ndarray:
     """Matrix of rho(g): column k is (-1)^{|g|} g e_k g^{-1} in the generator basis.
 
-    Exact data is projected, not multiplied out; numeric data takes the same
-    projection in floats (``_twisted_adjoint_numeric``). Every blade is unitary
+    A ``PinElement`` is projected, not multiplied out, into an
+    ``OrthogonalAction``; a ``DensePin`` takes the same projection in floats
+    (``_twisted_adjoint_numeric``) into a float ndarray. Every blade is unitary
     (e_m* e_m = 1 in ``ccl``, ``kasparov`` and ``ccl_interleaved``), so
     <x* y>_0 is the l2 inner product <x, y> = sum_m conj(x_m) y_m, and since
     <.>_0 is a trace the e_i coefficient of g e_k g* is
@@ -243,8 +247,8 @@ def twisted_adjoint(g: PinElement) -> OrthogonalAction:
     its grade-1 part reaches only when nothing lies off grade 1. Each column
     is tested for non-real entries first, then off grade.
     """
-    if not g.value.exact:
-        return _twisted_adjoint_numeric(g, default_tol())
+    if isinstance(g, DensePin):
+        return _twisted_adjoint_numeric(g)
     alg = g.algebra
     n = alg.dim
     blade_product = alg.blade_product
@@ -283,23 +287,22 @@ def twisted_adjoint(g: PinElement) -> OrthogonalAction:
             raise ValueError(_OFF_GRADE)
         cols.append(col)
     den2 = den * den
-    return OrthogonalAction(True, tuple(tuple(Fraction(col[i], den2) for col in cols)
-                                        for i in range(n)))
+    return OrthogonalAction(tuple(tuple(Fraction(col[i], den2) for col in cols)
+                                  for i in range(n)))
 
 
-def _twisted_adjoint_numeric(g: PinElement, tol: float) -> OrthogonalAction:
+def _twisted_adjoint_numeric(g: DensePin) -> np.ndarray:
     """The projection of the exact path in floats, by gathers and two n x n contractions.
 
     Rows A[i] = e_i g and B[k] = g e_k are signed relabellings of g, and
     M = (-1)^{|g|} conj(A) B^T is the matrix of rho(g). The off-grade part of
     g e_k g* is measured linearly: g e_k - (-1)^{|g|} (rho(g) e_k) g is that
-    part times g, and x -> x g is an l2 isometry once g g* = 1 is checked.
+    part times g, and x -> x g is an l2 isometry since g g* = 1 was checked
+    when g was built.
     """
-    alg = g.algebra
-    value = g.value.to_dense()
-    _check_unit_error(_unit_error(alg, value), tol)
-    perm, right, left = alg._generator_tables()
-    rows = value[perm]
+    tol = default_tol()
+    perm, right, left = g.algebra._generator_tables()
+    rows = g.values[perm]
     A = rows * left
     B = rows * right
     if g.parity == ODD:
@@ -310,7 +313,7 @@ def _twisted_adjoint_numeric(g: PinElement, tol: float) -> OrthogonalAction:
     bad = np.flatnonzero(non_real | off_grade)
     if bad.size:
         raise ValueError(_NON_REAL if non_real[bad[0]] else _OFF_GRADE)
-    return OrthogonalAction(False, tuple(map(tuple, M.real.tolist())))
+    return M.real
 
 
 def check_rho_real_equivariance(g: PinElement, rho: OrthogonalAction | None = None) -> bool:
@@ -324,16 +327,15 @@ def check_rho_real_equivariance(g: PinElement, rho: OrthogonalAction | None = No
     if rho is None:
         rho = twisted_adjoint(g)
     d = g.algebra.bar_signs
-    rhs = OrthogonalAction(rho.exact, tuple(
+    return lhs == OrthogonalAction(tuple(
         tuple(x * (d[i] * d[j]) for j, x in enumerate(row)) for i, row in enumerate(rho.rows)))
-    if lhs.exact and rhs.exact:
-        return lhs == rhs
-    return float(np.max(np.abs(lhs.as_numpy() - rhs.as_numpy()))) <= default_tol()
 
 
-def is_fixed_spinc(g: PinElement) -> bool:
-    """Membership of the C2-fixed subgroup: all coefficients real within tolerance."""
-    return g.value.is_real(default_tol())
+def is_fixed_spinc(g: PinElement | DensePin) -> bool:
+    """Membership of the C2-fixed subgroup: bar(g) = g, within tolerance for a DensePin."""
+    if isinstance(g, DensePin):
+        return float(np.max(np.abs(g.algebra.dense_bar(g.values) - g.values))) <= default_tol()
+    return g.value.bar() == g.value
 
 
 # -- Spin lift of special orthogonal matrices ---------------------------------------
@@ -396,7 +398,7 @@ def _normalize_sign(values: np.ndarray, tol: float) -> int:
     return -1 if c.real < -tol or (abs(c.real) <= tol and c.imag < 0) else 1
 
 
-def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> PinElement:
+def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> DensePin:
     """Even Pin element g with twisted_adjoint(g) = R, for R in SO(n).
 
     The branch sign is fixed so the lexicographically smallest blade with
@@ -424,26 +426,28 @@ def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> PinElement:
     for u in factors:
         value = algebra.dense_mul_vector(value, u)
     sign = _normalize_sign(value, tol)
-    return PinElement(algebra.from_dense(sign * value), meta={"reflections": len(factors)},
-                      certificate=(sign, factors))
+    return DensePin(algebra, sign * value, meta={"reflections": len(factors)},
+                    certificate=(sign, factors))
 
 
-def rho_residual(g: PinElement, R) -> float:
-    """Max-norm residual between twisted_adjoint(g) and a target matrix."""
-    return float(np.max(np.abs(twisted_adjoint(g).as_numpy() - np.asarray(R, dtype=float))))
+def rho_residual(g: DensePin, R) -> float:
+    """Max-norm residual between twisted_adjoint(g) and an n x n target; NaN propagates."""
+    A = np.asarray(R, dtype=float)
+    n = g.algebra.dim
+    if A.shape != (n, n):
+        raise ValueError(f"target matrix must have shape ({n}, {n})")
+    return float(np.max(np.abs(twisted_adjoint(g) - A)))
 
 
-def unit_residual(g: PinElement) -> float:
-    """Max-norm of g * star(g) - 1 (0 or 1 for exact data); NaN propagates."""
-    if g.value.exact:
-        return 0.0 if g.value * g.value.star() == g.algebra.scalar(1) else 1.0
-    return _unit_error(g.algebra, g.value.to_dense())
+def unit_residual(g: DensePin) -> float:
+    """Max-norm of g * star(g) - 1, measured once when g was built."""
+    return g.unit_error
 
 
 # -- the Spin^c lift of unitary matrices ---------------------------------------------
 
 
-def phi_lift(U, *, rng=None) -> PinElement:
+def phi_lift(U, *, rng=None) -> DensePin:
     """Canonical Spin^c(n,n) lift of a unitary matrix, in the interleaved basis.
 
     With U = V diag(exp(i theta_j)) V* from ``linalg.unitary_eigh``, the
@@ -472,7 +476,7 @@ def phi_lift(U, *, rng=None) -> PinElement:
     phase = complex(np.exp(1j * float(np.sum(thetas)) / 2.0))
     # phase * L * rotor * L*, with L* = sign * u_m ... u_1 and the rotor a
     # product of vector pairs (c e_{2j-1} + s e_{2j}) e_{2j-1}
-    value = phase * L.value.to_dense()
+    value = phase * L.values
     eye = np.eye(2 * n)
     for j, theta in enumerate(thetas):
         c = math.cos(theta / 2.0)
@@ -483,22 +487,19 @@ def phi_lift(U, *, rng=None) -> PinElement:
         value = algebra.dense_mul_vector(value, eye[2 * j])
     for u in reversed(factors):
         value = algebra.dense_mul_vector(value, u)
-    value = algebra.from_dense(sign * value)
-    return PinElement(
-        value,
-        meta={
-            "thetas": [float(t) for t in thetas],
-            "near_branch_cut": near_branch,
-            "phase": phase,
-        },
-    )
+    return DensePin(algebra, sign * value, meta={
+        "thetas": [float(t) for t in thetas],
+        "near_branch_cut": near_branch,
+        "phase": phase,
+    })
 
 
 def check_phi_real(U) -> bool:
     """Does phi(conj U) equal the Real conjugate of phi(U)?"""
     a = phi_lift(np.conj(np.asarray(U, dtype=complex)))
     b = phi_lift(U)
-    return a.value.max_diff(b.value.bar()) <= max(default_tol(), 1e-9)
+    diff = float(np.max(np.abs(a.values - b.algebra.dense_bar(b.values))))
+    return diff <= max(default_tol(), 1e-9)
 
 
 # -- polynomial model of the i_V action ----------------------------------------------
@@ -511,8 +512,6 @@ def iv_model_action(g: PinElement, x: Multivector, f: MultiPoly):
         raise ValueError("signature mismatch")
     if f.nvars != alg.dim:
         raise ValueError("variable-count mismatch")
-    if not g.value.exact:
-        raise ValueError("polynomial action requires exact rational Pin elements")
     rho = twisted_adjoint(g)
     rho_inv = rho.transpose()  # orthogonal inverse
     substituted = f.compose_linear([list(row) for row in rho_inv.rows])

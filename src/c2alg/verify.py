@@ -287,9 +287,9 @@ def suite_spin_lift(seed: int, cases: int) -> SuiteResult:
         alg = ccl(p, 0)
         g = rand_pin(rng, alg, 4, force_even=0, with_phase=False)
         R = twisted_adjoint(g).as_numpy()
-        lifted = spin_lift(R)
-        gn = g.value.to_numeric()
-        diff = min(lifted.value.max_diff(gn), lifted.value.max_diff(-gn))
+        lifted = spin_lift(R).values
+        gn = g.value.to_dense()
+        diff = float(min(np.max(np.abs(lifted - gn)), np.max(np.abs(lifted + gn))))
         result.record_residual("round_trip", diff)
         result.check(diff < 1e-8, f"spin lift round trip case {i}")
     return result
@@ -311,11 +311,12 @@ def suite_phi(seed: int, cases: int) -> SuiteResult:
         result.record_residual("rho", res_rho)
         result.check(res_rho < tol, f"rho(phi(U)) = realify(U) case {i} (n={n})")
 
-        res_hom = phi_uv.value.max_diff(phi_u.value * phi_v.value)
+        alg = phi_u.algebra
+        res_hom = np.max(np.abs(phi_uv.values - alg.dense_mul(phi_u.values, phi_v.values)))
         result.record_residual("homomorphism", res_hom)
         result.check(res_hom < tol, f"phi homomorphism case {i}")
 
-        res_real = (phi_lift(np.conj(U)).value).max_diff(phi_u.value.bar())
+        res_real = np.max(np.abs(phi_lift(np.conj(U)).values - alg.dense_bar(phi_u.values)))
         result.record_residual("real_equivariance", res_real)
         result.check(res_real < tol, f"phi Real equivariance case {i}")
 
@@ -325,7 +326,7 @@ def suite_phi(seed: int, cases: int) -> SuiteResult:
         result.check(res_det < tol, f"phase squares to det case {i}")
 
         redo = phi_lift(U, rng=nrng)
-        res_canon = phi_u.value.max_diff(redo.value)
+        res_canon = np.max(np.abs(phi_u.values - redo.values))
         result.record_residual("canonicity", res_canon)
         result.check(res_canon < tol, f"phi canonicity case {i}")
 

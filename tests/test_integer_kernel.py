@@ -217,17 +217,16 @@ class TestOrthogonalAction:
         for n in (1, 2, 3, 5):
             for _ in range(10):
                 a, b = rand_matrix(rng, n), rand_matrix(rng, n)
-                product = OrthogonalAction(True, a) @ OrthogonalAction(True, b)
-                assert product.exact
+                product = OrthogonalAction(a) @ OrthogonalAction(b)
                 assert product.rows == reference_matmul(a, b)
                 assert all(type(x) is Fraction for row in product.rows for x in row)
 
-    def test_exact_times_numeric_is_numeric(self):
-        a = OrthogonalAction(True, ((Fraction(1, 3), Fraction(2)), (Fraction(0), Fraction(-1))))
-        b = OrthogonalAction(False, ((0.5, 0.0), (1.0, 2.0)))
-        product = a @ b
-        assert not product.exact
-        assert np.allclose(product.as_numpy(), a.as_numpy() @ b.as_numpy())
+    def test_numeric_entries_refused(self):
+        # a numeric rho is an ndarray; the action holds exact entries only
+        with pytest.raises(ValueError, match="holds exact data"):
+            OrthogonalAction(((0.5, 0.0), (1.0, 2.0)))
+        with pytest.raises(ValueError, match="holds exact data"):
+            OrthogonalAction(((Fraction(1, 3), 2.0), (Fraction(0), Fraction(-1))))
 
     def test_is_orthogonal_matches_fraction_sums(self):
         rng = random.Random("orthogonal")
@@ -242,17 +241,17 @@ class TestOrthogonalAction:
             i, j = rng.randrange(n), rng.randrange(n)
             rows = [list(row) for row in rho.rows]
             rows[i][j] += Fraction(1, rng.choice(DENOMINATORS))
-            bent = OrthogonalAction(True, tuple(map(tuple, rows)))
+            bent = OrthogonalAction(tuple(map(tuple, rows)))
             assert not bent.is_orthogonal()
             gram = reference_matmul(bent.transpose().rows, bent.rows)
             assert gram != tuple(tuple(Fraction(i == j) for j in range(n)) for i in range(n))
 
     def test_scaled_orthogonal_is_not_orthogonal(self):
         # columns orthogonal to each other but of norm 4: the den^2 test must see it
-        m = OrthogonalAction(True, ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(-2))))
+        m = OrthogonalAction(((Fraction(2), Fraction(0)), (Fraction(0), Fraction(-2))))
         assert not m.is_orthogonal()
-        half = OrthogonalAction(True, ((Fraction(3, 5), Fraction(-4, 5)),
-                                       (Fraction(4, 5), Fraction(3, 5))))
+        half = OrthogonalAction(((Fraction(3, 5), Fraction(-4, 5)),
+                                 (Fraction(4, 5), Fraction(3, 5))))
         assert half.is_orthogonal()
 
 

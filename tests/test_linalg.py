@@ -237,7 +237,7 @@ class TestToleranceOverride:
 
 
     def test_no_per_call_tolerance(self):
-        # C2ALG_TOL is the only override; only the two threshold predicates take a tol
+        # C2ALG_TOL is the only override; only the threshold predicate is_unitary takes a tol
         import c2alg
         from c2alg import linalg, pin_spin
         public = {name: getattr(c2alg, name) for name in c2alg.__all__}
@@ -252,14 +252,14 @@ class TestToleranceOverride:
                                if not attr.startswith("_"))
         with_tol = {name for name, obj in members.items()
                     if callable(obj) and "tol" in inspect.signature(obj).parameters}
-        assert with_tol == {"is_unitary", "Multivector.is_real"}
+        assert with_tol == {"is_unitary"}
 
     def test_stale_positional_tolerance_rejected(self):
         from c2alg.pin_spin import OrthogonalAction, spin_lift
         with pytest.raises(TypeError):
             spin_lift(np.eye(2), 1e-9)
-        with pytest.raises(ValueError, match="is_orthogonal needs an exact action"):
-            OrthogonalAction(False, ((1.0, 0.0), (0.0, 1.0))).is_orthogonal()
+        with pytest.raises(ValueError, match="OrthogonalAction holds exact data"):
+            OrthogonalAction(((1.0, 0.0), (0.0, 1.0)))
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0"])
     def test_invalid_values_rejected(self, monkeypatch, value):

@@ -6,7 +6,7 @@ import pytest
 
 from c2alg.clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, kasparov
 from c2alg.linalg import realify
-from c2alg.pin_spin import (PinElement, check_phi_real,
+from c2alg.pin_spin import (DensePin, PinElement, check_phi_real,
                             check_rho_real_equivariance, householder_factors,
                             is_fixed_spinc,
                             iv_model_action, phi_lift, rho_residual, spin_lift,
@@ -17,6 +17,15 @@ from c2alg.verify import (_rng, rand_multivector, rand_pin, rand_polynomial,
                           rational_unit_vector)
 
 I = GaussianRational.I
+
+
+def _dist(values, expected: Multivector) -> float:
+    """Max-norm distance of a dense array from a multivector; NaN propagates."""
+    return float(np.max(np.abs(values - expected.to_dense())))
+
+
+def _terms(g: DensePin) -> dict:
+    return g.algebra.from_dense(g.values).terms
 
 
 class TestPinElement:
@@ -43,8 +52,11 @@ class TestPinElement:
         alg = ccl(2, 0)
         nan = alg.scalar(complex(math.nan))
         with pytest.raises(ValueError, match="g \\* star\\(g\\) = 1"):
-            PinElement(nan)
-        assert math.isnan(unit_residual(PinElement._trusted(nan, 0)))
+            DensePin(alg, nan.to_dense())
+        # a NaN target gives a NaN residual, which fails every `<= tol` check
+        R = np.eye(2)
+        R[0, 1] = math.nan
+        assert math.isnan(rho_residual(spin_lift(np.eye(2)), R))
 
     @pytest.mark.parametrize("phase", [2, GaussianRational(1, 1), 0])
     def test_certificate_rejects_non_unit_exact_phase(self, phase):
@@ -66,7 +78,7 @@ class TestPinElement:
                     vectors = [rational_unit_vector(rng, alg) for _ in range(count)]
                 g = PinElement.from_factors(alg, vectors, rational_phase(rng))
                 assert g.parity == count % 2 == g.value.parity()
-                assert unit_residual(g) == 0.0
+                assert g.value * g.value.star() == alg.scalar(1)
 
     def test_certificate_checks_factors_off_the_positive_span(self):
         # v = 5/3 eps_1 + 4/3 e_1 squares to 25/9 - 16/9 = 1, yet
@@ -79,13 +91,17 @@ class TestPinElement:
         g = PinElement.from_factors(alg, [v, v])
         assert g.value == alg.scalar(1) and g.parity == 0
 
-    def test_numeric_certificate_checked_within_tolerance(self):
+    def test_numeric_data_refused(self):
+        # numeric elements are DensePins: PinElement holds exact data only,
+        # in every coefficient (a float after an exact one is refused too)
         alg = ccl(2, 0)
-        v = alg.vector([0.6, 0.8])
-        assert not PinElement.from_factors(alg, [v]).value.exact
-        for vectors, phase in (([v], 1.5), ([alg.generator(1)], 1.5), ([v], 2j)):
-            with pytest.raises(ValueError, match="within tolerance"):
-                PinElement.from_factors(alg, vectors, phase)
+        mixed = alg.from_terms({0: GaussianRational(Fraction(3, 5)), 3: 0.8})
+        for build in (lambda: PinElement(alg.scalar(1.0)),
+                      lambda: PinElement(mixed),
+                      lambda: PinElement.from_factors(alg, [[0.6, 0.8]]),
+                      lambda: PinElement.from_factors(alg, [alg.generator(1)], 1.0)):
+            with pytest.raises(ValueError, match="PinElement holds exact data"):
+                build()
 
     def test_certificate_rejects_complex_vector(self):
         # (5/3)^2 + (4i/3)^2 = 1 but the vector is outside the real span
@@ -94,6 +110,39 @@ class TestPinElement:
         assert v * v == alg.scalar(1)
         with pytest.raises(ValueError):
             PinElement.from_factors(alg, [v])
+
+
+class TestDensePin:
+    def test_values_read_only_and_copied(self):
+        alg = ccl(2, 0)
+        source = alg.scalar(1).to_dense()
+        g = DensePin(alg, source)
+        source[0] = 2.0
+        assert g.values[0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            g.values[0] = 2.0
+        assert unit_residual(g) == g.unit_error == 0.0
+        assert g.parity == 0 and g.certificate is None and g.meta == {}
+
+    def test_shape_checked(self):
+        alg = ccl(2, 0)
+        for values in (np.ones(3), np.ones((1, 4)), np.ones(8), 1.0):
+            with pytest.raises(ValueError, match="has shape \\(4,\\)"):
+                DensePin(alg, values)
+
+    def test_parity_from_nonzero_support(self):
+        alg = ccl(2, 0)
+        mixed = (alg.scalar(Fraction(3, 5)) + alg.generator(1).scale(Fraction(4, 5))).to_dense()
+        for values in (mixed, np.zeros(4)):
+            with pytest.raises(ValueError, match="homogeneous parity"):
+                DensePin(alg, values)
+        assert DensePin(alg, alg.generator(2).to_dense()).parity == 1
+
+    def test_wrong_target_shape_refused(self):
+        g = spin_lift(np.eye(3))
+        for R in ([[1.0]], np.ones(3), 1.0):
+            with pytest.raises(ValueError, match="shape \\(3, 3\\)"):
+                rho_residual(g, R)
 
 
 class TestTwistedAdjoint:
@@ -120,9 +169,9 @@ class TestTwistedAdjoint:
             for _ in range(8):
                 g = rand_pin(rng, alg, 4)
                 exact = twisted_adjoint(g).as_numpy()
-                numeric = twisted_adjoint(PinElement(g.value.to_numeric()))
-                assert not numeric.exact
-                assert np.max(np.abs(numeric.as_numpy() - exact)) <= 1e-12
+                numeric = twisted_adjoint(DensePin(alg, g.value.to_dense()))
+                assert isinstance(numeric, np.ndarray)
+                assert np.max(np.abs(numeric - exact)) <= 1e-12
 
     def test_unit_element_outside_pin_rejected(self):
         # cos t + i sin t e1e2e3e4 satisfies g * star(g) = 1, but g e_k g* has
@@ -133,16 +182,15 @@ class TestTwistedAdjoint:
             for t in (math.pi / 4, 1e-5):
                 value = (alg.scalar(complex(math.cos(t)))
                          + alg.blade([1, 2, 3, 4]).scale(complex(0, math.sin(t))))
-                g = PinElement(value)
+                g = DensePin(alg, value.to_dense())
                 assert unit_residual(g) <= 1e-15
                 with pytest.raises(ValueError, match="does not preserve grade 1"):
                     twisted_adjoint(g)
 
     def test_non_unit_trusted_element_rejected(self):
-        # g* is the inverse of g only when g g* = 1, which the numeric path checks
-        g = PinElement._trusted(ccl(3, 0).scalar(1.001 + 0j), 0)
+        # g* is the inverse of g only when g g* = 1, which every DensePin was checked for
         with pytest.raises(ValueError, match=r"g \* star\(g\) = 1"):
-            twisted_adjoint(g)
+            DensePin(ccl(3, 0), ccl(3, 0).scalar(1.001 + 0j).to_dense())
 
     def test_homomorphism_exact(self):
         rng = _rng(21, "rho-hom")
@@ -304,7 +352,7 @@ class TestRhoRealEquivariance:
 class TestSpinLift:
     def test_identity(self):
         g = spin_lift(np.eye(3))
-        assert g.value.max_diff(ccl(3, 0).scalar(1).to_numeric()) < 1e-12
+        assert _dist(g.values, ccl(3, 0).scalar(1)) < 1e-12
 
     def test_quarter_turn(self):
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -312,15 +360,15 @@ class TestSpinLift:
         alg = ccl(2, 0)
         s = 1 / math.sqrt(2)
         expected = alg.scalar(complex(s)) - (alg.generator(1) * alg.generator(2)).scale(complex(s))
-        assert min(g.value.max_diff(expected), g.value.max_diff(-expected)) < 1e-12
+        assert min(_dist(g.values, expected), _dist(g.values, -expected)) < 1e-12
         assert rho_residual(g, R) < 1e-12
 
     def test_deterministic_branch(self):
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
-        a = spin_lift(R).value
-        b = spin_lift(R).value
-        assert a.max_diff(b) == 0.0
-        lead = a.coeff(0)
+        a = spin_lift(R).values
+        b = spin_lift(R).values
+        assert np.max(np.abs(a - b)) == 0.0
+        lead = a[0]
         assert lead.real > 0
 
     def test_determinant_minus_one_rejected(self):
@@ -352,33 +400,33 @@ class TestSpinLift:
         R = np.diag([-1.0, -1.0, 1.0])
         g = spin_lift(R)
         assert rho_residual(g, R) < 1e-12
-        expected = (ccl(3, 0).generator(1) * ccl(3, 0).generator(2)).to_numeric()
-        assert min(g.value.max_diff(expected), g.value.max_diff(-expected)) < 1e-12
+        expected = ccl(3, 0).generator(1) * ccl(3, 0).generator(2)
+        assert min(_dist(g.values, expected), _dist(g.values, -expected)) < 1e-12
 
     def test_minus_identity_in_four_dimensions(self):
         R = -np.eye(4)
         g = spin_lift(R)
         assert rho_residual(g, R) < 1e-12
-        assert g.value.grades() == {4}
+        assert g.algebra.from_dense(g.values).grades() == {4}
 
     def test_sign_of_lifts_without_scalar_part(self):
         # zero scalar part: the lead blade comes from the lexicographic scan
-        assert spin_lift(-np.eye(4)).value.terms == {15: 1}
-        assert spin_lift(np.diag([-1.0, -1.0, 1.0, 1.0])).value.terms == {3: 1}
+        assert _terms(spin_lift(-np.eye(4))) == {15: 1}
+        assert _terms(spin_lift(np.diag([-1.0, -1.0, 1.0, 1.0]))) == {3: 1}
 
     def test_sign_matches_lexicographic_scan(self):
         # the lead is the smallest index word above tol, the empty word first
         nrng = np.random.default_rng(41)
         for n in range(2, 10):
             for _ in range(3):
-                terms = spin_lift(random_special_orthogonal(nrng, n)).value.terms
+                terms = _terms(spin_lift(random_special_orthogonal(nrng, n)))
                 lead = min((m for m, c in terms.items() if abs(c) > 1e-9),
                            key=lambda m: [i for i in range(n) if m >> i & 1])
                 assert terms[lead].real > 1e-9
 
 
 class TestVectorProductsOnly:
-    """Lifts and the numeric twisted adjoint use dense_mul only for unit checks."""
+    """Lifts and their residuals run dense_mul only in the one unit check per DensePin."""
 
     @pytest.fixture
     def dense_mul_calls(self, monkeypatch):
@@ -398,12 +446,17 @@ class TestVectorProductsOnly:
         g = spin_lift(R)
         assert len(dense_mul_calls) == 1
         twisted_adjoint(g)
-        assert len(dense_mul_calls) == 2
+        rho_residual(g, R)
+        unit_residual(g)
+        assert len(dense_mul_calls) == 1
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_phi_lift(self, n, dense_mul_calls):
-        # U(n) acts on 2n generators
-        phi_lift(random_unitary(np.random.default_rng(n), n))
+        # U(n) acts on 2n generators: one check for the inner spin lift, one for the result
+        U = random_unitary(np.random.default_rng(n), n)
+        g = phi_lift(U)
+        rho_residual(g, realify(U))
+        unit_residual(g)
         assert dense_mul_calls == [2 * n, 2 * n]
 
 
@@ -434,7 +487,7 @@ def _stress_unitaries(nrng):
 class TestPhiLift:
     def test_identity(self):
         g = phi_lift(np.eye(2))
-        assert g.value.max_diff(ccl_interleaved(2).scalar(1).to_numeric()) < 1e-12
+        assert _dist(g.values, ccl_interleaved(2).scalar(1)) < 1e-12
 
     def test_multiplication_by_i(self):
         U = np.array([[1j]])
@@ -447,16 +500,16 @@ class TestPhiLift:
         expected = (alg.scalar(complex(s)) -
                     (alg.generator(1) * alg.generator(2)).scale(complex(s))
                     ).scale(complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))
-        assert g.value.max_diff(expected) < 1e-12
+        assert _dist(g.values, expected) < 1e-12
 
     def test_homomorphism(self):
         nrng = np.random.default_rng(5)
         for n in (1, 2, 3):
             U = random_unitary(nrng, n)
             V = random_unitary(nrng, n)
-            lhs = phi_lift(U @ V).value
-            rhs = phi_lift(U).value * phi_lift(V).value
-            assert lhs.max_diff(rhs) < 1e-9
+            lhs = phi_lift(U @ V).values
+            rhs = ccl_interleaved(n).dense_mul(phi_lift(U).values, phi_lift(V).values)
+            assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_diagonal_rotor_product_formula(self):
         # for diagonal input the lift is the plane-rotor product times the
@@ -471,7 +524,7 @@ class TestPhiLift:
         rotor2 = alg.scalar(complex(math.cos(b / 2))) - \
             (alg.generator(3) * alg.generator(4)).scale(complex(math.sin(b / 2)))
         expected = (rotor1 * rotor2).scale(complex(phase))
-        assert g.value.max_diff(expected) < 1e-12
+        assert _dist(g.values, expected) < 1e-12
 
     def test_canonicity(self):
         # a random U(3), then spectra with repeated, clustered, conjugate or
@@ -481,7 +534,7 @@ class TestPhiLift:
             g = phi_lift(U)
             assert rho_residual(g, realify(U)) <= 1e-9, label
             for _ in range(3):
-                assert g.value.max_diff(phi_lift(U, rng=nrng).value) <= 1e-9, label
+                assert np.max(np.abs(g.values - phi_lift(U, rng=nrng).values)) <= 1e-9, label
 
     def test_branch_cut_flagged(self):
         g = phi_lift(np.array([[-1.0 + 0j]]))
@@ -497,17 +550,17 @@ class TestPhiReal:
         R = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
         assert check_phi_real(R)
         g = phi_lift(R)
-        assert g.value.max_diff(g.value.bar()) < 1e-12
+        assert np.max(np.abs(g.values - g.algebra.dense_bar(g.values))) < 1e-12
 
     def test_multiplication_by_i_both_sides(self):
         U = np.array([[1j]])
-        lifted = phi_lift(np.conj(U)).value
+        lifted = phi_lift(np.conj(U)).values
         alg = ccl_interleaved(1)
         s = 1 / math.sqrt(2)
         expected = (alg.scalar(complex(s)) +
                     (alg.generator(1) * alg.generator(2)).scale(complex(s))
                     ).scale(complex(math.cos(math.pi / 4), -math.sin(math.pi / 4)))
-        assert lifted.max_diff(expected) < 1e-12
+        assert _dist(lifted, expected) < 1e-12
         assert check_phi_real(U)
 
     def test_random_u2(self):
@@ -531,7 +584,26 @@ class TestFixedSpinc:
         alg = ccl(2, 0)
         s = 1 / math.sqrt(2)
         value = alg.scalar(complex(-s)) + (alg.generator(1) * alg.generator(2)).scale(complex(s))
-        assert is_fixed_spinc(PinElement(value))
+        assert is_fixed_spinc(DensePin(alg, value.to_dense()))
+
+    def test_fixed_means_bar_fixed(self):
+        # bar negates e2 in ccl(1, 1): bar(e2) = -e2 although e2 has a real
+        # coefficient, and bar(i e2) = i e2 although i e2 has an imaginary one
+        alg = ccl(1, 1)
+        e2 = alg.generator(2)
+        assert not is_fixed_spinc(PinElement.from_factors(alg, [e2]))
+        assert is_fixed_spinc(PinElement(e2.scale(I)))
+        assert not is_fixed_spinc(DensePin(alg, e2.to_dense()))
+        assert is_fixed_spinc(DensePin(alg, e2.scale(I).to_dense()))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_phi_of_real_orthogonal_is_fixed(self, n):
+        nrng = np.random.default_rng(60 + n)
+        for R in (random_special_orthogonal(nrng, n),
+                  random_special_orthogonal(nrng, n) @ np.diag([-1.0] + [1.0] * (n - 1))):
+            g = phi_lift(R.astype(complex))
+            assert g.algebra is ccl_interleaved(n)
+            assert is_fixed_spinc(g)
 
 
 class TestIvModelAction:
