@@ -168,7 +168,7 @@ def _lift_report(command: str, matrix, element, residuals: dict) -> dict:
             "terms": value.serialized_terms(),
             "parity": "even" if element.parity == 0 else "odd",
             "generator_convention": element.algebra.convention,
-            "metadata": {k: v for k, v in element.meta.items() if k != "phase"},
+            "metadata": element.meta,
         },
         "residuals": residuals,
         "verdict": "pass" if all(v <= tol for v in residuals.values()) else "fail",

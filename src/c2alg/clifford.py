@@ -105,7 +105,7 @@ class CliffordAlgebra:
     # -- dense numeric kernel ------------------------------------------------------
 
     def _tables(self):
-        """(index, parity, flip, star_sign, bar_sign) arrays of length 2^n, built on first use.
+        """(index, parity, flip, bar_sign) arrays of length 2^n, built on first use.
 
         For a fixed right blade m2 the sign of the blade product m1 * m2 is
         linear in m1 over GF(2): it is parity[m1 & flip[m2]] (see ``flip``).
@@ -119,9 +119,8 @@ class CliffordAlgebra:
                 grade = np.concatenate((grade, grade + 1))
             flip = self.flip(index) & index[-1]  # bits at or above n carry no sign
             parity = 1.0 - 2.0 * (grade & 1)
-            star_sign = np.where(grade % 4 >= 2, -1.0, 1.0) * parity[index & self.star_neg_mask]
             bar_sign = parity[index & self.bar_neg_mask]
-            self._dense_tables = (index, parity, flip, star_sign, bar_sign)
+            self._dense_tables = (index, parity, flip, bar_sign)
         return self._dense_tables
 
     def dense_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,13 +173,9 @@ class CliffordAlgebra:
         perm, right, _ = self._generator_tables()
         return u @ (a[perm] * right)
 
-    def dense_star(self, values: np.ndarray) -> np.ndarray:
-        """The *-structure on dense numeric elements."""
-        return values.conj() * self._tables()[3]
-
     def dense_bar(self, values: np.ndarray) -> np.ndarray:
         """The Real structure on dense numeric elements."""
-        return values.conj() * self._tables()[4]
+        return values.conj() * self._tables()[3]
 
     def from_dense(self, values: np.ndarray) -> "Multivector":
         import numpy as np

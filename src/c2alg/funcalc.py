@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import MAX_GENERATORS, Multivector, _below_parity, relabel, vector_norm_sq
-from .pin_spin import PinElement
+from .pin_spin import PinElement, _require_pin
 from .scalars import MultiPoly, RatFunc
 
 EVEN, ODD = 0, 1
@@ -348,7 +348,7 @@ def alpha_conjugation_check(g: PinElement, v: Multivector, w: Multivector) -> bo
     unit g, x -> g x g* is an l2 isometry in every algebra here, ``kasparov``
     included). Both are exact.
     """
-    if not g.is_even:
+    if not _require_pin(g).is_even:
         raise ValueError("conjugating element must be even")
     ginv = g.inverse_value()
     gv = g.value * v * ginv

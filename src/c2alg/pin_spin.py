@@ -5,10 +5,9 @@ group. There are two element types, one per mode. ``PinElement`` holds exact
 data: a product of unit vectors times a unit phase (each factor is checked,
 and a product of factors with v v* = 1 needs no further check), or a raw
 homogeneous multivector whose unit condition g * star(g) = 1 is checked
-exactly. ``DensePin`` holds numeric data as a read-only dense array; its
-constructor measures g * star(g) - 1 once, with the O(4^n) dense product
-(``CliffordAlgebra.dense_mul``), so each numeric element gets one unit check
-and nothing downstream repeats it. Every numeric
+exactly. ``DensePin`` holds numeric data: a phase times real vectors, and
+their product as a read-only dense array; its constructor measures its unit
+error once, by vector products alone, and nothing downstream repeats it. Every numeric
 comparison reads ``linalg.default_tol()`` (1e-9 or ``C2ALG_TOL``) where it
 compares; no function here takes a per-call tolerance. Both modes take the
 twisted adjoint by the same projection onto grade 1, with no product: its
@@ -49,6 +48,12 @@ def _require_exact(mv: Multivector) -> Multivector:
     if not all(isinstance(c, GaussianRational) for c in mv.terms.values()):
         raise ValueError(_NUMERIC)
     return mv
+
+
+def _require_pin(g) -> "PinElement":
+    if not isinstance(g, PinElement):
+        raise ValueError(f"this operation takes an exact PinElement, not {type(g).__name__}")
+    return g
 
 
 class PinElement:
@@ -189,37 +194,49 @@ class OrthogonalAction:
 
 
 class DensePin:
-    """Validated numeric element of Pin^c, held as a dense array.
+    """Numeric element of Pin^c as its factors, g = phase * u_1 ... u_m.
 
-    ``values`` is a read-only complex array of length 2^n indexed by blade
-    mask. The constructor, the only way to build one, checks the shape and
-    the parity of the nonzero support, and measures ``unit_error``, the
-    max-norm of g * star(g) - 1 (a NaN fails it). ``certificate`` is
-    (sign, [u_1, ..., u_m]) with g = sign * u_1 ... u_m for real unit vectors
-    u_j (``spin_lift``), else None; ``meta`` holds report data only.
+    The constructor, the only way to build one, takes finite real arrays u_j
+    of shape (n,) (kept as the rows of the read-only ``vectors``) and a complex
+    ``phase``; the parity is m mod 2. It multiplies them out by vector products
+    into ``values``, a read-only complex array of length 2^n indexed by blade
+    mask, and measures ``unit_error``, the max-norm of g * star(g) - 1, in
+    O(m n 2^n): star(g) = conj(phase) star(u_m) ... star(u_1), and star(u) is
+    u with ``algebra.star_signs`` applied. An error above 100 * tol, or NaN, is
+    refused. ``meta`` holds report data only.
     """
 
-    __slots__ = ("algebra", "values", "parity", "unit_error", "meta", "certificate")
+    __slots__ = ("algebra", "vectors", "phase", "values", "parity", "unit_error", "meta")
 
-    def __init__(self, algebra: CliffordAlgebra, values, *, meta=None, certificate=None):
-        values = np.array(values, dtype=complex)
-        if values.shape != (1 << algebra.dim,):
-            raise ValueError(f"a dense element of {algebra.label} has shape ({1 << algebra.dim},)")
-        signs = algebra._tables()[1][np.flatnonzero(values)]
-        if not signs.size or signs.min() != signs.max():
-            raise ValueError("Pin element must have homogeneous parity")
-        unit = algebra.dense_mul(values, algebra.dense_star(values))
+    def __init__(self, algebra: CliffordAlgebra, vectors, phase=1, *, meta=None):
+        n = algebra.dim
+        factors = np.array(vectors) if all(np.shape(u) == (n,) for u in vectors) else None
+        if factors is None or factors.dtype.kind not in "iuf" or not np.all(np.isfinite(factors)):
+            raise ValueError(f"a factor of a Pin element of {algebra.label} "
+                             f"is a finite real array of shape ({n},)")
+        factors = factors.astype(float).reshape(len(factors), n)
+        phase = complex(phase)
+        product = algebra.scalar(1 + 0j).to_dense()
+        for u in factors:
+            product = algebra.dense_mul_vector(product, u)
+        # the product of real vectors is real, and the phase is central
+        unit = product.real * abs(phase) ** 2
+        for u in factors[::-1] * np.array(algebra.star_signs, dtype=float):
+            unit = algebra.dense_mul_vector(unit, u)
         unit[0] -= 1.0
         unit_error = float(np.max(np.abs(unit)))
         if not unit_error <= max(default_tol(), 1e-9) * 100:
             raise ValueError("Pin element must satisfy g * star(g) = 1 within tolerance")
+        values = phase * product
         values.flags.writeable = False
+        factors.flags.writeable = False
         self.algebra = algebra
+        self.vectors = factors
+        self.phase = phase
         self.values = values
-        self.parity = EVEN if signs[0] > 0 else ODD
+        self.parity = len(factors) & 1
         self.unit_error = unit_error
         self.meta = meta or {}
-        self.certificate = certificate
 
 
 _NON_REAL = "twisted adjoint has non-real entries; invalid Pin element"
@@ -323,6 +340,7 @@ def check_rho_real_equivariance(g: PinElement, rho: OrthogonalAction | None = No
     D = diag(``algebra.bar_signs``): it negates the coordinates of the
     generators that bar negates. Pass a precomputed ``rho`` to reuse it.
     """
+    _require_pin(g)
     lhs = twisted_adjoint(g.bar())
     if rho is None:
         rho = twisted_adjoint(g)
@@ -404,8 +422,8 @@ def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> DensePin:
     The branch sign is fixed so the lexicographically smallest blade with
     magnitude above tolerance has positive real part (ties broken by positive
     imaginary part). Matrices with determinant -1 are rejected. The returned
-    element carries its certificate (sign, Householder vectors u_1..u_m),
-    with g = sign * u_1 ... u_m.
+    element is g = sign * u_1 ... u_m for the Householder vectors u_j, with
+    the sign as its phase.
     """
     tol = default_tol()
     A = np.asarray(R, dtype=float)
@@ -422,12 +440,10 @@ def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> DensePin:
     elif algebra.dim != n:
         raise ValueError("algebra dimension does not match the matrix")
     factors = householder_factors(A)
-    value = algebra.scalar(1 + 0j).to_dense()
-    for u in factors:
-        value = algebra.dense_mul_vector(value, u)
-    sign = _normalize_sign(value, tol)
-    return DensePin(algebra, sign * value, meta={"reflections": len(factors)},
-                    certificate=(sign, factors))
+    g = DensePin(algebra, factors, meta={"reflections": len(factors)})
+    if _normalize_sign(g.values, tol) < 0:
+        g = DensePin(algebra, factors, -1, meta=g.meta)
+    return g
 
 
 def rho_residual(g: DensePin, R) -> float:
@@ -453,10 +469,11 @@ def phi_lift(U, *, rng=None) -> DensePin:
     With U = V diag(exp(i theta_j)) V* from ``linalg.unitary_eigh``, the
     element is the product of the plane rotors
     cos(theta_j/2) - sin(theta_j/2) e_{2j-1} e_{2j}, conjugated by the spin
-    lift of realify(V), times the central phase exp(i sum(theta_j)/2) whose
-    square is det(U). Angles use the principal branch (-pi, pi]; the result
-    does not depend on the eigendecomposition. Pass ``rng`` to decompose
-    Q* U Q for a random unitary Q instead (used to exercise canonicity).
+    lift L = +-u_1 ... u_m of realify(V) (L* = +-u_m ... u_1), times the
+    central phase exp(i sum(theta_j)/2) whose square is det(U). Angles use the
+    principal branch (-pi, pi]; the result does not depend on the
+    eigendecomposition. Pass ``rng`` to decompose Q* U Q for a random unitary
+    Q instead (used to exercise canonicity).
     """
     A = np.asarray(U, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -472,25 +489,18 @@ def phi_lift(U, *, rng=None) -> DensePin:
     near_branch = bool(np.any(np.abs(np.abs(thetas) - math.pi) < 1e-6))
 
     L = spin_lift(realify(V), algebra=algebra)
-    sign, factors = L.certificate
-    phase = complex(np.exp(1j * float(np.sum(thetas)) / 2.0))
-    # phase * L * rotor * L*, with L* = sign * u_m ... u_1 and the rotor a
-    # product of vector pairs (c e_{2j-1} + s e_{2j}) e_{2j-1}
-    value = phase * L.values
+    rotor = []  # the vectors (c e_{2j-1} + s e_{2j}) e_{2j-1} of each plane rotor
     eye = np.eye(2 * n)
     for j, theta in enumerate(thetas):
         c = math.cos(theta / 2.0)
         s = math.sin(theta / 2.0)
         if abs(s) < 1e-300 and c > 0:
             continue
-        value = algebra.dense_mul_vector(value, c * eye[2 * j] + s * eye[2 * j + 1])
-        value = algebra.dense_mul_vector(value, eye[2 * j])
-    for u in reversed(factors):
-        value = algebra.dense_mul_vector(value, u)
-    return DensePin(algebra, sign * value, meta={
+        rotor += [c * eye[2 * j] + s * eye[2 * j + 1], eye[2 * j]]
+    phase = complex(np.exp(1j * float(np.sum(thetas)) / 2.0))
+    return DensePin(algebra, [*L.vectors, *rotor, *reversed(L.vectors)], phase, meta={
         "thetas": [float(t) for t in thetas],
         "near_branch_cut": near_branch,
-        "phase": phase,
     })
 
 
@@ -507,7 +517,7 @@ def check_phi_real(U) -> bool:
 
 def iv_model_action(g: PinElement, x: Multivector, f: MultiPoly):
     """(g, v (x) f) -> (g*v, f o rho(g)^{-1}) on the polynomial model of L^2(V)."""
-    alg = g.algebra
+    alg = _require_pin(g).algebra
     if x.algebra is not alg:
         raise ValueError("signature mismatch")
     if f.nvars != alg.dim:

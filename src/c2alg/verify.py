@@ -320,7 +320,7 @@ def suite_phi(seed: int, cases: int) -> SuiteResult:
         result.record_residual("real_equivariance", res_real)
         result.check(res_real < tol, f"phi Real equivariance case {i}")
 
-        phase = phi_u.meta["phase"]
+        phase = phi_u.phase
         res_det = abs(phase * phase - np.linalg.det(U))
         result.record_residual("phase_sq_det", res_det)
         result.check(res_det < tol, f"phase squares to det case {i}")

@@ -78,16 +78,15 @@ class TestDenseKernel:
             for x in rows:
                 row = alg.dense_mul(x.to_dense(), y.to_dense())
                 assert np.max(np.abs(row - (x * y).to_dense())) <= 1e-12
-            assert np.max(np.abs(alg.dense_star(y.to_dense()) - y.star().to_dense())) <= 1e-15
             assert np.max(np.abs(alg.dense_bar(y.to_dense()) - y.bar().to_dense())) <= 1e-15
 
     def test_dense_kernel_propagates_nan(self):
-        # a NaN coefficient reaches the product, star and bar, so a residual over them is NaN
+        # a NaN coefficient reaches the product and bar, so a residual over them is NaN
         alg = ccl(2, 0)
         nan = (alg.scalar(complex(math.nan)) + alg.generator(1).scale(2.0)).to_dense()
         e1 = alg.generator(1).to_dense()
         for out in (alg.dense_mul(nan, e1), alg.dense_mul(e1, nan),
-                    alg.dense_star(nan), alg.dense_bar(nan)):
+                    alg.dense_bar(nan)):
             assert math.isnan(np.max(np.abs(out - e1)))
 
 

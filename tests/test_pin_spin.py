@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from c2alg.clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, kasparov
+from c2alg.funcalc import alpha_conjugation_check
 from c2alg.linalg import realify
-from c2alg.pin_spin import (DensePin, PinElement, check_phi_real,
+from c2alg.pin_spin import (DensePin, PinElement, _twisted_adjoint_numeric, check_phi_real,
                             check_rho_real_equivariance, householder_factors,
                             is_fixed_spinc,
                             iv_model_action, phi_lift, rho_residual, spin_lift,
@@ -22,6 +24,11 @@ I = GaussianRational.I
 def _dist(values, expected: Multivector) -> float:
     """Max-norm distance of a dense array from a multivector; NaN propagates."""
     return float(np.max(np.abs(values - expected.to_dense())))
+
+
+def _floats(v: Multivector) -> np.ndarray:
+    """The real coefficients of an exact grade-1 element, as a float array."""
+    return v.to_dense()[1 << np.arange(v.algebra.dim)].real
 
 
 def _terms(g: DensePin) -> dict:
@@ -50,9 +57,8 @@ class TestPinElement:
 
     def test_nan_rejected(self):
         alg = ccl(2, 0)
-        nan = alg.scalar(complex(math.nan))
         with pytest.raises(ValueError, match="g \\* star\\(g\\) = 1"):
-            DensePin(alg, nan.to_dense())
+            DensePin(alg, [], complex(math.nan))
         # a NaN target gives a NaN residual, which fails every `<= tol` check
         R = np.eye(2)
         R[0, 1] = math.nan
@@ -112,31 +118,57 @@ class TestPinElement:
             PinElement.from_factors(alg, [v])
 
 
+    def test_exact_only_operations_refuse_a_dense_pin(self):
+        g = spin_lift(np.eye(2))
+        x = g.algebra.generator(1)
+        for call in (lambda: check_rho_real_equivariance(g),
+                     lambda: iv_model_action(g, x, MultiPoly(2, {(1, 0): Fraction(1)})),
+                     lambda: alpha_conjugation_check(g, x, x)):
+            with pytest.raises(ValueError, match="exact PinElement, not DensePin"):
+                call()
+
+
 class TestDensePin:
     def test_values_read_only_and_copied(self):
         alg = ccl(2, 0)
-        source = alg.scalar(1).to_dense()
-        g = DensePin(alg, source)
+        source = np.array([1.0, 0.0])
+        g = DensePin(alg, [source])
         source[0] = 2.0
-        assert g.values[0] == 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            g.values[0] = 2.0
+        assert g.vectors[0][0] == 1.0 and g.values[1] == 1.0
+        for array in (g.values, g.vectors[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
         assert unit_residual(g) == g.unit_error == 0.0
-        assert g.parity == 0 and g.certificate is None and g.meta == {}
+        assert g.phase == 1 and g.meta == {}
 
     def test_shape_checked(self):
         alg = ccl(2, 0)
-        for values in (np.ones(3), np.ones((1, 4)), np.ones(8), 1.0):
-            with pytest.raises(ValueError, match="has shape \\(4,\\)"):
-                DensePin(alg, values)
+        for u in (np.ones(3), np.ones((1, 2)), np.ones(1), 1.0, [1j, 0], ["1", "0"]):
+            with pytest.raises(ValueError, match="finite real array of shape \\(2,\\)"):
+                DensePin(alg, [u])
 
-    def test_parity_from_nonzero_support(self):
+    def test_parity_is_factor_count_mod_2(self):
         alg = ccl(2, 0)
-        mixed = (alg.scalar(Fraction(3, 5)) + alg.generator(1).scale(Fraction(4, 5))).to_dense()
-        for values in (mixed, np.zeros(4)):
-            with pytest.raises(ValueError, match="homogeneous parity"):
-                DensePin(alg, values)
-        assert DensePin(alg, alg.generator(2).to_dense()).parity == 1
+        e1, e2 = [1.0, 0.0], [0.0, 1.0]
+        for factors in ([], [e1], [e1, e2], [e2, e1, e1]):
+            assert DensePin(alg, factors).parity == len(factors) % 2
+
+    def test_nan_factor_and_non_unit_phase_refused(self):
+        alg = ccl(3, 0)
+        with pytest.raises(ValueError, match="finite real array"):
+            DensePin(alg, [[math.nan, 0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"g \* star\(g\) = 1"):
+            DensePin(alg, [], 1.001)
+
+    def test_unit_error_is_a_measurement(self):
+        # star(u) is u with the star signs applied: e1 * star(e1) = 1 in
+        # kasparov(0, 1) although e1 * e1 = -1, and for g = (e1 + e2) / sqrt(2)
+        # in kasparov(1, 1), g * star(g) = 1 - e1 e2
+        assert DensePin(kasparov(0, 1), [[1.0]]).unit_error == 0.0
+        s = 1 / math.sqrt(2)
+        assert DensePin(kasparov(2, 0), [[s, s]]).unit_error <= 1e-15
+        with pytest.raises(ValueError, match=r"g \* star\(g\) = 1"):
+            DensePin(kasparov(1, 1), [[s, s]])
 
     def test_wrong_target_shape_refused(self):
         g = spin_lift(np.eye(3))
@@ -167,9 +199,10 @@ class TestTwistedAdjoint:
         rng = _rng(25, "rho-numeric")
         for alg in (ccl(3, 0), ccl(2, 2), ccl(0, 3), ccl_interleaved(2)):
             for _ in range(8):
-                g = rand_pin(rng, alg, 4)
-                exact = twisted_adjoint(g).as_numpy()
-                numeric = twisted_adjoint(DensePin(alg, g.value.to_dense()))
+                vectors = [rational_unit_vector(rng, alg) for _ in range(rng.randint(0, 4))]
+                phase = rational_phase(rng)
+                exact = twisted_adjoint(PinElement.from_factors(alg, vectors, phase)).as_numpy()
+                numeric = twisted_adjoint(DensePin(alg, [_floats(v) for v in vectors], phase))
                 assert isinstance(numeric, np.ndarray)
                 assert np.max(np.abs(numeric - exact)) <= 1e-12
 
@@ -177,20 +210,23 @@ class TestTwistedAdjoint:
         # cos t + i sin t e1e2e3e4 satisfies g * star(g) = 1, but g e_k g* has
         # an off-grade part of about 2 sin t, of grade 3. At t = 1e-5 its
         # squared norm (4e-10) is below 100 * tol, so only a test linear in
-        # the off-grade part rejects it, at every algebra size.
+        # the off-grade part rejects it, at every algebra size. No phase times
+        # a product of vectors is such an element, so it reaches the
+        # projection as a stand-in with the attributes the projection reads.
         for alg in (ccl(4, 0), ccl(10, 0), ccl_interleaved(2)):
             for t in (math.pi / 4, 1e-5):
                 value = (alg.scalar(complex(math.cos(t)))
                          + alg.blade([1, 2, 3, 4]).scale(complex(0, math.sin(t))))
-                g = DensePin(alg, value.to_dense())
-                assert unit_residual(g) <= 1e-15
+                unit = (value * value.star() - alg.scalar(1)).to_dense()
+                assert np.max(np.abs(unit)) <= 1e-15
+                g = SimpleNamespace(algebra=alg, values=value.to_dense(), parity=0)
                 with pytest.raises(ValueError, match="does not preserve grade 1"):
-                    twisted_adjoint(g)
+                    _twisted_adjoint_numeric(g)
 
     def test_non_unit_trusted_element_rejected(self):
         # g* is the inverse of g only when g g* = 1, which every DensePin was checked for
         with pytest.raises(ValueError, match=r"g \* star\(g\) = 1"):
-            DensePin(ccl(3, 0), ccl(3, 0).scalar(1.001 + 0j).to_dense())
+            DensePin(ccl(3, 0), [], 1.001 + 0j)
 
     def test_homomorphism_exact(self):
         rng = _rng(21, "rho-hom")
@@ -426,7 +462,7 @@ class TestSpinLift:
 
 
 class TestVectorProductsOnly:
-    """Lifts and their residuals run dense_mul only in the one unit check per DensePin."""
+    """Lifts and their residuals, unit checks included, make no dense_mul call."""
 
     @pytest.fixture
     def dense_mul_calls(self, monkeypatch):
@@ -444,20 +480,18 @@ class TestVectorProductsOnly:
     def test_spin_lift_and_twisted_adjoint(self, n, dense_mul_calls):
         R = random_special_orthogonal(np.random.default_rng(n), n)
         g = spin_lift(R)
-        assert len(dense_mul_calls) == 1
         twisted_adjoint(g)
         rho_residual(g, R)
         unit_residual(g)
-        assert len(dense_mul_calls) == 1
+        assert len(dense_mul_calls) == 0
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_phi_lift(self, n, dense_mul_calls):
-        # U(n) acts on 2n generators: one check for the inner spin lift, one for the result
         U = random_unitary(np.random.default_rng(n), n)
         g = phi_lift(U)
         rho_residual(g, realify(U))
         unit_residual(g)
-        assert dense_mul_calls == [2 * n, 2 * n]
+        assert dense_mul_calls == []
 
 
 def _with_spectrum(nrng, angles):
@@ -493,8 +527,7 @@ class TestPhiLift:
         U = np.array([[1j]])
         g = phi_lift(U)
         assert rho_residual(g, realify(U)) < 1e-12
-        phase = g.meta["phase"]
-        assert abs(phase * phase - 1j) < 1e-12
+        assert abs(g.phase * g.phase - 1j) < 1e-12
         alg = ccl_interleaved(1)
         s = 1 / math.sqrt(2)
         expected = (alg.scalar(complex(s)) -
@@ -583,8 +616,8 @@ class TestFixedSpinc:
     def test_negative_branch_absorbed(self):
         alg = ccl(2, 0)
         s = 1 / math.sqrt(2)
-        value = alg.scalar(complex(-s)) + (alg.generator(1) * alg.generator(2)).scale(complex(s))
-        assert is_fixed_spinc(DensePin(alg, value.to_dense()))
+        # e1 (-s e1 + s e2) = -s + s e1 e2
+        assert is_fixed_spinc(DensePin(alg, [[1.0, 0.0], [-s, s]]))
 
     def test_fixed_means_bar_fixed(self):
         # bar negates e2 in ccl(1, 1): bar(e2) = -e2 although e2 has a real
@@ -593,8 +626,8 @@ class TestFixedSpinc:
         e2 = alg.generator(2)
         assert not is_fixed_spinc(PinElement.from_factors(alg, [e2]))
         assert is_fixed_spinc(PinElement(e2.scale(I)))
-        assert not is_fixed_spinc(DensePin(alg, e2.to_dense()))
-        assert is_fixed_spinc(DensePin(alg, e2.scale(I).to_dense()))
+        assert not is_fixed_spinc(DensePin(alg, [[0.0, 1.0]]))
+        assert is_fixed_spinc(DensePin(alg, [[0.0, 1.0]], 1j))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_phi_of_real_orthogonal_is_fixed(self, n):
