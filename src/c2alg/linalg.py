@@ -41,6 +41,15 @@ def random_unitary(nrng, n: int) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
+def _gram_is_identity(A: np.ndarray, eye: np.ndarray, tol: float) -> bool:
+    """Is the max-norm of A*A - eye within tol? ``eye`` is the identity of A's size.
+
+    No unitary matrix has an entry above 1, so an entry above 1 + tol fails
+    before A*A is formed, and huge finite entries cannot overflow it.
+    """
+    return bool(np.abs(A).max() <= 1 + tol) and float(np.abs(A.conj().T @ A - eye).max()) <= tol
+
+
 def is_unitary(M, tol: float | None = None) -> bool:
     """True iff the max-norm of M*M - I is within tol. Rejects non-square input."""
     A = _as_matrix(M)
@@ -48,8 +57,7 @@ def is_unitary(M, tol: float | None = None) -> bool:
         raise ValueError("non-square input")
     if tol is None:
         tol = default_tol()
-    n = A.shape[0]
-    return float(np.max(np.abs(A.conj().T @ A - np.eye(n)))) <= tol
+    return _gram_is_identity(A, np.eye(A.shape[0]), tol)
 
 
 def realify(U) -> np.ndarray:
@@ -85,17 +93,17 @@ def unitary_eigh(A) -> tuple[np.ndarray, np.ndarray]:
     tol = default_tol()
     if A.shape[0] != A.shape[1]:
         raise ValueError("non-square input")
-    if not is_unitary(A, tol):
+    eye = np.eye(A.shape[0])
+    if not _gram_is_identity(A, eye, tol):
         raise ValueError("input is not unitary within tolerance")
-    n = A.shape[0]
-    w = np.sort(np.angle(np.linalg.eigvals(A)))
-    gaps = np.diff(w, append=w[0] + 2 * math.pi)
-    k = int(np.argmax(gaps))
+    w = np.sort(np.angle(np.linalg.eigvals(A))).tolist()
+    gaps = [b - a for a, b in zip(w, w[1:] + [w[0] + 2 * math.pi])]
+    k = gaps.index(max(gaps))
     B = -np.exp(-1j * (w[k] + gaps[k] / 2)) * A
-    H = 1j * np.linalg.solve(np.eye(n) + B, np.eye(n) - B)
-    _, V = np.linalg.eigh(H.real if np.array_equal(A, A.T) else H)
+    H = 1j * np.linalg.solve(eye + B, eye - B)
+    _, V = np.linalg.eigh(H.real if (A == A.T).all() else H)
     d = np.sum(V.conj() * (A @ V), axis=0)
-    if not float(np.max(np.abs(np.abs(d) - 1.0))) <= max(100 * tol, 1e-8):
+    if not float(np.abs(np.abs(d) - 1.0).max()) <= max(100 * tol, 1e-8):
         raise ValueError("spectral decomposition failed; input too far from unitary")
     thetas = np.angle(d)
     thetas[thetas <= -math.pi] = math.pi

@@ -6,8 +6,10 @@ data: a product of unit vectors times a unit phase (each factor is checked,
 and a product of factors with v v* = 1 needs no further check), or a raw
 homogeneous multivector whose unit condition g * star(g) = 1 is checked
 exactly. ``DensePin`` holds numeric data: a phase times real vectors, and
-their product as a read-only dense array; its constructor measures its unit
-error once, by vector products alone, and nothing downstream repeats it. Every numeric
+their product as a read-only dense array. The product of the vectors is
+real and is formed in float64; multiplying by the phase is the only complex
+step. The constructor measures the unit error once, by vector products
+alone, and nothing downstream repeats it; -g reuses it. Every numeric
 comparison reads ``linalg.default_tol()`` (1e-9 or ``C2ALG_TOL``) where it
 compares; no function here takes a per-call tolerance. Both modes take the
 twisted adjoint by the same projection onto grade 1, with no product: its
@@ -25,6 +27,7 @@ ndarray.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -34,7 +37,8 @@ import numpy as np
 
 from .clifford import (CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_numerators,
                        integer_product, integer_terms, rational_terms)
-from .linalg import check_finite, default_tol, random_unitary, realify, unitary_eigh
+from .linalg import (check_finite, default_tol, is_unitary, random_unitary, realify,
+                     unitary_eigh)
 from .scalars import GaussianRational, MultiPoly
 
 EVEN, ODD = 0, 1
@@ -198,12 +202,15 @@ class DensePin:
 
     The constructor, the only way to build one, takes finite real arrays u_j
     of shape (n,) (kept as the rows of the read-only ``vectors``) and a complex
-    ``phase``; the parity is m mod 2. It multiplies them out by vector products
-    into ``values``, a read-only complex array of length 2^n indexed by blade
-    mask, and measures ``unit_error``, the max-norm of g * star(g) - 1, in
-    O(m n 2^n): star(g) = conj(phase) star(u_m) ... star(u_1), and star(u) is
-    u with ``algebra.star_signs`` applied. An error above 100 * tol, or NaN, is
-    refused. ``meta`` holds report data only.
+    ``phase``; the parity is m mod 2. It multiplies the vectors out by vector
+    products in real arithmetic, from the real scalar 1, and only then by the
+    phase, the one complex step, into ``values``: a read-only complex array of
+    length 2^n indexed by blade mask. It measures ``unit_error``, the max-norm
+    of g * star(g) - 1, on the real product in O(m n 2^n):
+    star(g) = conj(phase) star(u_m) ... star(u_1), and star(u) is u with
+    ``algebra.star_signs`` applied. An error above 100 * tol, or NaN, is
+    refused. ``-g`` negates the phase and the values and shares the rest.
+    ``meta`` holds report data only.
     """
 
     __slots__ = ("algebra", "vectors", "phase", "values", "parity", "unit_error", "meta")
@@ -216,11 +223,12 @@ class DensePin:
                              f"is a finite real array of shape ({n},)")
         factors = factors.astype(float).reshape(len(factors), n)
         phase = complex(phase)
-        product = algebra.scalar(1 + 0j).to_dense()
+        product = np.zeros(1 << n)
+        product[0] = 1.0
         for u in factors:
             product = algebra.dense_mul_vector(product, u)
-        # the product of real vectors is real, and the phase is central
-        unit = product.real * abs(phase) ** 2
+        # the phase is central, so it adds only |phase|^2 to g * star(g)
+        unit = product * abs(phase) ** 2
         for u in factors[::-1] * np.array(algebra.star_signs, dtype=float):
             unit = algebra.dense_mul_vector(unit, u)
         unit[0] -= 1.0
@@ -237,6 +245,16 @@ class DensePin:
         self.parity = len(factors) & 1
         self.unit_error = unit_error
         self.meta = meta or {}
+
+    def __neg__(self) -> "DensePin":
+        """-g, with no product: -1 is central and |-phase| = |phase|, so the
+        factors, the parity and the measured unit error carry over."""
+        neg = copy.copy(self)
+        neg.phase = -self.phase
+        neg.values = -self.values
+        neg.values.flags.writeable = False
+        neg.meta = dict(self.meta)
+        return neg
 
 
 _NON_REAL = "twisted adjoint has non-real entries; invalid Pin element"
@@ -383,7 +401,7 @@ def householder_factors(R: np.ndarray) -> list[np.ndarray]:
             h = a + e
             h /= np.linalg.norm(h)
             _reflect_inplace(A, h)
-            _reflect_inplace(A, e)
+            A[j] = -A[j]  # the reflection by e_j
             factors.append(h)
             factors.append(e)
         else:
@@ -423,15 +441,15 @@ def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> DensePin:
     magnitude above tolerance has positive real part (ties broken by positive
     imaginary part). Matrices with determinant -1 are rejected. The returned
     element is g = sign * u_1 ... u_m for the Householder vectors u_j, with
-    the sign as its phase.
+    the sign as its phase; a sign of -1 negates the built element, with no
+    second product.
     """
     tol = default_tol()
     A = np.asarray(R, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("non-square input")
     n = A.shape[0]
-    check_finite(A)
-    if not float(np.max(np.abs(A.T @ A - np.eye(n)))) <= tol:
+    if not is_unitary(A):
         raise ValueError("input is not orthogonal within tolerance")
     if np.linalg.det(A) < 0:
         raise ValueError("determinant -1: odd Pin lift not handled by this operation")
@@ -441,9 +459,7 @@ def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> DensePin:
         raise ValueError("algebra dimension does not match the matrix")
     factors = householder_factors(A)
     g = DensePin(algebra, factors, meta={"reflections": len(factors)})
-    if _normalize_sign(g.values, tol) < 0:
-        g = DensePin(algebra, factors, -1, meta=g.meta)
-    return g
+    return -g if _normalize_sign(g.values, tol) < 0 else g
 
 
 def rho_residual(g: DensePin, R) -> float:

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,12 @@ class TestIsUnitary:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             is_unitary(np.ones((2, 3)))
+
+    def test_huge_entries_refused_without_overflow(self):
+        # no unitary matrix has an entry above 1, so M*M is never formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_unitary(1e308 * np.eye(2))
 
 
 class TestRealify:

@@ -170,6 +170,18 @@ class TestDensePin:
         with pytest.raises(ValueError, match=r"g \* star\(g\) = 1"):
             DensePin(kasparov(1, 1), [[s, s]])
 
+    def test_negation_reuses_the_factors(self):
+        s = 1 / math.sqrt(2)
+        g = DensePin(ccl(3, 0), [[s, s, 0.0], [0.0, 0.6, 0.8]], 0.6 + 0.8j, meta={"k": 1})
+        h = -g
+        assert h.phase == -g.phase
+        assert np.array_equal(h.values, -g.values)
+        assert h.vectors is g.vectors
+        assert h.parity == g.parity and h.unit_error == g.unit_error
+        assert h.meta == g.meta and h.algebra is g.algebra
+        with pytest.raises(ValueError, match="read-only"):
+            h.values[0] = 2.0
+
     def test_wrong_target_shape_refused(self):
         g = spin_lift(np.eye(3))
         for R in ([[1.0]], np.ones(3), 1.0):
@@ -484,6 +496,24 @@ class TestVectorProductsOnly:
         rho_residual(g, R)
         unit_residual(g)
         assert len(dense_mul_calls) == 0
+
+    @pytest.mark.parametrize("seed, sign", [(1, 1), (0, -1)])
+    def test_spin_lift_builds_once(self, seed, sign, monkeypatch):
+        # m vector products for g and m for its unit check; a sign of -1 adds none
+        calls = []
+        original = CliffordAlgebra.dense_mul_vector
+
+        def counting(self, a, u):
+            calls.append(self.dim)
+            return original(self, a, u)
+
+        monkeypatch.setattr(CliffordAlgebra, "dense_mul_vector", counting)
+        R = random_special_orthogonal(np.random.default_rng(seed), 4)
+        g = spin_lift(R)
+        rho_residual(g, R)
+        unit_residual(g)
+        assert g.phase == sign
+        assert len(calls) == 2 * g.meta["reflections"]
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_phi_lift(self, n, dense_mul_calls):

@@ -272,6 +272,7 @@ class TestUsage:
 
 
 # (command line, JSON file text or None); "FILE" stands for the file's path
+_HUGE_ENTRIES = '{"rows": 2, "cols": 2, "entries": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}'
 MALFORMED_INPUTS = [
     (["clifford", "conj", "--signature", "2,0", "--a", "1/0"], None),
     (["clifford", "conj", "--signature", "2,0", "--a", "(" * 600 + "e1" + ")" * 600], None),
@@ -290,6 +291,8 @@ MALFORMED_INPUTS = [
     (["clifford", "conj", "--signature", "99999999999999999999,0", "--a", "e1"], None),
     (["verify", "--suite", "mackey", "--cases", "-5"], None),
     (["verify", "--suite", "all", "--cases", str(MAX_CASES + 1)], None),
+    (["spin-lift", "--matrix", "FILE"], _HUGE_ENTRIES),
+    (["phi-lift", "--unitary", "FILE"], _HUGE_ENTRIES),
 ]
 
 
@@ -299,7 +302,8 @@ MALFORMED_INPUTS = [
                               "infinite-dim", "spin-lift-entries", "phi-lift-entries",
                               "ahat-cp40", "ahat-huge-power", "ahat-dim-200",
                               "spin-lift-empty", "phi-lift-empty", "huge-exponent",
-                              "huge-signature", "negative-cases", "cases-above-cap"])
+                              "huge-signature", "negative-cases", "cases-above-cap",
+                              "spin-lift-overflow", "phi-lift-overflow"])
 def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
