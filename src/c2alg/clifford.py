@@ -1,14 +1,16 @@
 """Finite-dimensional graded Clifford-type algebras with Real and *-structures.
 
 Blades are bitmasks over generator indices 1..p+q; coefficients are either
-exact (GaussianRational) or numeric (complex). Every blade-product sign comes
-from one bit-arithmetic rule (``CliffordAlgebra.flip``). Exact products bring
-each operand to integer numerators over one common denominator
-(``integer_terms``), run the sparse loop over term pairs on Python ints, and
-build one GaussianRational per output blade, so a product takes one gcd per
-output coefficient instead of several per term pair. Numeric products run a
-dense kernel over complex arrays of length 2^n indexed by blade mask; its
-methods import numpy where they run, so exact work never loads it.
+exact (Gaussian rationals) or numeric (complex). Every blade-product sign
+comes from one bit-arithmetic rule (``CliffordAlgebra.flip``). An exact
+element is stored as integer numerators (re, im) per blade over one
+denominator, in lowest terms, so a product runs the sparse loop over term
+pairs on Python ints (``integer_product``) and ends with one gcd, and sums,
+conjugations and comparisons touch no Fraction. A GaussianRational is built
+only at the edges: parsing, ``coeff``, formatting and serialisation. Numeric
+products run a dense kernel over complex arrays of length 2^n indexed by
+blade mask; its methods import numpy where they run, so exact work never
+loads it.
 Both serve the complexified Clifford algebras CCl(p,q) (all generators square
 to +1, Real structure fixes the first p generators and negates the last q),
 the Kasparov-style presentation C_{p,q} (last q generators square to -1), and
@@ -181,22 +183,21 @@ class CliffordAlgebra:
         import numpy as np
 
         support = np.flatnonzero(values)
-        return Multivector(self, dict(zip(support.tolist(), values[support].tolist())))
+        return Multivector._raw(self, dict(zip(support.tolist(), values[support].tolist())))
 
     # -- constructors for elements -------------------------------------------------
 
     def zero(self) -> "Multivector":
-        return Multivector(self, {})
+        return Multivector._raw(self, {})
 
     def scalar(self, c) -> "Multivector":
-        c = self.coerce_coeff(c)
-        return Multivector(self, {0: c} if c else {})
+        return Multivector(self, {0: c})
 
     def generator(self, index: int) -> "Multivector":
         """Generator e_index, 1-based."""
         if not 1 <= index <= self.dim:
             raise ValueError(f"generator index {index} out of range 1..{self.dim}")
-        return Multivector(self, {1 << (index - 1): GaussianRational.ONE})
+        return Multivector._raw(self, {1 << (index - 1): (1, 0)})
 
     def blade(self, indices, coeff=1) -> "Multivector":
         """Product of generators in the given order, times coeff."""
@@ -206,19 +207,14 @@ class CliffordAlgebra:
         return out
 
     def from_terms(self, terms: dict) -> "Multivector":
-        return Multivector(self, {m: c for m, c in terms.items() if c})
+        return Multivector(self, terms)
 
     def vector(self, coeffs) -> "Multivector":
         """Grade-1 element with the given coefficient list."""
         coeffs = list(coeffs)
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must equal the generator count")
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = self.coerce_coeff(c)
-            if c:
-                terms[1 << i] = c
-        return Multivector(self, terms)
+        return Multivector(self, {1 << i: c for i, c in enumerate(coeffs)})
 
     @staticmethod
     def coerce_coeff(c):
@@ -278,20 +274,49 @@ def ccl_interleaved(n: int) -> CliffordAlgebra:
 class Multivector:
     """Sparse graded algebra element: blade mask -> coefficient.
 
-    Coefficients are uniformly exact (GaussianRational) or numeric (complex);
-    the two kinds never mix inside one element.
+    Exact ``terms`` map a mask to Python ints (re, im), the coefficient being
+    (re + im i) / ``den``, in canonical form: den >= 1, gcd(den, numerators)
+    = 1, no (0, 0) pair, den = 1 when empty. Numeric terms are complex, with
+    den = 1. The constructor coerces each coefficient (``coerce_coeff``); one
+    numeric coefficient makes the whole element numeric, so kinds never mix.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "terms", "den")
 
     def __init__(self, algebra: CliffordAlgebra, terms: dict):
+        coeffs = {m: algebra.coerce_coeff(c) for m, c in terms.items()}
+        self.algebra = algebra
+        self.den = 1
+        if any(isinstance(c, complex) for c in coeffs.values()):
+            self.terms = {m: complex(c) for m, c in coeffs.items() if c}
+            return
+        # the lcm of reduced denominators leaves no common factor
+        self.den, ints = integer_numerators([x for c in coeffs.values() for x in (c.re, c.im)])
+        self.terms = {m: (x, y) for m, x, y in zip(coeffs, ints[::2], ints[1::2]) if x or y}
+
+    @classmethod
+    def _raw(cls, algebra: CliffordAlgebra, terms: dict, den: int = 1) -> "Multivector":
+        """Trusted construction from terms already in their final form."""
+        self = object.__new__(cls)
         self.algebra = algebra
         self.terms = terms
+        self.den = den
+        return self
+
+    @classmethod
+    def _reduced(cls, algebra: CliffordAlgebra, terms: dict, den: int) -> "Multivector":
+        """Exact element from nonzero integer pairs over den > 0, divided by one gcd."""
+        if den != 1:
+            g = math.gcd(den, *[x for pair in terms.values() for x in pair])
+            if g != 1:
+                den //= g
+                terms = {m: (x // g, y // g) for m, (x, y) in terms.items()}
+        return cls._raw(algebra, terms, den)
 
     @property
     def exact(self) -> bool:
         for c in self.terms.values():
-            return isinstance(c, GaussianRational)
+            return type(c) is tuple
         return True
 
     def _check(self, other: "Multivector"):
@@ -311,15 +336,31 @@ class Multivector:
             other = self.algebra.scalar(other)
         self._check(other)
         self, other = Multivector._align(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        if not (self.exact and other.exact):
+            out = dict(self.terms)
+            for m, c in other.terms.items():
+                acc = out.get(m)
+                s = c if acc is None else acc + c
+                if s:
+                    out[m] = s
+                elif acc is not None:
+                    del out[m]
+            return Multivector._raw(self.algebra, out)
+        # bring both to the lcm of the denominators, add pairs, drop cancelled blades
+        g = math.gcd(self.den, other.den)
+        f1, f2 = other.den // g, self.den // g
+        out = {m: (x * f1, y * f1) for m, (x, y) in self.terms.items()}
+        for m, (x, y) in other.terms.items():
             acc = out.get(m)
-            s = c if acc is None else acc + c
-            if s:
-                out[m] = s
-            elif acc is not None:
-                del out[m]
-        return Multivector(self.algebra, out)
+            x, y = x * f2, y * f2
+            if acc is not None:
+                x += acc[0]
+                y += acc[1]
+                if not (x or y):
+                    del out[m]
+                    continue
+            out[m] = (x, y)
+        return Multivector._reduced(self.algebra, out, self.den * f1)
 
     __radd__ = __add__
 
@@ -332,20 +373,18 @@ class Multivector:
         return (-self) + other
 
     def __neg__(self):
-        return Multivector(self.algebra, {m: -c for m, c in self.terms.items()})
+        return self._turned(self.algebra, lambda m: (m, 2))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
             return self.scale(other)
         self._check(other)
         self, other = Multivector._align(self, other)
+        alg = self.algebra
         if not (self.exact and other.exact):
-            alg = self.algebra
             return alg.from_dense(alg.dense_mul(self.to_dense(), other.to_dense()))
-        d1, left = integer_terms(self.terms)
-        d2, right = integer_terms(other.terms)
-        return Multivector(self.algebra, rational_terms(
-            d1 * d2, integer_product(self.algebra.flip, left, right)))
+        return Multivector._reduced(alg, integer_product(alg.flip, self.terms, other.terms),
+                                    self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
@@ -356,20 +395,23 @@ class Multivector:
         c = self.algebra.coerce_coeff(c)
         if not c:
             return self.algebra.zero()
-        mv = self
-        if mv.terms and isinstance(c, complex) != (not mv.exact):
-            if isinstance(c, complex):
-                mv = mv.to_numeric()
-            else:
-                c = complex(c)
-        return Multivector(mv.algebra, {m: k * c for m, k in mv.terms.items()})
+        if isinstance(c, complex) or not self.exact:
+            c = complex(c)
+            mv = self.to_numeric()
+            return Multivector._raw(mv.algebra, {m: k * c for m, k in mv.terms.items()})
+        # c = (p + q i) / r; a product of nonzero Gaussian integers is nonzero
+        r, (p, q) = integer_numerators([c.re, c.im])
+        return Multivector._reduced(
+            self.algebra, {m: (x * p - y * q, x * q + y * p) for m, (x, y) in self.terms.items()},
+            self.den * r)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
             other = self.algebra.scalar(other)
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+        return (self.algebra is other.algebra and self.den == other.den
+                and self.terms == other.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -378,7 +420,9 @@ class Multivector:
         c = self.terms.get(mask)
         if c is None:
             return GaussianRational.ZERO if self.exact else 0j
-        return c
+        if isinstance(c, complex):
+            return c
+        return GaussianRational._raw(Fraction(c[0], self.den), Fraction(c[1], self.den))
 
     def grades(self) -> set:
         return {m.bit_count() for m in self.terms}
@@ -393,39 +437,47 @@ class Multivector:
     def scalar_part(self):
         return self.coeff(0)
 
+    def _turned(self, algebra: CliffordAlgebra, turn, conj: bool = False) -> "Multivector":
+        """Element of ``algebra`` with i^k c at mask m' for each term c at mask m,
+        (m', k) = turn(m), c conjugated first when ``conj``. A sign is two
+        quarter turns (re, im) -> (-im, re): one rule for both kinds of data,
+        with no multiplication, that keeps ``den`` and the canonical form.
+        """
+        exact = self.exact
+        out = {}
+        for m, c in self.terms.items():
+            x, y = c if exact else (c.real, c.imag)
+            if conj:
+                y = -y
+            m, k = turn(m)
+            for _ in range(k & 3):
+                x, y = -y, x
+            out[m] = (x, y) if exact else complex(x, y)
+        return Multivector._raw(algebra, out, self.den)
+
     def bar(self) -> "Multivector":
         """Real structure: conjugate coefficients, sign per negated generator."""
         neg = self.algebra.bar_neg_mask
-        out = {}
-        for m, c in self.terms.items():
-            c = c.conjugate()
-            if (m & neg).bit_count() & 1:
-                c = -c
-            out[m] = c
-        return Multivector(self.algebra, out)
+        return self._turned(self.algebra, lambda m: (m, (m & neg).bit_count() << 1), True)
 
     def star(self) -> "Multivector":
-        """*-structure: conjugate-linear anti-involution (blade reversal)."""
+        """*-structure: conjugate-linear anti-involution (blade reversal).
+
+        Reversing k generators takes k(k-1)/2 swaps: k(k-1) quarter turns."""
         neg = self.algebra.star_neg_mask
-        out = {}
-        for m, c in self.terms.items():
-            c = c.conjugate()
-            k = m.bit_count()
-            if (k * (k - 1) // 2) & 1:
-                c = -c
-            if (m & neg).bit_count() & 1:
-                c = -c
-            out[m] = c
-        return Multivector(self.algebra, out)
+        return self._turned(self.algebra, lambda m: (
+            m, m.bit_count() * (m.bit_count() - 1) + ((m & neg).bit_count() << 1)), True)
 
     def is_real(self) -> bool:
         """All coefficients real (exact data)."""
-        return all(c.is_real for c in self.terms.values())
+        return not any(y for _, y in self.terms.values())
 
     def to_numeric(self) -> "Multivector":
         if not self.exact:
             return self
-        return Multivector(self.algebra, {m: complex(c) for m, c in self.terms.items()})
+        den = self.den
+        return Multivector._raw(self.algebra, {m: complex(x / den, y / den)
+                                               for m, (x, y) in self.terms.items()})
 
     def to_dense(self) -> np.ndarray:
         """Complex coefficient array of length 2^n, indexed by blade mask."""
@@ -447,7 +499,7 @@ class Multivector:
         """Sorted (mask, [re, im]) pairs; exact parts as "p/q" strings."""
         out = []
         for m in sorted(self.terms):
-            c = self.terms[m]
+            c = self.coeff(m)
             if isinstance(c, GaussianRational):
                 out.append([m, [f"{c.re.numerator}/{c.re.denominator}",
                                 f"{c.im.numerator}/{c.im.denominator}"]])
@@ -467,17 +519,12 @@ def vector_norm_sq(v: Multivector) -> Fraction:
         raise ValueError("input must be a pure grade-1 element")
     if any(m & v.algebra.neg_square_mask for m in v.terms):
         raise ValueError("input has weight on a generator that squares to -1")
-    total = Fraction(0)
-    for _, c in v.terms.items():
-        if not isinstance(c, GaussianRational) or not c.is_real:
-            raise ValueError("input must have real rational coefficients")
-        total += c.re * c.re
-    return total
+    if not (v.exact and v.is_real()):
+        raise ValueError("input must have real rational coefficients")
+    return Fraction(sum(x * x for x, _ in v.terms.values()), v.den * v.den)
 
 
 # -- exact products on integer numerators -------------------------------------------
-
-_ZERO = Fraction(0)
 
 
 def integer_numerators(values: list) -> tuple[int, list]:
@@ -487,21 +534,15 @@ def integer_numerators(values: list) -> tuple[int, list]:
     return den, [n * (den // d) for n, d in ratios]
 
 
-def integer_terms(terms: dict) -> tuple[int, list]:
-    """(den, [(key, re * den, im * den)]) for exact terms, by ``integer_numerators``."""
-    den, ints = integer_numerators([x for c in terms.values() for x in (c.re, c.im)])
-    return den, list(zip(terms, ints[::2], ints[1::2]))
-
-
-def integer_product(flip, left: list, right: list) -> list:
-    """Product of two ``integer_terms`` lists: [(mask, re, im)] over d1 * d2.
+def integer_product(flip, left: dict, right: dict) -> dict:
+    """Product of exact terms {mask: (re, im)}: its numerators over d1 * d2.
 
     ``flip`` is ``CliffordAlgebra.flip``; blades whose sums cancel are dropped.
     """
-    right = [(m2, flip(m2), x2, y2) for m2, x2, y2 in right]
+    right = [(m2, flip(m2), x2, y2) for m2, (x2, y2) in right.items()]
     res: dict = {}
     ims: dict = {}
-    for m1, x1, y1 in left:
+    for m1, (x1, y1) in left.items():
         for m2, f2, x2, y2 in right:
             mask = m1 ^ m2
             if (m1 & f2).bit_count() & 1:
@@ -510,14 +551,7 @@ def integer_product(flip, left: list, right: list) -> list:
             else:
                 res[mask] = res.get(mask, 0) + x1 * x2 - y1 * y2
                 ims[mask] = ims.get(mask, 0) + x1 * y2 + y1 * x2
-    return [(m, re, ims[m]) for m, re in res.items() if re or ims[m]]
-
-
-def rational_terms(den: int, triples) -> dict:
-    """Terms key -> GaussianRational(re / den, im / den): one gcd per nonzero part."""
-    raw = GaussianRational._raw
-    return {k: raw(Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
-            for k, re, im in triples}
+    return {m: (re, ims[m]) for m, re in res.items() if re or ims[m]}
 
 
 # -- graded tensor decomposition ---------------------------------------------------
@@ -540,12 +574,12 @@ def relabel(mask: int, positions) -> tuple[int, int]:
     return (-1 if swaps & 1 else 1), out
 
 
-def _relabel_terms(terms: dict, positions) -> dict:
-    out = {}
-    for m, c in terms.items():
+def _relabelled(mv: Multivector, algebra: CliffordAlgebra, positions) -> Multivector:
+    def turn(m):
         sign, m = relabel(m, positions)
-        out[m] = -c if sign < 0 else c
-    return out
+        return m, 1 - sign  # a sign of -1 is two quarter turns
+
+    return mv._turned(algebra, turn)
 
 
 class SplitSpec:
@@ -582,12 +616,12 @@ class SplitSpec:
     def split(self, mv: Multivector) -> Multivector:
         if mv.algebra is not self.algebra:
             raise ValueError("element does not live in the split algebra")
-        return Multivector(self.joined, _relabel_terms(mv.terms, self._to_joined))
+        return _relabelled(mv, self.joined, self._to_joined)
 
     def merge(self, t: Multivector) -> Multivector:
         if t.algebra is not self.joined:
             raise ValueError("element does not live in this split's tensor product")
-        return Multivector(self.algebra, _relabel_terms(t.terms, self._from_joined))
+        return _relabelled(t, self.algebra, self._from_joined)
 
 
 def graded_tensor_split(mv: Multivector, first_indices) -> tuple[SplitSpec, Multivector]:
@@ -598,24 +632,10 @@ def graded_tensor_split(mv: Multivector, first_indices) -> tuple[SplitSpec, Mult
 # -- Kasparov comparison isomorphism ------------------------------------------------
 
 
-def _i_power_times(c: GaussianRational, k: int) -> GaussianRational:
-    """i^k * c by k mod 4 quarter turns (re, im) -> (-im, re); no multiplication."""
-    for _ in range(k & 3):
-        c = GaussianRational._raw(-c.im, c.re)
-    return c
-
-
 def _turn_last_q(mv: Multivector, target: CliffordAlgebra, turn: int) -> Multivector:
     """mv in ``target``, each coefficient times i^(turn * k) for k its last-q generators."""
-    alg = mv.algebra
-    w_mask = ((1 << alg.q) - 1) << alg.p
-    out = {}
-    for mask, c in mv.terms.items():
-        k = turn * (mask & w_mask).bit_count()
-        if k:
-            c = _i_power_times(c, k) if isinstance(c, GaussianRational) else c * (1j ** (k & 3))
-        out[mask] = c
-    return Multivector(target, out)
+    w_mask = ((1 << mv.algebra.q) - 1) << mv.algebra.p
+    return mv._turned(target, lambda m: (m, turn * (m & w_mask).bit_count()))
 
 
 def to_kasparov(mv: Multivector) -> Multivector:
@@ -779,7 +799,7 @@ def format_multivector(mv: Multivector) -> str:
         return "0"
     parts = []
     for mask in sorted(mv.terms, key=lambda m: (m.bit_count(), m)):
-        c = mv.terms[mask]
+        c = mv.coeff(mask)
         blade = "".join(f"e{i + 1}" for i in range(mv.algebra.dim) if mask & (1 << i))
         if isinstance(c, GaussianRational):
             cs = _format_exact_coeff(c)

@@ -337,7 +337,7 @@ def fc_equivariance(v: Multivector) -> bool:
 
 
 def _l2_norm_sq(x: Multivector) -> Fraction:
-    return sum(c.re * c.re + c.im * c.im for c in x.terms.values())
+    return Fraction(sum(a * a + b * b for a, b in x.terms.values()), x.den * x.den)
 
 
 def alpha_conjugation_check(g: PinElement, v: Multivector, w: Multivector) -> bool:

@@ -15,14 +15,14 @@ compares; no function here takes a per-call tolerance. Both modes take the
 twisted adjoint by the same projection onto grade 1, with no product: its
 entries are l2 inner products <e_i g, g e_k>, and since x -> g x g* is an l2
 isometry, whatever is missing from a column's norm lies off grade 1. Exact
-work runs on integer numerators over one common denominator
-(``clifford.integer_numerators``): the projection, the accumulated product of
-certificate factors, and the matrix product and orthogonality test of
-``OrthogonalAction``; a Fraction is built once per output entry. Numeric work
-runs on the dense arrays: the rows e_i g and g e_k are gathered from the
-per-generator tables of the algebra, the lifts multiply only by vectors
-(``CliffordAlgebra.dense_mul_vector``, O(n 2^n)), and a numeric rho is an
-ndarray.
+data is stored as integer numerators over one denominator, in a
+``Multivector`` and in an ``OrthogonalAction`` alike, so the projection, the
+accumulated product of certificate factors, and the matrix product and
+orthogonality test run on Python ints; a Fraction is built only for a reader
+of ``OrthogonalAction.rows``. Numeric work runs on the dense arrays: the
+rows e_i g and g e_k are gathered from the per-generator tables of the
+algebra, the lifts multiply only by vectors (``CliffordAlgebra.dense_mul_vector``,
+O(n 2^n)), and a numeric rho is an ndarray.
 """
 
 from __future__ import annotations
@@ -30,16 +30,15 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .clifford import (CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_numerators,
-                       integer_product, integer_terms, rational_terms)
+                       integer_product)
 from .linalg import (check_finite, default_tol, is_unitary, random_unitary, realify,
                      unitary_eigh)
-from .scalars import GaussianRational, MultiPoly
+from .scalars import MultiPoly
 
 EVEN, ODD = 0, 1
 
@@ -48,8 +47,8 @@ _NUMERIC = "PinElement holds exact data; build a DensePin for numeric data"
 
 
 def _require_exact(mv: Multivector) -> Multivector:
-    """``mv`` itself when every coefficient is exact; numeric data is refused."""
-    if not all(isinstance(c, GaussianRational) for c in mv.terms.values()):
+    """``mv`` itself when it holds exact data; numeric data is refused."""
+    if not mv.exact:
         raise ValueError(_NUMERIC)
     return mv
 
@@ -95,17 +94,15 @@ class PinElement:
         negative-square generator also has v v* = 1, so a product of such
         factors times a phase with re^2 + im^2 = 1 is exactly unit and is
         trusted without a product check; any other product is checked as a
-        whole. The product is accumulated on integer numerators
+        whole. The factors' stored numerators are multiplied on integers
         (``clifford.integer_product``) and normalised once at the end.
         """
-        phase = algebra.coerce_coeff(phase)
-        if not isinstance(phase, GaussianRational):
-            raise ValueError(_NUMERIC)
-        if phase.re * phase.re + phase.im * phase.im != 1:
+        start = _require_exact(algebra.scalar(phase))
+        den, acc = start.den, start.terms
+        if sum(x * x + y * y for x, y in acc.values()) != den * den:
             raise ValueError("certificate phase is not a unit complex scalar")
         squares = algebra.squares
         trusted = True
-        den, acc = integer_terms({0: phase})
         vectors = [_require_exact(v if isinstance(v, Multivector) else algebra.vector(v))
                    for v in vectors]
         for v in vectors:
@@ -113,14 +110,13 @@ class PinElement:
                 raise ValueError("certificate factors must be grade-1")
             # unit vectors live in the real span of the generators, and
             # v * v is the scalar sum of squares[i] c_i^2 (cross terms cancel)
-            d, ints = integer_terms(v.terms)
-            if (any(y for _, _, y in ints)
-                    or sum(squares[m.bit_length() - 1] * x * x for m, x, _ in ints) != d * d):
+            if (not v.is_real() or sum(squares[m.bit_length() - 1] * x * x
+                                       for m, (x, _) in v.terms.items()) != v.den * v.den):
                 raise ValueError("certificate factor is not a real unit vector")
             trusted = trusted and not any(m & algebra.neg_square_mask for m in v.terms)
-            den *= d
-            acc = integer_product(algebra.flip, acc, ints)
-        value = Multivector(algebra, rational_terms(den, acc))
+            den *= v.den
+            acc = integer_product(algebra.flip, acc, v.terms)
+        value = Multivector._reduced(algebra, acc, den)
         if trusted:
             return PinElement._trusted(value, len(vectors) & 1)
         return PinElement(value)
@@ -146,55 +142,76 @@ class PinElement:
         return f"PinElement({self.value})"
 
 
-@dataclass
 class OrthogonalAction:
-    """Image of an exact Pin element under the twisted adjoint representation."""
+    """Image of an exact Pin element under the twisted adjoint representation.
 
-    rows: tuple  # tuple of row tuples of Fractions
+    The n x n matrix is ``numerators`` (row tuples of ints) over one ``den``
+    in lowest terms, so equal matrices have equal fields. The constructor
+    takes square rows of ints or Fractions; ``rows`` builds the Fractions back.
+    """
 
-    def __post_init__(self):
-        if not all(isinstance(x, (int, Fraction)) for row in self.rows for x in row):
+    __slots__ = ("den", "numerators")
+
+    def __init__(self, rows):
+        rows = [tuple(row) for row in rows]
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"OrthogonalAction is square, not {n} rows of lengths "
+                             f"{sorted({len(row) for row in rows})}")
+        if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
             raise ValueError("OrthogonalAction holds exact data; a numeric rho is an ndarray")
+        # the lcm of reduced denominators leaves no common factor
+        self.den, ints = integer_numerators([x for row in rows for x in row])
+        self.numerators = tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n))
+
+    @classmethod
+    def _reduced(cls, den: int, numerators: tuple) -> "OrthogonalAction":
+        """Action from integer rows over den > 0, divided by their gcd."""
+        g = math.gcd(den, *[x for row in numerators for x in row])
+        if g != 1:
+            den //= g
+            numerators = tuple(tuple(x // g for x in row) for row in numerators)
+        self = object.__new__(cls)
+        self.den = den
+        self.numerators = numerators
+        return self
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.numerators)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.numerators)
+
+    def __repr__(self):
+        return f"OrthogonalAction(rows={self.rows!r})"
 
     def as_numpy(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows])
-
-    def _entries(self) -> list:
-        """Every entry, row by row: entry (i, j) is at i * dim + j."""
-        return [x for row in self.rows for x in row]
+        return np.array([[x / self.den for x in row] for row in self.numerators])
 
     def __matmul__(self, other: "OrthogonalAction") -> "OrthogonalAction":
-        n = self.dim
-        d1, a = integer_numerators(self._entries())
-        d2, b = integer_numerators(other._entries())
-        den = d1 * d2
-        cols = [b[j::n] for j in range(n)]
-        return OrthogonalAction(tuple(
-            tuple(Fraction(sum(map(operator.mul, a[i:i + n], col)), den) for col in cols)
-            for i in range(0, n * n, n)))
+        if self.dim != other.dim:
+            raise ValueError(
+                f"cannot compose OrthogonalActions of sizes {self.dim} and {other.dim}")
+        cols = list(zip(*other.numerators))
+        return OrthogonalAction._reduced(self.den * other.den, tuple(
+            tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.numerators))
 
     def transpose(self) -> "OrthogonalAction":
-        n = self.dim
-        return OrthogonalAction(tuple(tuple(self.rows[j][i] for j in range(n))
-                                      for i in range(n)))
+        return OrthogonalAction._reduced(self.den, tuple(zip(*self.numerators)))
 
     def is_orthogonal(self) -> bool:
         """M^T M = 1 exactly, as integer column products against den^2."""
-        n = self.dim
-        den, a = integer_numerators(self._entries())
-        cols = [a[j::n] for j in range(n)]
-        den2 = den * den
+        cols = list(zip(*self.numerators))
+        den2 = self.den * self.den
         return all(sum(map(operator.mul, cols[i], cols[j])) == (den2 if i == j else 0)
                    for i in range(len(cols)) for j in range(i, len(cols)))
 
     def __eq__(self, other):
         if not isinstance(other, OrthogonalAction):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.numerators == other.numerators
 
 
 class DensePin:
@@ -271,9 +288,8 @@ def twisted_adjoint(g: PinElement | DensePin) -> OrthogonalAction | np.ndarray:
     <x* y>_0 is the l2 inner product <x, y> = sum_m conj(x_m) y_m, and since
     <.>_0 is a trace the e_i coefficient of g e_k g* is
     <e_i* g e_k g*>_0 = <(e_i g)* (g e_k)>_0 = <e_i g, g e_k>. Both e_i g and
-    g e_k are signed relabellings of the support of g, so with g brought to
-    one denominator D an entry is a sum of integer products, divided by D^2
-    only when the Fraction entry is built.
+    g e_k are signed relabellings of the support of g, so with g stored over
+    one denominator D an entry is a sum of integer products over D^2.
 
     No tolerance is involved. An entry whose imaginary sum is nonzero is
     non-real. Grade 1 is preserved exactly when every column has sum
@@ -284,22 +300,23 @@ def twisted_adjoint(g: PinElement | DensePin) -> OrthogonalAction | np.ndarray:
     """
     if isinstance(g, DensePin):
         return _twisted_adjoint_numeric(g)
-    alg = g.algebra
-    n = alg.dim
-    blade_product = alg.blade_product
-    den, g_ints = integer_terms(g.value.terms)
-    # g e_k as (blade, re, im) and e_i g as blade -> (re, im), all over den
+    flip = g.algebra.flip
+    den = g.value.den
+    terms = [(m, flip(m), x, y) for m, (x, y) in g.value.terms.items()]
+    # g e_k as (blade, re, im) and e_k g as blade -> (re, im), all over den;
+    # the signs of m * gen and gen * m come from ``CliffordAlgebra.flip``
     lefts = []
     rights = []
-    for k in range(n):
+    for k in range(g.algebra.dim):
         gen = 1 << k
+        flip_gen = flip(gen)
         left = []
         right = {}
-        for m, x, y in g_ints:
-            sign, mask = blade_product(m, gen)
-            left.append((mask, sign * x, sign * y))
-            sign, mask = blade_product(gen, m)
-            right[mask] = (sign * x, sign * y)
+        for m, flip_m, x, y in terms:
+            s = -1 if (m & flip_gen).bit_count() & 1 else 1
+            left.append((m ^ gen, s * x, s * y))
+            s = -1 if (gen & flip_m).bit_count() & 1 else 1
+            right[m ^ gen] = (s * x, s * y)
         lefts.append(left)
         rights.append(right)
     sign = -1 if g.parity == ODD else 1
@@ -321,9 +338,7 @@ def twisted_adjoint(g: PinElement | DensePin) -> OrthogonalAction | np.ndarray:
         if sum(c * c for c in col) != den4:
             raise ValueError(_OFF_GRADE)
         cols.append(col)
-    den2 = den * den
-    return OrthogonalAction(tuple(tuple(Fraction(col[i], den2) for col in cols)
-                                  for i in range(n)))
+    return OrthogonalAction._reduced(den * den, tuple(zip(*cols)))
 
 
 def _twisted_adjoint_numeric(g: DensePin) -> np.ndarray:
@@ -363,8 +378,9 @@ def check_rho_real_equivariance(g: PinElement, rho: OrthogonalAction | None = No
     if rho is None:
         rho = twisted_adjoint(g)
     d = g.algebra.bar_signs
-    return lhs == OrthogonalAction(tuple(
-        tuple(x * (d[i] * d[j]) for j, x in enumerate(row)) for i, row in enumerate(rho.rows)))
+    return lhs == OrthogonalAction._reduced(rho.den, tuple(
+        tuple(x * (d[i] * d[j]) for j, x in enumerate(row))
+        for i, row in enumerate(rho.numerators)))
 
 
 def is_fixed_spinc(g: PinElement | DensePin) -> bool:

