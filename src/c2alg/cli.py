@@ -264,7 +264,10 @@ def _cmd_obstruction(args) -> int:
         q = rational_from_string(args.genus)
     except ValueError as exc:
         raise UsageError(f"bad rational {args.genus!r}") from exc
-    cert = mackey.fixed_point_obstruction(q)
+    try:
+        cert = mackey.fixed_point_obstruction(q)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = {
         "command": "obstruction",
         "inputs": {"genus": rational_to_string(q)},

@@ -469,8 +469,10 @@ class Multivector:
             m, m.bit_count() * (m.bit_count() - 1) + ((m & neg).bit_count() << 1)), True)
 
     def is_real(self) -> bool:
-        """All coefficients real (exact data)."""
-        return not any(y for _, y in self.terms.values())
+        """All coefficients real."""
+        if self.exact:
+            return not any(y for _, y in self.terms.values())
+        return not any(c.imag for c in self.terms.values())
 
     def to_numeric(self) -> "Multivector":
         if not self.exact:

@@ -281,20 +281,23 @@ def product_data(a: CharClassData, b: CharClassData) -> CharClassData:
     p_i(M x N) = sum_r p_r(M) p_{i-r}(N), so the number of p_{i_1} ... p_{i_m}
     sums a-number times b-number over the splits 0 <= a_t <= i_t with
     4 sum(a_t) = dim M: the a side takes the nonzero a_t, the b side the
-    nonzero i_t - a_t.
+    nonzero i_t - a_t, each looked up as a descending tuple in ``numbers``.
     """
     dim = a.dim + b.dim
     if dim % 4 != 0:
         return CharClassData(dim)
     numbers = {}
     for part in partitions(dim // 4):
-        total = Fraction(0)
+        total = 0
         for split in itertools.product(*(range(i + 1) for i in part)):
             if 4 * sum(split) != a.dim:
                 continue
-            na = a.number([x for x in split if x])
+            na = a.numbers.get(tuple(sorted((x for x in split if x), reverse=True)))
             if na:
-                total += na * b.number([i - x for i, x in zip(part, split) if i != x])
+                nb = b.numbers.get(tuple(sorted((i - x for i, x in zip(part, split) if i != x),
+                                                reverse=True)))
+                if nb:
+                    total += na * nb
         if total:
             numbers[part] = total
     return CharClassData(dim, numbers)

@@ -8,6 +8,7 @@ against the double-precision tolerance.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import funcalc, genus, mackey
-from .clifford import ccl, from_kasparov, graded_tensor_split, integer_numerators, to_kasparov
+from .clifford import Multivector, ccl, from_kasparov, graded_tensor_split, to_kasparov
 from .linalg import default_tol, random_unitary, realify
 from .pin_spin import (PinElement, check_rho_real_equivariance,
                        iv_model_action, phi_lift, rho_residual, spin_lift,
@@ -27,8 +28,8 @@ SUITE_NAMES = ["clifford", "pin-spin", "genus", "mackey", "functional-calculus"]
 MAX_REPORTED_FAILURES = 20
 
 # Largest case count the CLI accepts. Time is linear in the count and memory
-# flat: cold `verify --suite all` takes about 0.84 s at 100 cases, 4.6 s at
-# 1000 and 12.6 s at 3000 (peak RSS 41 MiB throughout) on a 2-vCPU Xeon VM
+# flat: cold `verify --suite all` takes about 0.71 s at 100 cases, 3.5 s at
+# 1000 and 8.8 s at 3000 (peak RSS 41 MiB throughout) on a 2-vCPU Xeon VM
 # with Python 3.11, so a run at the cap ends in under a minute.
 MAX_CASES = 10_000
 
@@ -72,47 +73,77 @@ def _np_rng(seed: int, salt: str) -> np.random.Generator:
 # -- random exact data ----------------------------------------------------------------
 
 
+def _ratio(rng, num=6, den=4) -> tuple[int, int]:
+    """The draws of ``rand_fraction``: (numerator, denominator), not reduced."""
+    return rng.randint(-num, num), rng.randint(1, den)
+
+
 def rand_fraction(rng, num=6, den=4) -> Fraction:
-    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+    return Fraction(*_ratio(rng, num, den))
+
+
+def _coeff_ratio(rng) -> tuple[int, int, int, int]:
+    """The draws of ``rand_coeff``: (a, b, c, d) for a/b + (c/d) i."""
+    roll = rng.random()
+    if roll < 0.4:
+        return (*_ratio(rng), 0, 1)
+    if roll < 0.8:
+        return (0, 1, *_ratio(rng))
+    return (*_ratio(rng), *_ratio(rng))
 
 
 def rand_coeff(rng) -> GaussianRational:
-    roll = rng.random()
-    if roll < 0.4:
-        return GaussianRational(rand_fraction(rng))
-    if roll < 0.8:
-        return GaussianRational(0, rand_fraction(rng))
-    return GaussianRational(rand_fraction(rng), rand_fraction(rng))
+    a, b, c, d = _coeff_ratio(rng)
+    return GaussianRational(Fraction(a, b), Fraction(c, d))
+
+
+def _exact(alg, ratios: dict) -> Multivector:
+    """Exact element with a/b + (c/d) i at each mask of {mask: (a, b, c, d)}.
+
+    The numerators go over the lcm of the raw denominators; one gcd
+    (``Multivector._reduced``) brings them to the canonical form.
+    """
+    den = math.lcm(*[x for _, b, _, d in ratios.values() for x in (b, d)])
+    return Multivector._reduced(alg, {m: (a * (den // b), c * (den // d))
+                                      for m, (a, b, c, d) in ratios.items() if a or c}, den)
 
 
 def rand_multivector(rng, alg, max_terms=4):
-    terms = {}
+    ratios = {}
     for _ in range(rng.randint(1, max_terms)):
-        c = rand_coeff(rng)
-        if c:
-            terms[rng.randrange(1 << alg.dim)] = c
-    return alg.from_terms(terms)
+        c = _coeff_ratio(rng)
+        if c[0] or c[2]:
+            ratios[rng.randrange(1 << alg.dim)] = c
+    return _exact(alg, ratios)
 
 
 def rand_real_vector(rng, alg):
-    return alg.vector([rand_fraction(rng) for _ in range(alg.dim)])
+    return _exact(alg, {1 << i: (*_ratio(rng), 0, 1) for i in range(alg.dim)})
 
 
 def rational_unit_vector(rng, alg):
-    """Unit grade-1 vector with rational coordinates (stereographic sampling)."""
-    t = [rand_fraction(rng, 3, 3) for _ in range(alg.dim - 1)]
-    s = sum((x * x for x in t), Fraction(0))
-    den = 1 + s
-    coords = [(1 - s) / den] + [2 * x / den for x in t]
+    """Unit grade-1 vector with rational coordinates (stereographic sampling).
+
+    With t_i = A_i / L over the lcm L of the drawn denominators, the point is
+    (L^2 - sum A^2, 2 A_i L) / (L^2 + sum A^2), before a shuffle and signs.
+    """
+    if not alg.dim:
+        raise ValueError(f"{alg.label} has no unit vector")
+    t = [_ratio(rng, 3, 3) for _ in range(alg.dim - 1)]
+    lcm = math.lcm(*[d for _, d in t])
+    nums = [n * (lcm // d) for n, d in t]
+    s = sum(a * a for a in nums)
+    coords = [lcm * lcm - s] + [2 * a * lcm for a in nums]
     rng.shuffle(coords)
     coords = [c if rng.random() < 0.5 else -c for c in coords]
-    return alg.vector(coords)
+    return _exact(alg, {1 << k: (c, lcm * lcm + s, 0, 1) for k, c in enumerate(coords)})
 
 
 def rational_phase(rng) -> GaussianRational:
-    t = rand_fraction(rng, 3, 3)
-    den = 1 + t * t
-    return GaussianRational((1 - t * t) / den, 2 * t / den)
+    """(1 - t^2 + 2t i) / (1 + t^2) for a drawn t = a/b, on integers."""
+    a, b = _ratio(rng, 3, 3)
+    den = a * a + b * b
+    return GaussianRational(Fraction(b * b - a * a, den), Fraction(2 * a * b, den))
 
 
 def rand_pin(rng, alg, max_factors=4, force_even=None, with_phase=True) -> PinElement:
@@ -155,9 +186,9 @@ def suite_clifford(seed: int, cases: int) -> SuiteResult:
 
         v = rand_real_vector(rng, alg)
         w = rand_real_vector(rng, alg)
-        dot = sum((v.coeff(1 << k).re * w.coeff(1 << k).re for k in range(alg.dim)),
-                  Fraction(0))
-        result.check(v * w + w * v == alg.scalar(2 * dot), f"polarization case {i}")
+        dot = sum(a * b for a, b in zip(_numerators(v), _numerators(w)))
+        twice_dot = Multivector._reduced(alg, {0: (2 * dot, 0)} if dot else {}, v.den * w.den)
+        result.check(v * w + w * v == twice_dot, f"polarization case {i}")
 
         result.check(x.bar().bar() == x, f"bar involution case {i}")
         result.check((x * y).bar() == x.bar() * y.bar(), f"bar multiplicative case {i}")
@@ -188,10 +219,15 @@ def suite_clifford(seed: int, cases: int) -> SuiteResult:
     return result
 
 
-def _apply_exact(action, coeffs):
-    den, ints = integer_numerators(coeffs)
-    den *= action.den
-    return [Fraction(sum(a * b for a, b in zip(row, ints)), den) for row in action.numerators]
+def _maps_to(action, vec, sign) -> bool:
+    """Does the exact action send the integer column vec to sign * vec?"""
+    return all(sum(a * b for a, b in zip(row, vec)) == sign * action.den * x
+               for row, x in zip(action.numerators, vec))
+
+
+def _numerators(v) -> list:
+    """Real numerators of a grade-1 exact element, one per generator, over v.den."""
+    return [v.terms.get(1 << k, (0, 0))[0] for k in range(v.algebra.dim)]
 
 
 def suite_rho(seed: int, cases: int) -> SuiteResult:
@@ -216,14 +252,14 @@ def suite_rho(seed: int, cases: int) -> SuiteResult:
 
         u = rational_unit_vector(rng, alg)
         rho_u = twisted_adjoint(PinElement.from_factors(alg, [u]))
-        ucoeffs = [u.coeff(1 << k).re for k in range(alg.dim)]
-        result.check(_apply_exact(rho_u, ucoeffs) == [-c for c in ucoeffs],
-                     f"reflection negates axis case {i}")
+        # over u.den and w.den: u -> -u, and w - (u.w) u (u is unit) is fixed
+        unum = _numerators(u)
+        result.check(_maps_to(rho_u, unum, -1), f"reflection negates axis case {i}")
         w = rand_real_vector(rng, alg)
-        wcoeffs = [w.coeff(1 << k).re for k in range(alg.dim)]
-        proj = sum(a * b for a, b in zip(ucoeffs, wcoeffs))
-        perp = [b - proj * a for a, b in zip(ucoeffs, wcoeffs)]
-        result.check(_apply_exact(rho_u, perp) == perp,
+        wnum = _numerators(w)
+        proj = sum(a * b for a, b in zip(unum, wnum))
+        perp = [b * u.den * u.den - proj * a for a, b in zip(unum, wnum)]
+        result.check(_maps_to(rho_u, perp, 1),
                      f"reflection fixes complement case {i}")
     return result
 

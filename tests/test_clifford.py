@@ -179,6 +179,14 @@ class TestRealStructure:
             assert x.bar().bar() == x
             assert x.bar().grades() == x.grades()
 
+    def test_is_real_on_exact_and_numeric_data(self):
+        alg = ccl(2, 0)
+        e1 = alg.generator(1)
+        for real in (alg.scalar(Fraction(1, 2)), alg.scalar(0.5), e1 + 0.25, alg.zero()):
+            assert real.is_real() is True
+        for non_real in (e1.scale(I), e1 + 0.5j, alg.scalar(1 + 1e-300j)):
+            assert non_real.is_real() is False
+
 
 class TestStar:
     def test_vector_fixed(self):

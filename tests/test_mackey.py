@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from c2alg.mackey import (AbelianGroup, FIXTURE_EXPECTED, MackeyPresentation,
+from c2alg.mackey import (MAX_PERIOD, AbelianGroup, FIXTURE_EXPECTED, MackeyPresentation,
                           check_mackey_axioms, fixed_point_obstruction,
                           fixture_presentations, map_well_defined, mat_mul,
                           obstruction_value, obstruction_chain_report)
@@ -137,6 +138,24 @@ class TestObstruction:
             assert cert.period == (2 * q).denominator
             assert len(cert.residues) == cert.period
             assert cert.obstructed == all(r != 0 for r in cert.residues)
+
+    def test_residues_match_the_fractional_part_of_the_value(self):
+        # every q = a/b with |a| <= 40, b <= 30, integral and negative ones included
+        for a in range(-40, 41):
+            for b in range(1, 31):
+                q = Fraction(a, b)
+                cert = fixed_point_obstruction(q)
+                values = [obstruction_value(q, m) for m in range(cert.period)]
+                expected = [v - math.floor(v) for v in values]
+                assert cert.residues == expected, q
+                assert cert.witness == next(
+                    (m for m, r in enumerate(expected) if r == 0), None), q
+
+    def test_period_above_the_cap_is_refused(self):
+        assert fixed_point_obstruction(Fraction(1, 2 * MAX_PERIOD)).period == MAX_PERIOD
+        for q in (Fraction(1, 2 * MAX_PERIOD + 2), Fraction(1, 10**9), Fraction(1, 1000000007)):
+            with pytest.raises(ValueError, match="exceeds the supported maximum"):
+                fixed_point_obstruction(q)
 
 
 class TestObstructionChainReport:

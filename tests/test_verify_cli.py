@@ -293,6 +293,8 @@ MALFORMED_INPUTS = [
     (["verify", "--suite", "all", "--cases", str(MAX_CASES + 1)], None),
     (["spin-lift", "--matrix", "FILE"], _HUGE_ENTRIES),
     (["phi-lift", "--unitary", "FILE"], _HUGE_ENTRIES),
+    (["obstruction", "--genus", "1e-9"], None),
+    (["obstruction", "--genus", "1/1000000007"], None),
 ]
 
 
@@ -303,7 +305,8 @@ MALFORMED_INPUTS = [
                               "ahat-cp40", "ahat-huge-power", "ahat-dim-200",
                               "spin-lift-empty", "phi-lift-empty", "huge-exponent",
                               "huge-signature", "negative-cases", "cases-above-cap",
-                              "spin-lift-overflow", "phi-lift-overflow"])
+                              "spin-lift-overflow", "phi-lift-overflow",
+                              "genus-period-1e-9", "genus-period-prime"])
 def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
