@@ -155,17 +155,40 @@ def _cmd_clifford(args) -> int:
     return EXIT_OK
 
 
+def _format_float_coeff(c: complex) -> str:
+    if c.imag == 0:
+        return repr(c.real)
+    if c.real == 0:
+        return f"{c.imag!r}*i"
+    sign = "+" if c.imag >= 0 else "-"
+    return f"({c.real!r} {sign} {abs(c.imag)!r}*i)"
+
+
 def _lift_report(command: str, matrix, element, residuals: dict) -> dict:
+    """Report of a ``DensePin`` lift; every nonzero entry of its array is a term.
+
+    ``terms`` lists (mask, [re, im]) by mask; ``expression`` writes the
+    same entries as coefficient*blade, ordered by (grade, mask), with float
+    ``repr`` coefficients.
+    """
+    import numpy as np
+
     from .linalg import matrix_to_json
 
     tol = default_tol()
-    value = element.algebra.from_dense(element.values)
+    support = np.flatnonzero(element.values).tolist()
+    coeffs = element.values[support].tolist()
+    parts = []
+    for m, c in sorted(zip(support, coeffs), key=lambda t: (t[0].bit_count(), t[0])):
+        blade = "".join(f"e{i + 1}" for i in range(m.bit_length()) if m >> i & 1)
+        cs = _format_float_coeff(c)
+        parts.append(f"{cs}*{blade}" if blade else cs)
     return {
         "command": command,
         "inputs": {"matrix": matrix_to_json(matrix)},
         "outputs": {
-            "expression": str(value),
-            "terms": value.serialized_terms(),
+            "expression": " + ".join(parts).replace("+ -", "- "),
+            "terms": [[m, [c.real, c.imag]] for m, c in zip(support, coeffs)],
             "parity": "even" if element.parity == 0 else "odd",
             "generator_convention": element.algebra.convention,
             "metadata": element.meta,
@@ -173,6 +196,15 @@ def _lift_report(command: str, matrix, element, residuals: dict) -> dict:
         "residuals": residuals,
         "verdict": "pass" if all(v <= tol for v in residuals.values()) else "fail",
     }
+
+
+def _emit_lift(args, command: str, matrix, element, residuals: dict) -> int:
+    report = _lift_report(command, matrix, element, residuals)
+    _emit(report, args.json, [
+        f"lift: {report['outputs']['expression']}",
+        *(f"residual {k}: {v:.3e}" for k, v in residuals.items()),
+    ])
+    return EXIT_OK if report["verdict"] == "pass" else EXIT_FAIL
 
 
 def _cmd_spin_lift(args) -> int:
@@ -193,12 +225,7 @@ def _cmd_spin_lift(args) -> int:
         "unit": unit_residual(g),
         "real_equivariance": float(np.max(np.abs(g.values - g.algebra.dense_bar(g.values)))),
     }
-    report = _lift_report("spin-lift", M, g, residuals)
-    _emit(report, args.json, [
-        f"lift: {report['outputs']['expression']}",
-        *(f"residual {k}: {v:.3e}" for k, v in residuals.items()),
-    ])
-    return EXIT_OK if report["verdict"] == "pass" else EXIT_FAIL
+    return _emit_lift(args, "spin-lift", M, g, residuals)
 
 
 def _cmd_phi_lift(args) -> int:
@@ -219,12 +246,7 @@ def _cmd_phi_lift(args) -> int:
         "real_equivariance": float(
             np.max(np.abs(conj_lift.values - g.algebra.dense_bar(g.values)))),
     }
-    report = _lift_report("phi-lift", U, g, residuals)
-    _emit(report, args.json, [
-        f"lift: {report['outputs']['expression']}",
-        *(f"residual {k}: {v:.3e}" for k, v in residuals.items()),
-    ])
-    return EXIT_OK if report["verdict"] == "pass" else EXIT_FAIL
+    return _emit_lift(args, "phi-lift", U, g, residuals)
 
 
 def _cmd_ahat(args) -> int:

@@ -1,20 +1,23 @@
 """Finite-dimensional graded Clifford-type algebras with Real and *-structures.
 
-Blades are bitmasks over generator indices 1..p+q; coefficients are either
-exact (Gaussian rationals) or numeric (complex). Every blade-product sign
-comes from one bit-arithmetic rule (``CliffordAlgebra.flip``). An exact
-element is stored as integer numerators (re, im) per blade over one
-denominator, in lowest terms, so a product runs the sparse loop over term
-pairs on Python ints (``integer_product``) and ends with one gcd, and sums,
-conjugations and comparisons touch no Fraction. A GaussianRational is built
-only at the edges: parsing, ``coeff``, formatting and serialisation. Numeric
-products run a dense kernel over complex arrays of length 2^n indexed by
-blade mask; its methods import numpy where they run, so exact work never
+Blades are bitmasks over generator indices 1..p+q. Every blade-product sign
+comes from one bit-arithmetic rule (``CliffordAlgebra.flip``). A
+``Multivector`` is exact: Gaussian-rational coefficients stored as integer
+numerators (re, im) per blade over one denominator, in lowest terms, so a
+product runs the sparse loop over term pairs on Python ints
+(``integer_product``) and ends with one gcd, and sums, conjugations and
+comparisons touch no Fraction. A GaussianRational is built only at the
+edges: parsing, ``coeff``, formatting and serialisation. Numeric data is not
+a ``Multivector`` but a complex array of length 2^n indexed by blade mask
+(``Multivector.to_dense`` converts); its one product is by a vector
+(``CliffordAlgebra.dense_mul_vector``), and ``dense_bar`` is its Real
+structure. These methods import numpy where they run, so exact work never
 loads it.
-Both serve the complexified Clifford algebras CCl(p,q) (all generators square
-to +1, Real structure fixes the first p generators and negates the last q),
-the Kasparov-style presentation C_{p,q} (last q generators square to -1), and
-the interleaved model of CCl(n,n) used by the unitary-group lifts.
+Both modes serve the complexified Clifford algebras CCl(p,q) (all
+generators square to +1, Real structure fixes the first p generators and
+negates the last q), the Kasparov-style presentation C_{p,q} (last q
+generators square to -1), and the interleaved model of CCl(n,n) used by the
+unitary-group lifts.
 A graded tensor split CCl(V + W) = CCl(V) (x) CCl(W) is a relabelling of
 generators (``relabel``) into one joined algebra (``SplitSpec.joined``), whose
 reordering sign is the Koszul sign; the tensor product is a ``Multivector``
@@ -32,12 +35,6 @@ from .scalars import GaussianRational
 
 # _below_parity, and with it every blade sign, is valid for masks below 2^16.
 MAX_GENERATORS = 16
-
-# Element budget of one temporary block in the dense kernel: support elements
-# are taken in chunks whose gathered copies (chunk x 2^n) stay within it.
-# 2^14 complex values (256 KiB) fit in cache; 2^15 and above measured slower
-# on products at n = 8..10.
-_DENSE_BLOCK = 16384
 
 
 def _below_parity(m):
@@ -125,31 +122,6 @@ class CliffordAlgebra:
             self._dense_tables = (index, parity, flip, bar_sign)
         return self._dense_tables
 
-    def dense_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product a * b of dense numeric elements (complex arrays by blade mask).
-
-        The loop runs over the support of the sparser operand and adds one
-        signed, XOR-permuted copy of the other operand per support element,
-        a chunk of copies at a time as one matrix product.
-        """
-        import numpy as np
-
-        index, parity, flip = self._tables()[:3]
-        out = np.zeros(index.size, dtype=complex)
-        a_support = np.flatnonzero(a)
-        b_support = np.flatnonzero(b)
-        left = a_support.size < b_support.size
-        support = a_support if left else b_support
-        step = max(1, _DENSE_BLOCK // index.size)
-        for start in range(0, support.size, step):
-            m = support[start:start + step, None]
-            idx = index ^ m
-            if left:
-                out += a[m[:, 0]] @ (parity[m & flip[idx]] * b[idx])
-            else:
-                out += b[m[:, 0]] @ (parity[idx & flip[m]] * a[idx])
-        return out
-
     def _generator_tables(self):
         """(perm, right, left) arrays of shape (n, 2^n), built on first use.
 
@@ -169,8 +141,9 @@ class CliffordAlgebra:
     def dense_mul_vector(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Product a * (sum_i u_i e_i) of dense elements ``a`` and a vector ``u``.
 
-        One gather and one contraction over the n generators: O(n 2^n),
-        against O(4^n) for a ``dense_mul`` by the dense form of the vector.
+        One gather and one contraction over the n generators: O(n 2^n). It is
+        the only numeric product: a spectral element is built as a product of
+        vectors.
         """
         perm, right, _ = self._generator_tables()
         return u @ (a[perm] * right)
@@ -178,12 +151,6 @@ class CliffordAlgebra:
     def dense_bar(self, values: np.ndarray) -> np.ndarray:
         """The Real structure on dense numeric elements."""
         return values.conj() * self._tables()[3]
-
-    def from_dense(self, values: np.ndarray) -> "Multivector":
-        import numpy as np
-
-        support = np.flatnonzero(values)
-        return Multivector._raw(self, dict(zip(support.tolist(), values[support].tolist())))
 
     # -- constructors for elements -------------------------------------------------
 
@@ -217,14 +184,14 @@ class CliffordAlgebra:
         return Multivector(self, {1 << i: c for i, c in enumerate(coeffs)})
 
     @staticmethod
-    def coerce_coeff(c):
+    def coerce_coeff(c) -> GaussianRational:
+        """An exact coefficient; anything else, a float included, is a TypeError."""
         if isinstance(c, GaussianRational):
             return c
         if isinstance(c, (int, Fraction)):
             return GaussianRational(c)
-        if isinstance(c, (float, complex)):
-            return complex(c)
-        raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+        raise TypeError(f"coefficients are exact (int, Fraction or GaussianRational), "
+                        f"not {type(c).__name__}; numeric data is a dense array")
 
     def parse(self, text: str) -> "Multivector":
         return parse_multivector(text, self)
@@ -272,24 +239,24 @@ def ccl_interleaved(n: int) -> CliffordAlgebra:
 
 
 class Multivector:
-    """Sparse graded algebra element: blade mask -> coefficient.
+    """Sparse exact graded algebra element: blade mask -> Gaussian rational.
 
-    Exact ``terms`` map a mask to Python ints (re, im), the coefficient being
+    ``terms`` map a mask to Python ints (re, im), the coefficient being
     (re + im i) / ``den``, in canonical form: den >= 1, gcd(den, numerators)
-    = 1, no (0, 0) pair, den = 1 when empty. Numeric terms are complex, with
-    den = 1. The constructor coerces each coefficient (``coerce_coeff``); one
-    numeric coefficient makes the whole element numeric, so kinds never mix.
+    = 1, no (0, 0) pair, den = 1 when empty. The constructor coerces each
+    coefficient (``coerce_coeff``), which refuses floats: numeric data is a
+    dense array (``to_dense``), not a ``Multivector``.
     """
 
     __slots__ = ("algebra", "terms", "den")
 
+    # Every element is exact. The constant stays because the benchmark's
+    # product tracer (perfbench/tracing.py, ``classify_mul``) reads it.
+    exact = True
+
     def __init__(self, algebra: CliffordAlgebra, terms: dict):
         coeffs = {m: algebra.coerce_coeff(c) for m, c in terms.items()}
         self.algebra = algebra
-        self.den = 1
-        if any(isinstance(c, complex) for c in coeffs.values()):
-            self.terms = {m: complex(c) for m, c in coeffs.items() if c}
-            return
         # the lcm of reduced denominators leaves no common factor
         self.den, ints = integer_numerators([x for c in coeffs.values() for x in (c.re, c.im)])
         self.terms = {m: (x, y) for m, x, y in zip(coeffs, ints[::2], ints[1::2]) if x or y}
@@ -313,39 +280,15 @@ class Multivector:
                 terms = {m: (x // g, y // g) for m, (x, y) in terms.items()}
         return cls._raw(algebra, terms, den)
 
-    @property
-    def exact(self) -> bool:
-        for c in self.terms.values():
-            return type(c) is tuple
-        return True
-
     def _check(self, other: "Multivector"):
         if self.algebra is not other.algebra:
             raise ValueError(
                 f"signature mismatch: {self.algebra.label} vs {other.algebra.label}")
 
-    @staticmethod
-    def _align(a: "Multivector", b: "Multivector"):
-        """Float contagion: an exact operand converts when paired with numeric data."""
-        if a.terms and b.terms and a.exact != b.exact:
-            return a.to_numeric(), b.to_numeric()
-        return a, b
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
+        if not isinstance(other, Multivector):
             other = self.algebra.scalar(other)
         self._check(other)
-        self, other = Multivector._align(self, other)
-        if not (self.exact and other.exact):
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                acc = out.get(m)
-                s = c if acc is None else acc + c
-                if s:
-                    out[m] = s
-                elif acc is not None:
-                    del out[m]
-            return Multivector._raw(self.algebra, out)
         # bring both to the lcm of the denominators, add pairs, drop cancelled blades
         g = math.gcd(self.den, other.den)
         f1, f2 = other.den // g, self.den // g
@@ -365,8 +308,6 @@ class Multivector:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
-            other = self.algebra.scalar(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -376,29 +317,20 @@ class Multivector:
         return self._turned(self.algebra, lambda m: (m, 2))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
+        if not isinstance(other, Multivector):
             return self.scale(other)
         self._check(other)
-        self, other = Multivector._align(self, other)
         alg = self.algebra
-        if not (self.exact and other.exact):
-            return alg.from_dense(alg.dense_mul(self.to_dense(), other.to_dense()))
         return Multivector._reduced(alg, integer_product(alg.flip, self.terms, other.terms),
                                     self.den * other.den)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)  # only a scalar reaches here, and scalars are central
 
     def scale(self, c) -> "Multivector":
         c = self.algebra.coerce_coeff(c)
         if not c:
             return self.algebra.zero()
-        if isinstance(c, complex) or not self.exact:
-            c = complex(c)
-            mv = self.to_numeric()
-            return Multivector._raw(mv.algebra, {m: k * c for m, k in mv.terms.items()})
         # c = (p + q i) / r; a product of nonzero Gaussian integers is nonzero
         r, (p, q) = integer_numerators([c.re, c.im])
         return Multivector._reduced(
@@ -406,7 +338,7 @@ class Multivector:
             self.den * r)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
+        if isinstance(other, (int, Fraction, GaussianRational)):
             other = self.algebra.scalar(other)
         if not isinstance(other, Multivector):
             return NotImplemented
@@ -419,9 +351,7 @@ class Multivector:
     def coeff(self, mask: int):
         c = self.terms.get(mask)
         if c is None:
-            return GaussianRational.ZERO if self.exact else 0j
-        if isinstance(c, complex):
-            return c
+            return GaussianRational.ZERO
         return GaussianRational._raw(Fraction(c[0], self.den), Fraction(c[1], self.den))
 
     def grades(self) -> set:
@@ -440,19 +370,17 @@ class Multivector:
     def _turned(self, algebra: CliffordAlgebra, turn, conj: bool = False) -> "Multivector":
         """Element of ``algebra`` with i^k c at mask m' for each term c at mask m,
         (m', k) = turn(m), c conjugated first when ``conj``. A sign is two
-        quarter turns (re, im) -> (-im, re): one rule for both kinds of data,
-        with no multiplication, that keeps ``den`` and the canonical form.
+        quarter turns (re, im) -> (-im, re): one rule, with no multiplication,
+        that keeps ``den`` and the canonical form.
         """
-        exact = self.exact
         out = {}
-        for m, c in self.terms.items():
-            x, y = c if exact else (c.real, c.imag)
+        for m, (x, y) in self.terms.items():
             if conj:
                 y = -y
             m, k = turn(m)
             for _ in range(k & 3):
                 x, y = -y, x
-            out[m] = (x, y) if exact else complex(x, y)
+            out[m] = (x, y)
         return Multivector._raw(algebra, out, self.den)
 
     def bar(self) -> "Multivector":
@@ -470,25 +398,16 @@ class Multivector:
 
     def is_real(self) -> bool:
         """All coefficients real."""
-        if self.exact:
-            return not any(y for _, y in self.terms.values())
-        return not any(c.imag for c in self.terms.values())
-
-    def to_numeric(self) -> "Multivector":
-        if not self.exact:
-            return self
-        den = self.den
-        return Multivector._raw(self.algebra, {m: complex(x / den, y / den)
-                                               for m, (x, y) in self.terms.items()})
+        return not any(y for _, y in self.terms.values())
 
     def to_dense(self) -> np.ndarray:
         """Complex coefficient array of length 2^n, indexed by blade mask."""
         import numpy as np
 
         out = np.zeros(1 << self.algebra.dim, dtype=complex)
-        terms = self.to_numeric().terms
-        if terms:
-            out[list(terms)] = list(terms.values())
+        if self.terms:
+            den = self.den
+            out[list(self.terms)] = [complex(x / den, y / den) for x, y in self.terms.values()]
         return out
 
     def __str__(self):
@@ -498,15 +417,12 @@ class Multivector:
         return f"Multivector({self.algebra.label}: {format_multivector(self)})"
 
     def serialized_terms(self) -> list:
-        """Sorted (mask, [re, im]) pairs; exact parts as "p/q" strings."""
+        """Sorted (mask, [re, im]) pairs, each part a "p/q" string in lowest terms."""
         out = []
         for m in sorted(self.terms):
             c = self.coeff(m)
-            if isinstance(c, GaussianRational):
-                out.append([m, [f"{c.re.numerator}/{c.re.denominator}",
-                                f"{c.im.numerator}/{c.im.denominator}"]])
-            else:
-                out.append([m, [c.real, c.imag]])
+            out.append([m, [f"{c.re.numerator}/{c.re.denominator}",
+                            f"{c.im.numerator}/{c.im.denominator}"]])
         return out
 
 
@@ -521,7 +437,7 @@ def vector_norm_sq(v: Multivector) -> Fraction:
         raise ValueError("input must be a pure grade-1 element")
     if any(m & v.algebra.neg_square_mask for m in v.terms):
         raise ValueError("input has weight on a generator that squares to -1")
-    if not (v.exact and v.is_real()):
+    if not v.is_real():
         raise ValueError("input must have real rational coefficients")
     return Fraction(sum(x * x for x, _ in v.terms.values()), v.den * v.den)
 
@@ -801,12 +717,8 @@ def format_multivector(mv: Multivector) -> str:
         return "0"
     parts = []
     for mask in sorted(mv.terms, key=lambda m: (m.bit_count(), m)):
-        c = mv.coeff(mask)
+        cs = _format_exact_coeff(mv.coeff(mask))
         blade = "".join(f"e{i + 1}" for i in range(mv.algebra.dim) if mask & (1 << i))
-        if isinstance(c, GaussianRational):
-            cs = _format_exact_coeff(c)
-        else:
-            cs = _format_numeric_coeff(c)
         if not blade:
             parts.append(cs)
         elif cs == "1":
@@ -817,13 +729,3 @@ def format_multivector(mv: Multivector) -> str:
             parts.append(f"{cs}*{blade}")
     text = " + ".join(parts)
     return text.replace("+ -", "- ")
-
-
-def _format_numeric_coeff(c: complex) -> str:
-    if c.imag == 0:
-        return repr(c.real)
-    if c.real == 0:
-        return f"{c.imag!r}*i"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({c.real!r} {sign} {abs(c.imag)!r}*i)"
-

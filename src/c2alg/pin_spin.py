@@ -1,28 +1,30 @@
 """Pin^c/Spin^c elements, the twisted adjoint, and Spin/Spin^c lifts.
 
 The twisted adjoint rho(g)(v) = (-1)^{|g|} g v g^{-1} lands in the orthogonal
-group. There are two element types, one per mode. ``PinElement`` holds exact
-data: a product of unit vectors times a unit phase (each factor is checked,
-and a product of factors with v v* = 1 needs no further check), or a raw
-homogeneous multivector whose unit condition g * star(g) = 1 is checked
-exactly. ``DensePin`` holds numeric data: a phase times real vectors, and
-their product as a read-only dense array. The product of the vectors is
-real and is formed in float64; multiplying by the phase is the only complex
-step. The constructor measures the unit error once, by vector products
-alone, and nothing downstream repeats it; -g reuses it. Every numeric
-comparison reads ``linalg.default_tol()`` (1e-9 or ``C2ALG_TOL``) where it
-compares; no function here takes a per-call tolerance. Both modes take the
-twisted adjoint by the same projection onto grade 1, with no product: its
-entries are l2 inner products <e_i g, g e_k>, and since x -> g x g* is an l2
-isometry, whatever is missing from a column's norm lies off grade 1. Exact
-data is stored as integer numerators over one denominator, in a
-``Multivector`` and in an ``OrthogonalAction`` alike, so the projection, the
-accumulated product of certificate factors, and the matrix product and
-orthogonality test run on Python ints; a Fraction is built only for a reader
-of ``OrthogonalAction.rows``. Numeric work runs on the dense arrays: the
-rows e_i g and g e_k are gathered from the per-generator tables of the
-algebra, the lifts multiply only by vectors (``CliffordAlgebra.dense_mul_vector``,
-O(n 2^n)), and a numeric rho is an ndarray.
+group. There are two element types, one per mode. ``PinElement`` wraps an
+exact ``Multivector`` (a float never gets that far: ``coerce_coeff`` refuses
+it when the multivector is built): a product of unit vectors times a unit
+phase (each factor is checked, and a product of factors with v v* = 1 needs
+no further check), or a raw homogeneous multivector whose unit condition
+g * star(g) = 1 is checked exactly. ``DensePin`` holds numeric data: a phase
+times real vectors, and their product as a read-only dense array. The
+product of the vectors is real and is formed in float64; multiplying by the
+phase is the only complex step. The constructor measures the unit error
+once, by vector products alone, and nothing downstream repeats it; -g reuses
+it. Every numeric comparison reads ``linalg.default_tol()`` (1e-9 or
+``C2ALG_TOL``) where it compares; no function here takes a per-call
+tolerance. Both modes take the twisted adjoint by the same projection onto
+grade 1, with no product: its entries are l2 inner products <e_i g, g e_k>,
+and since x -> g x g* is an l2 isometry, whatever is missing from a column's
+norm lies off grade 1. Exact data is stored as integer numerators over one
+denominator, in a ``Multivector`` and in an ``OrthogonalAction`` alike, so
+the projection, the accumulated product of certificate factors, and the
+matrix product and orthogonality test run on Python ints; a Fraction is
+built only for a reader of ``OrthogonalAction.rows``. Numeric work runs on
+the dense arrays: the rows e_i g and g e_k are gathered from the
+per-generator tables of the algebra, every numeric product is by a vector
+(``CliffordAlgebra.dense_mul_vector``, O(n 2^n)), and a numeric rho is an
+ndarray.
 """
 
 from __future__ import annotations
@@ -43,16 +45,6 @@ from .scalars import MultiPoly
 EVEN, ODD = 0, 1
 
 
-_NUMERIC = "PinElement holds exact data; build a DensePin for numeric data"
-
-
-def _require_exact(mv: Multivector) -> Multivector:
-    """``mv`` itself when it holds exact data; numeric data is refused."""
-    if not mv.exact:
-        raise ValueError(_NUMERIC)
-    return mv
-
-
 def _require_pin(g) -> "PinElement":
     if not isinstance(g, PinElement):
         raise ValueError(f"this operation takes an exact PinElement, not {type(g).__name__}")
@@ -65,7 +57,6 @@ class PinElement:
     __slots__ = ("value", "parity")
 
     def __init__(self, value: Multivector):
-        _require_exact(value)
         parity = value.parity()
         if parity is None:
             raise ValueError("Pin element must have homogeneous parity")
@@ -97,14 +88,13 @@ class PinElement:
         whole. The factors' stored numerators are multiplied on integers
         (``clifford.integer_product``) and normalised once at the end.
         """
-        start = _require_exact(algebra.scalar(phase))
+        start = algebra.scalar(phase)
         den, acc = start.den, start.terms
         if sum(x * x + y * y for x, y in acc.values()) != den * den:
             raise ValueError("certificate phase is not a unit complex scalar")
         squares = algebra.squares
         trusted = True
-        vectors = [_require_exact(v if isinstance(v, Multivector) else algebra.vector(v))
-                   for v in vectors]
+        vectors = [v if isinstance(v, Multivector) else algebra.vector(v) for v in vectors]
         for v in vectors:
             if v.terms and v.grades() != {1}:
                 raise ValueError("certificate factors must be grade-1")

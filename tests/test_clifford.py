@@ -9,7 +9,7 @@ from c2alg.clifford import (SplitSpec, ccl, ccl_interleaved, format_multivector,
                             from_kasparov, graded_tensor_split, kasparov,
                             parse_multivector, relabel, to_kasparov, vector_norm_sq)
 from c2alg.scalars import GaussianRational
-from c2alg.verify import rand_multivector, _rng
+from c2alg.verify import _rng, rand_coeff, rand_multivector, rational_unit_vector
 
 I = GaussianRational.I
 
@@ -56,36 +56,43 @@ KERNEL_ALGEBRAS = ([ccl(p, q) for p, q in ((1, 0), (2, 1), (3, 3), (0, 4), (6, 0
                    + [ccl_interleaved(n) for n in (1, 2, 3)])
 
 
+def _coords(v) -> np.ndarray:
+    """The generator coefficients of a grade-1 element, as a complex array."""
+    return v.to_dense()[1 << np.arange(v.algebra.dim)]
+
+
 class TestDenseKernel:
-    """The dense numeric product against the exact sparse product as reference."""
+    """The dense product by a vector and the dense bar, against exact elements as reference."""
 
     @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=lambda a: a.label)
     def test_numeric_product_matches_exact(self, alg):
         rng = _rng(31, alg.label)
         for _ in range(12):
-            # sparse x dense, dense x sparse and dense x dense operands
+            # sparse and dense left operands; Gaussian-rational vector coefficients
             x = rand_multivector(rng, alg, rng.choice([1, 3, 1 << alg.dim]))
-            y = rand_multivector(rng, alg, rng.choice([1, 3, 1 << alg.dim]))
-            product = (x.to_numeric() * y.to_numeric()).to_dense()
-            assert np.max(np.abs(product - (x * y).to_dense())) <= 1e-12
+            v = alg.vector([rand_coeff(rng) for _ in range(alg.dim)])
+            product = alg.dense_mul_vector(x.to_dense(), _coords(v))
+            assert np.max(np.abs(product - (x * v).to_dense())) <= 1e-12
 
     @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=lambda a: a.label)
     def test_batched_rows_and_star(self, alg):
-        # dense_mul takes one row at a time; rows of 1, 4 and 2^n terms
+        # elements of 1, 4 and 2^n terms times three vectors in turn, as a lift builds them
         rng = _rng(32, alg.label)
-        rows = [rand_multivector(rng, alg, k) for k in (1, 4, 1 << alg.dim)]
-        for y in (rand_multivector(rng, alg, 2), rand_multivector(rng, alg, 1 << alg.dim)):
-            for x in rows:
-                row = alg.dense_mul(x.to_dense(), y.to_dense())
-                assert np.max(np.abs(row - (x * y).to_dense())) <= 1e-12
-            assert np.max(np.abs(alg.dense_bar(y.to_dense()) - y.bar().to_dense())) <= 1e-15
+        vectors = [rational_unit_vector(rng, alg) for _ in range(3)]
+        for x in [rand_multivector(rng, alg, k) for k in (1, 4, 1 << alg.dim)]:
+            exact, dense = x, x.to_dense()
+            for v in vectors:
+                exact, dense = exact * v, alg.dense_mul_vector(dense, _coords(v))
+                assert np.max(np.abs(dense - exact.to_dense())) <= 1e-12
+            assert np.max(np.abs(alg.dense_bar(x.to_dense()) - x.bar().to_dense())) <= 1e-15
 
     def test_dense_kernel_propagates_nan(self):
         # a NaN coefficient reaches the product and bar, so a residual over them is NaN
         alg = ccl(2, 0)
-        nan = (alg.scalar(complex(math.nan)) + alg.generator(1).scale(2.0)).to_dense()
+        nan = np.array([math.nan, 2.0, 0.0, 0.0], dtype=complex)  # NaN + 2 e1
         e1 = alg.generator(1).to_dense()
-        for out in (alg.dense_mul(nan, e1), alg.dense_mul(e1, nan),
+        for out in (alg.dense_mul_vector(nan, np.array([1.0, 0.0])),
+                    alg.dense_mul_vector(e1, np.array([math.nan, 0.0])),
                     alg.dense_bar(nan)):
             assert math.isnan(np.max(np.abs(out - e1)))
 
@@ -179,12 +186,13 @@ class TestRealStructure:
             assert x.bar().bar() == x
             assert x.bar().grades() == x.grades()
 
-    def test_is_real_on_exact_and_numeric_data(self):
+    def test_is_real(self):
         alg = ccl(2, 0)
         e1 = alg.generator(1)
-        for real in (alg.scalar(Fraction(1, 2)), alg.scalar(0.5), e1 + 0.25, alg.zero()):
+        for real in (alg.scalar(Fraction(1, 2)), e1 + Fraction(1, 4), alg.zero()):
             assert real.is_real() is True
-        for non_real in (e1.scale(I), e1 + 0.5j, alg.scalar(1 + 1e-300j)):
+        tiny = GaussianRational(1, Fraction(1, 10 ** 300))
+        for non_real in (e1.scale(I), e1 + I / 2, alg.scalar(tiny)):
             assert non_real.is_real() is False
 
 

@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,27 +133,20 @@ class TestMultivectorProduct:
 
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.label)
     def test_exact_times_numeric_takes_dense_path(self, alg, monkeypatch):
+        # numeric data is a dense array: an exact element times a vector in
+        # floats is a dense_mul_vector call and never reaches the integer kernel
         rng = random.Random(f"dense:{alg.label}")
-        x, y = rand_element(rng, alg), rand_element(rng, alg)
-        calls = []
-        dense_mul = CliffordAlgebra.dense_mul
-
-        def spy(self, a, b):
-            calls.append(1)
-            return dense_mul(self, a, b)
+        x = rand_element(rng, alg)
+        v = alg.vector([GaussianRational(rand_rational(rng), rand_rational(rng))
+                        for _ in range(alg.dim)])
+        exact = reference_mul(x, v)
 
         def refuse(*args):
             raise AssertionError("numeric operand reached the integer kernel")
 
-        monkeypatch.setattr(CliffordAlgebra, "dense_mul", spy)
         monkeypatch.setattr(clifford, "integer_product", refuse)
-        for product in (x * y.to_numeric(), x.to_numeric() * y):
-            assert not product.exact
-            exact = reference_mul(x, y)
-            masks = set(exact) | set(product.terms)
-            assert max((abs(complex(exact.get(m, 0)) - product.coeff(m)) for m in masks),
-                       default=0.0) < 1e-12
-        assert len(calls) == 2
+        product = alg.dense_mul_vector(x.to_dense(), v.to_dense()[1 << np.arange(alg.dim)])
+        assert max(abs(complex(exact.get(m, 0)) - c) for m, c in enumerate(product)) < 1e-12
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -203,11 +197,23 @@ class TestCanonicalForm:
             assert (a == b) == (coefficients(a) == coefficients(b))
         assert all(a == b for a, b in pairs[1:])
 
-    def test_exact_never_equals_numeric(self):
-        alg = CANONICAL_ALG
-        assert not alg.scalar(1) == alg.scalar(1.0)
-        assert alg.scalar(1) != alg.scalar(1.0)
-        assert alg.scalar(1.0) == alg.scalar(1.0)
+    def test_float_data_refused(self):
+        # numeric data is a dense array; every route to a float coefficient
+        # ends in coerce_coeff with one TypeError, and no exact element equals a float
+        alg = ccl(2, 0)
+        x = alg.generator(1)
+        message = "coefficients are exact \\(int, Fraction or GaussianRational\\), not float"
+        for build in (lambda: alg.scalar(1.0), lambda: alg.vector([0.6, 0.8]),
+                      lambda: alg.from_terms({0: GaussianRational(Fraction(3, 5)), 3: 0.8}),
+                      lambda: PinElement.from_factors(alg, [[0.6, 0.8]]),
+                      lambda: PinElement.from_factors(alg, [x], 1.0),
+                      lambda: x * 0.5, lambda: 0.5 * x, lambda: x + 0.5, lambda: x - 0.5,
+                      lambda: x.scale(0.5)):
+            with pytest.raises(TypeError, match=message):
+                build()
+        assert (alg.scalar(1) == 1.0) is False
+        assert alg.scalar(1) != 1.0
+        assert alg.scalar(1) == 1 == Fraction(1)
 
 
 class TestTensorProduct:
@@ -234,19 +240,19 @@ class TestTensorProduct:
     @pytest.mark.parametrize("alg", [ccl(3, 1), kasparov(2, 2), ccl_interleaved(2)],
                              ids=lambda a: a.label)
     def test_numeric_and_mixed_coefficients(self, alg):
+        # the dense kernel of the joined algebra multiplies split elements, in
+        # floats, with the Koszul signs of the exact tensor product
         rng = random.Random(f"tensor-numeric:{alg.label}")
         for _ in range(10):
             first = [k for k in range(1, alg.dim + 1) if rng.random() < 0.5]
             spec = SplitSpec(alg, first)
-            x, y = rand_element(rng, alg, 4), rand_element(rng, alg, 4)
-            expected = coefficients(spec.split(x * y))
-            for s, t in [(spec.split(x.to_numeric()), spec.split(y.to_numeric())),
-                         (spec.split(x), spec.split(y.to_numeric()))]:
-                product = (s * t).terms
-                assert all(isinstance(c, complex) for c in product.values())
-                assert set(product) <= set(expected)
-                for key, c in expected.items():
-                    assert abs(product.get(key, 0) - complex(c)) < 1e-12
+            x = rand_element(rng, alg, 4)
+            v = alg.vector([GaussianRational(rand_rational(rng), rand_rational(rng))
+                            for _ in range(alg.dim)])
+            expected = spec.split(x * v).to_dense()
+            coords = spec.split(v).to_dense()[1 << np.arange(alg.dim)]
+            product = spec.joined.dense_mul_vector(spec.split(x).to_dense(), coords)
+            assert np.max(np.abs(product - expected)) < 1e-12
 
 
 class TestFromFactors:

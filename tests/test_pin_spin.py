@@ -21,9 +21,9 @@ from c2alg.verify import (_rng, rand_multivector, rand_pin, rand_polynomial,
 I = GaussianRational.I
 
 
-def _dist(values, expected: Multivector) -> float:
-    """Max-norm distance of a dense array from a multivector; NaN propagates."""
-    return float(np.max(np.abs(values - expected.to_dense())))
+def _dist(values, expected) -> float:
+    """Max-norm distance of two dense arrays; NaN propagates."""
+    return float(np.max(np.abs(values - expected)))
 
 
 def _floats(v: Multivector) -> np.ndarray:
@@ -32,7 +32,8 @@ def _floats(v: Multivector) -> np.ndarray:
 
 
 def _terms(g: DensePin) -> dict:
-    return g.algebra.from_dense(g.values).terms
+    """Mask -> complex coefficient for every nonzero entry of the lift."""
+    return {m: g.values[m] for m in np.flatnonzero(g.values).tolist()}
 
 
 class TestPinElement:
@@ -96,18 +97,6 @@ class TestPinElement:
             PinElement.from_factors(alg, [v])
         g = PinElement.from_factors(alg, [v, v])
         assert g.value == alg.scalar(1) and g.parity == 0
-
-    def test_numeric_data_refused(self):
-        # numeric elements are DensePins: PinElement holds exact data only,
-        # in every coefficient (a float after an exact one is refused too)
-        alg = ccl(2, 0)
-        mixed = alg.from_terms({0: GaussianRational(Fraction(3, 5)), 3: 0.8})
-        for build in (lambda: PinElement(alg.scalar(1.0)),
-                      lambda: PinElement(mixed),
-                      lambda: PinElement.from_factors(alg, [[0.6, 0.8]]),
-                      lambda: PinElement.from_factors(alg, [alg.generator(1)], 1.0)):
-            with pytest.raises(ValueError, match="PinElement holds exact data"):
-                build()
 
     def test_certificate_rejects_complex_vector(self):
         # (5/3)^2 + (4i/3)^2 = 1 but the vector is outside the real span
@@ -219,18 +208,19 @@ class TestTwistedAdjoint:
                 assert np.max(np.abs(numeric - exact)) <= 1e-12
 
     def test_unit_element_outside_pin_rejected(self):
-        # cos t + i sin t e1e2e3e4 satisfies g * star(g) = 1, but g e_k g* has
-        # an off-grade part of about 2 sin t, of grade 3. At t = 1e-5 its
-        # squared norm (4e-10) is below 100 * tol, so only a test linear in
+        # c + i s e1e2e3e4 with c^2 + s^2 = 1 satisfies g * star(g) = 1, but
+        # g e_k g* has an off-grade part of about 2s, of grade 3. At s = 1e-5
+        # its squared norm (4e-10) is below 100 * tol, so only a test linear in
         # the off-grade part rejects it, at every algebra size. No phase times
         # a product of vectors is such an element, so it reaches the
         # projection as a stand-in with the attributes the projection reads.
+        # (c, s) = ((1 - k^2), 2k) / (1 + k^2) is a rational point on the
+        # unit circle: s = 4/5 at k = 1/2 and s ~ 1e-5 at k = 1/200000.
         for alg in (ccl(4, 0), ccl(10, 0), ccl_interleaved(2)):
-            for t in (math.pi / 4, 1e-5):
-                value = (alg.scalar(complex(math.cos(t)))
-                         + alg.blade([1, 2, 3, 4]).scale(complex(0, math.sin(t))))
-                unit = (value * value.star() - alg.scalar(1)).to_dense()
-                assert np.max(np.abs(unit)) <= 1e-15
+            for k in (Fraction(1, 2), Fraction(1, 200000)):
+                c, s = (1 - k * k) / (1 + k * k), 2 * k / (1 + k * k)
+                value = alg.scalar(c) + alg.blade([1, 2, 3, 4]).scale(GaussianRational(0, s))
+                assert value * value.star() == 1
                 g = SimpleNamespace(algebra=alg, values=value.to_dense(), parity=0)
                 with pytest.raises(ValueError, match="does not preserve grade 1"):
                     _twisted_adjoint_numeric(g)
@@ -400,14 +390,14 @@ class TestRhoRealEquivariance:
 class TestSpinLift:
     def test_identity(self):
         g = spin_lift(np.eye(3))
-        assert _dist(g.values, ccl(3, 0).scalar(1)) < 1e-12
+        assert _dist(g.values, ccl(3, 0).scalar(1).to_dense()) < 1e-12
 
     def test_quarter_turn(self):
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
         g = spin_lift(R)
         alg = ccl(2, 0)
         s = 1 / math.sqrt(2)
-        expected = alg.scalar(complex(s)) - (alg.generator(1) * alg.generator(2)).scale(complex(s))
+        expected = s * (alg.scalar(1) - alg.blade([1, 2])).to_dense()
         assert min(_dist(g.values, expected), _dist(g.values, -expected)) < 1e-12
         assert rho_residual(g, R) < 1e-12
 
@@ -448,14 +438,14 @@ class TestSpinLift:
         R = np.diag([-1.0, -1.0, 1.0])
         g = spin_lift(R)
         assert rho_residual(g, R) < 1e-12
-        expected = ccl(3, 0).generator(1) * ccl(3, 0).generator(2)
+        expected = ccl(3, 0).blade([1, 2]).to_dense()
         assert min(_dist(g.values, expected), _dist(g.values, -expected)) < 1e-12
 
     def test_minus_identity_in_four_dimensions(self):
         R = -np.eye(4)
         g = spin_lift(R)
         assert rho_residual(g, R) < 1e-12
-        assert g.algebra.from_dense(g.values).grades() == {4}
+        assert {m.bit_count() for m in _terms(g)} == {4}
 
     def test_sign_of_lifts_without_scalar_part(self):
         # zero scalar part: the lead blade comes from the lexicographic scan
@@ -474,32 +464,11 @@ class TestSpinLift:
 
 
 class TestVectorProductsOnly:
-    """Lifts and their residuals, unit checks included, make no dense_mul call."""
+    """A lift costs the vector products that build it and its unit check;
+    its twisted adjoint and residuals add none."""
 
     @pytest.fixture
-    def dense_mul_calls(self, monkeypatch):
-        calls = []
-        original = CliffordAlgebra.dense_mul
-
-        def counting(self, a, b):
-            calls.append(self.dim)
-            return original(self, a, b)
-
-        monkeypatch.setattr(CliffordAlgebra, "dense_mul", counting)
-        return calls
-
-    @pytest.mark.parametrize("n", [4, 9])
-    def test_spin_lift_and_twisted_adjoint(self, n, dense_mul_calls):
-        R = random_special_orthogonal(np.random.default_rng(n), n)
-        g = spin_lift(R)
-        twisted_adjoint(g)
-        rho_residual(g, R)
-        unit_residual(g)
-        assert len(dense_mul_calls) == 0
-
-    @pytest.mark.parametrize("seed, sign", [(1, 1), (0, -1)])
-    def test_spin_lift_builds_once(self, seed, sign, monkeypatch):
-        # m vector products for g and m for its unit check; a sign of -1 adds none
+    def vector_products(self, monkeypatch):
         calls = []
         original = CliffordAlgebra.dense_mul_vector
 
@@ -508,20 +477,37 @@ class TestVectorProductsOnly:
             return original(self, a, u)
 
         monkeypatch.setattr(CliffordAlgebra, "dense_mul_vector", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_spin_lift_and_twisted_adjoint(self, n, vector_products):
+        R = random_special_orthogonal(np.random.default_rng(n), n)
+        g = spin_lift(R)
+        built = len(vector_products)
+        twisted_adjoint(g)
+        rho_residual(g, R)
+        unit_residual(g)
+        assert len(vector_products) == built == 2 * len(g.vectors)
+
+    @pytest.mark.parametrize("seed, sign", [(1, 1), (0, -1)])
+    def test_spin_lift_builds_once(self, seed, sign, vector_products):
+        # m vector products for g and m for its unit check; a sign of -1 adds none
         R = random_special_orthogonal(np.random.default_rng(seed), 4)
         g = spin_lift(R)
         rho_residual(g, R)
         unit_residual(g)
         assert g.phase == sign
-        assert len(calls) == 2 * g.meta["reflections"]
+        assert len(vector_products) == 2 * g.meta["reflections"]
 
     @pytest.mark.parametrize("n", [2, 4])
-    def test_phi_lift(self, n, dense_mul_calls):
+    def test_phi_lift(self, n, vector_products):
         U = random_unitary(np.random.default_rng(n), n)
         g = phi_lift(U)
+        built = len(vector_products)
         rho_residual(g, realify(U))
         unit_residual(g)
-        assert dense_mul_calls == []
+        assert len(vector_products) == built
+        assert set(vector_products) == {2 * n}
 
 
 def _with_spectrum(nrng, angles):
@@ -551,7 +537,7 @@ def _stress_unitaries(nrng):
 class TestPhiLift:
     def test_identity(self):
         g = phi_lift(np.eye(2))
-        assert _dist(g.values, ccl_interleaved(2).scalar(1)) < 1e-12
+        assert _dist(g.values, ccl_interleaved(2).scalar(1).to_dense()) < 1e-12
 
     def test_multiplication_by_i(self):
         U = np.array([[1j]])
@@ -560,9 +546,8 @@ class TestPhiLift:
         assert abs(g.phase * g.phase - 1j) < 1e-12
         alg = ccl_interleaved(1)
         s = 1 / math.sqrt(2)
-        expected = (alg.scalar(complex(s)) -
-                    (alg.generator(1) * alg.generator(2)).scale(complex(s))
-                    ).scale(complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))
+        phase = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+        expected = phase * s * (alg.scalar(1) - alg.blade([1, 2])).to_dense()
         assert _dist(g.values, expected) < 1e-12
 
     def test_homomorphism(self):
@@ -571,7 +556,10 @@ class TestPhiLift:
             U = random_unitary(nrng, n)
             V = random_unitary(nrng, n)
             lhs = phi_lift(U @ V).values
-            rhs = ccl_interleaved(n).dense_mul(phi_lift(U).values, phi_lift(V).values)
+            # phi(U) phi(V) as the product of the factors of both lifts
+            phi_u, phi_v = phi_lift(U), phi_lift(V)
+            rhs = DensePin(ccl_interleaved(n), [*phi_u.vectors, *phi_v.vectors],
+                           phi_u.phase * phi_v.phase).values
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_diagonal_rotor_product_formula(self):
@@ -582,11 +570,11 @@ class TestPhiLift:
         g = phi_lift(U)
         alg = ccl_interleaved(2)
         phase = np.exp(1j * (a + b) / 2)
-        rotor1 = alg.scalar(complex(math.cos(a / 2))) - \
-            (alg.generator(1) * alg.generator(2)).scale(complex(math.sin(a / 2)))
-        rotor2 = alg.scalar(complex(math.cos(b / 2))) - \
-            (alg.generator(3) * alg.generator(4)).scale(complex(math.sin(b / 2)))
-        expected = (rotor1 * rotor2).scale(complex(phase))
+        c1, s1, c2, s2 = math.cos(a / 2), math.sin(a / 2), math.cos(b / 2), math.sin(b / 2)
+        e12, e34 = alg.blade([1, 2]), alg.blade([3, 4])
+        # (c1 - s1 e1e2)(c2 - s2 e3e4), multiplied out
+        expected = phase * (c1 * c2 * alg.scalar(1).to_dense() - s1 * c2 * e12.to_dense()
+                            - c1 * s2 * e34.to_dense() + s1 * s2 * (e12 * e34).to_dense())
         assert _dist(g.values, expected) < 1e-12
 
     def test_canonicity(self):
@@ -620,9 +608,8 @@ class TestPhiReal:
         lifted = phi_lift(np.conj(U)).values
         alg = ccl_interleaved(1)
         s = 1 / math.sqrt(2)
-        expected = (alg.scalar(complex(s)) +
-                    (alg.generator(1) * alg.generator(2)).scale(complex(s))
-                    ).scale(complex(math.cos(math.pi / 4), -math.sin(math.pi / 4)))
+        phase = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
+        expected = phase * s * (alg.scalar(1) + alg.blade([1, 2])).to_dense()
         assert _dist(lifted, expected) < 1e-12
         assert check_phi_real(U)
 

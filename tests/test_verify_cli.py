@@ -3,13 +3,16 @@ import os
 import pkgutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import c2alg
 from c2alg import cli
+from c2alg.clifford import ccl, ccl_interleaved
 from c2alg.linalg import matrix_to_json, random_unitary
+from c2alg.pin_spin import DensePin
 from c2alg.verify import MAX_CASES, random_special_orthogonal, run_verify
 
 
@@ -118,7 +121,46 @@ class TestObstructionCommand:
         assert code == 64
 
 
+# (algebra, factors, phase, expression, terms as JSON) of lifts whose entries are
+# single float products, so they do not depend on summation order. Every nonzero
+# entry is a term: -0.0 is kept in "terms", a float coefficient of 1.0 is written out,
+# the expression orders blades by (grade, mask) and "terms" by mask.
+LIFT_REPORT_FORMS = {
+    "real-with-scalar": (ccl(3, 0), [[0.6, 0.8, 0.0], [1.0, 0.0, 0.0]], 1,
+                         "0.6 - 0.8*e1e2", "[[0, [0.6, 0.0]], [3, [-0.8, 0.0]]]"),
+    "imaginary": (ccl(3, 0), [[0.6, 0.8, 0.0], [1.0, 0.0, 0.0]], 1j,
+                  "0.6*i - 0.8*i*e1e2", "[[0, [0.0, 0.6]], [3, [-0.0, -0.8]]]"),
+    "mixed": (ccl(3, 0), [[0.6, 0.8, 0.0], [1.0, 0.0, 0.0]], 0.6 - 0.8j,
+              "(0.36 - 0.48*i) + (-0.48 + 0.6400000000000001*i)*e1e2",
+              "[[0, [0.36, -0.48]], [3, [-0.48, 0.6400000000000001]]]"),
+    "minus-one": (ccl(3, 0), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], -1,
+                  "-1.0*e1e2", "[[3, [-1.0, 0.0]]]"),
+    "one": (ccl(3, 0), [[0.0, 0.0, 1.0]], 1, "1.0*e3", "[[4, [1.0, 0.0]]]"),
+    "grade-before-mask": (
+        ccl(4, 0), [[0.6, 0.8, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.8]],
+        -0.8 + 0.6j,
+        "(-0.288 + 0.216*i)*e3 + (-0.384 + 0.288*i)*e4 + (0.384 - 0.288*i)*e1e2e3"
+        " + (0.5120000000000001 - 0.38400000000000006*i)*e1e2e4",
+        "[[4, [-0.288, 0.216]], [7, [0.384, -0.288]], [8, [-0.384, 0.288]],"
+        " [11, [0.5120000000000001, -0.38400000000000006]]]"),
+    "minus-i": (ccl_interleaved(2), [[0.0, 1.0, 0.0, 0.0]], -1j,
+                "-1.0*i*e2", "[[2, [0.0, -1.0]]]"),
+}
+
+
 class TestLiftCommands:
+    @pytest.mark.parametrize("form", LIFT_REPORT_FORMS)
+    def test_lift_report_format(self, capsys, form):
+        alg, vectors, phase, expression, terms = LIFT_REPORT_FORMS[form]
+        g = DensePin(alg, vectors, phase)
+        report = cli._lift_report("spin-lift", np.eye(2), g, {"rho": 0.0})
+        assert report["outputs"]["expression"] == expression
+        assert json.dumps(report["outputs"]["terms"]) == terms  # -0.0 == 0.0, but not as text
+        code = cli._emit_lift(SimpleNamespace(json=False), "spin-lift", np.eye(2), g,
+                              {"rho": 0.0})
+        assert code == 0
+        assert capsys.readouterr().out == f"lift: {expression}\nresidual rho: 0.000e+00\n"
+
     def test_spin_lift(self, capsys, tmp_path):
         payload = {"rows": 2, "cols": 2,
                    "entries": [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]}
