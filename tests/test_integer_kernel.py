@@ -199,21 +199,25 @@ class TestCanonicalForm:
 
     def test_float_data_refused(self):
         # numeric data is a dense array; every route to a float coefficient
-        # ends in coerce_coeff with one TypeError, and no exact element equals a float
+        # ends in coerce_coeff with one TypeError
         alg = ccl(2, 0)
         x = alg.generator(1)
         message = "coefficients are exact \\(int, Fraction or GaussianRational\\), not float"
         for build in (lambda: alg.scalar(1.0), lambda: alg.vector([0.6, 0.8]),
                       lambda: alg.from_terms({0: GaussianRational(Fraction(3, 5)), 3: 0.8}),
-                      lambda: PinElement.from_factors(alg, [[0.6, 0.8]]),
-                      lambda: PinElement.from_factors(alg, [x], 1.0),
                       lambda: x * 0.5, lambda: 0.5 * x, lambda: x + 0.5, lambda: x - 0.5,
                       lambda: x.scale(0.5)):
             with pytest.raises(TypeError, match=message):
                 build()
+
+    def test_exact_never_equals_numeric(self):
+        # an exact element compares equal to exact scalars only, never to a float
+        alg = CANONICAL_ALG
         assert (alg.scalar(1) == 1.0) is False
         assert alg.scalar(1) != 1.0
+        assert alg.scalar(1) != complex(1.0)
         assert alg.scalar(1) == 1 == Fraction(1)
+        assert alg.scalar(1) == GaussianRational(1)
 
 
 class TestTensorProduct:

@@ -98,6 +98,20 @@ class TestPinElement:
         g = PinElement.from_factors(alg, [v, v])
         assert g.value == alg.scalar(1) and g.parity == 0
 
+    def test_numeric_data_refused(self):
+        # numeric elements are DensePins: PinElement holds exact data only, and
+        # every float coefficient (a float after an exact one too) is refused
+        # in coerce_coeff before a PinElement exists
+        alg = ccl(2, 0)
+        message = "coefficients are exact \\(int, Fraction or GaussianRational\\), not float"
+        for build in (lambda: PinElement(alg.scalar(1.0)),
+                      lambda: PinElement(alg.from_terms({0: GaussianRational(Fraction(3, 5)),
+                                                         3: 0.8})),
+                      lambda: PinElement.from_factors(alg, [[0.6, 0.8]]),
+                      lambda: PinElement.from_factors(alg, [alg.generator(1)], 1.0)):
+            with pytest.raises(TypeError, match=message):
+                build()
+
     def test_certificate_rejects_complex_vector(self):
         # (5/3)^2 + (4i/3)^2 = 1 but the vector is outside the real span
         alg = ccl(2, 0)
