@@ -440,7 +440,7 @@ def _normalize_sign(values: np.ndarray, tol: float) -> int:
     return -1 if c.real < -tol or (abs(c.real) <= tol and c.imag < 0) else 1
 
 
-def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> DensePin:
+def spin_lift(R) -> DensePin:
     """Even Pin element g with twisted_adjoint(g) = R, for R in SO(n).
 
     The branch sign is fixed so the lexicographically smallest blade with
@@ -459,12 +459,8 @@ def spin_lift(R, *, algebra: CliffordAlgebra | None = None) -> DensePin:
         raise ValueError("input is not orthogonal within tolerance")
     if np.linalg.det(A) < 0:
         raise ValueError("determinant -1: odd Pin lift not handled by this operation")
-    if algebra is None:
-        algebra = ccl(n, 0)
-    elif algebra.dim != n:
-        raise ValueError("algebra dimension does not match the matrix")
     factors = householder_factors(A)
-    g = DensePin(algebra, factors, meta={"reflections": len(factors)})
+    g = DensePin(ccl(n, 0), factors, meta={"reflections": len(factors)})
     return -g if _normalize_sign(g.values, tol) < 0 else g
 
 
@@ -488,14 +484,15 @@ def unit_residual(g: DensePin) -> float:
 def phi_lift(U, *, rng=None) -> DensePin:
     """Canonical Spin^c(n,n) lift of a unitary matrix, in the interleaved basis.
 
-    With U = V diag(exp(i theta_j)) V* from ``linalg.unitary_eigh``, the
-    element is the product of the plane rotors
-    cos(theta_j/2) - sin(theta_j/2) e_{2j-1} e_{2j}, conjugated by the spin
-    lift L = +-u_1 ... u_m of realify(V) (L* = +-u_m ... u_1), times the
-    central phase exp(i sum(theta_j)/2) whose square is det(U). Angles use the
-    principal branch (-pi, pi]; the result does not depend on the
-    eigendecomposition. Pass ``rng`` to decompose Q* U Q for a random unitary
-    Q instead (used to exercise canonicity).
+    With U = V diag(exp(i theta_j)) V* from ``linalg.unitary_eigh`` and w_k
+    the columns of W = realify(V), the element is the central phase
+    exp(i sum(theta_j)/2), whose square is det(U), times the plane rotors
+    (c_j w_{2j-1} + s_j w_{2j}) w_{2j-1} = c_j - s_j w_{2j-1} w_{2j} with
+    c_j = cos(theta_j/2), s_j = sin(theta_j/2); a rotor with theta_j = 0 is
+    skipped, so there are at most 2n factors. Angles use the principal branch
+    (-pi, pi]; the result does not depend on the eigendecomposition. Pass
+    ``rng`` to decompose Q* U Q for a random unitary Q instead (used to
+    exercise canonicity).
     """
     A = np.asarray(U, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -510,17 +507,16 @@ def phi_lift(U, *, rng=None) -> DensePin:
         V = Q @ V
     near_branch = bool(np.any(np.abs(np.abs(thetas) - math.pi) < 1e-6))
 
-    L = spin_lift(realify(V), algebra=algebra)
-    rotor = []  # the vectors (c e_{2j-1} + s e_{2j}) e_{2j-1} of each plane rotor
-    eye = np.eye(2 * n)
+    W = realify(V)
+    rotors = []  # the vectors (c w_{2j-1} + s w_{2j}) w_{2j-1} of each plane rotor
     for j, theta in enumerate(thetas):
         c = math.cos(theta / 2.0)
         s = math.sin(theta / 2.0)
         if abs(s) < 1e-300 and c > 0:
             continue
-        rotor += [c * eye[2 * j] + s * eye[2 * j + 1], eye[2 * j]]
+        rotors += [c * W[:, 2 * j] + s * W[:, 2 * j + 1], W[:, 2 * j]]
     phase = complex(np.exp(1j * float(np.sum(thetas)) / 2.0))
-    return DensePin(algebra, [*L.vectors, *rotor, *reversed(L.vectors)], phase, meta={
+    return DensePin(algebra, rotors, phase, meta={
         "thetas": [float(t) for t in thetas],
         "near_branch_cut": near_branch,
     })

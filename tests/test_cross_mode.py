@@ -73,7 +73,7 @@ class TestExactOracle:
     def test_spin_lift_of_exact_rho(self, n, U, g, factors):
         R = twisted_adjoint(g).as_numpy()
         assert np.max(np.abs(R - realify(U))) <= 1e-12
-        lifted = spin_lift(R, algebra=g.algebra)
+        lifted = spin_lift(R)
         lam, res = _proportionality(lifted, g)
         assert abs(abs(lam.real) - 1) <= 1e-12 and abs(lam.imag) <= 1e-12
         assert res <= 1e-12

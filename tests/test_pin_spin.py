@@ -7,7 +7,7 @@ import pytest
 
 from c2alg.clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, kasparov
 from c2alg.funcalc import alpha_conjugation_check
-from c2alg.linalg import realify
+from c2alg.linalg import realify, unitary_eigh
 from c2alg.pin_spin import (DensePin, PinElement, _twisted_adjoint_numeric, check_phi_real,
                             check_rho_real_equivariance, householder_factors,
                             is_fixed_spinc,
@@ -546,6 +546,48 @@ def _stress_unitaries(nrng):
         K = K - K.T
         cases.append((f"nearly symmetric n={n}", S @ (np.eye(n) + K + K @ K / 2)))
     return cases
+
+
+def _conjugated_rotor_lift(U):
+    """phi(U) as the plane rotors in e_{2j-1} e_{2j} conjugated by the spin
+    lift L of realify(V): the factors of L, of each rotor, and of L reversed."""
+    n = U.shape[0]
+    V, thetas = unitary_eigh(U)
+    L = spin_lift(realify(V))
+    eye = np.eye(2 * n)
+    rotor = []
+    for j, theta in enumerate(thetas):
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        if abs(s) < 1e-300 and c > 0:
+            continue
+        rotor += [c * eye[2 * j] + s * eye[2 * j + 1], eye[2 * j]]
+    phase = np.exp(1j * float(np.sum(thetas)) / 2.0)
+    return DensePin(ccl_interleaved(n), [*L.vectors, *rotor, *reversed(L.vectors)], phase)
+
+
+def _phi_fixtures():
+    nrng = np.random.default_rng(20)
+    cases = [(f"U({n})-draw{k}", random_unitary(nrng, n)) for n in range(1, 9) for k in range(5)]
+    cases += [("I_3", np.eye(3, dtype=complex)), ("-I_2", -np.eye(2, dtype=complex)),
+              ("diag(-1,e^0.5i,-i)", np.diag(np.exp(1j * np.array([math.pi, 0.5, -math.pi / 2]))))]
+    return [pytest.param(U, id=label) for label, U in cases]
+
+
+class TestPhiFactors:
+    """phi(U) is built from the columns of realify(V), two per rotor that is
+    not skipped, and equals the conjugated-rotor form of the same lift."""
+
+    @pytest.mark.parametrize("U", _phi_fixtures())
+    def test_matches_the_conjugated_rotors(self, U):
+        g = phi_lift(U)
+        assert np.max(np.abs(g.values - _conjugated_rotor_lift(U).values)) <= 1e-14
+
+    @pytest.mark.parametrize("U", _phi_fixtures())
+    def test_two_factors_per_rotor(self, U):
+        g = phi_lift(U)
+        rotors = sum(1 for t in g.meta["thetas"]
+                     if not (abs(math.sin(t / 2.0)) < 1e-300 and math.cos(t / 2.0) > 0))
+        assert len(g.vectors) == 2 * rotors <= 2 * U.shape[0]
 
 
 class TestPhiLift:
