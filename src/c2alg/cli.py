@@ -210,7 +210,7 @@ def _emit_lift(args, command: str, matrix, element, residuals: dict) -> int:
 def _cmd_spin_lift(args) -> int:
     import numpy as np
 
-    from .pin_spin import rho_residual, spin_lift, unit_residual
+    from .pin_spin import lift_residuals, spin_lift
 
     M = _load_matrix(args.matrix)
     try:
@@ -220,19 +220,14 @@ def _cmd_spin_lift(args) -> int:
         g = spin_lift(R)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    residuals = {
-        "rho": rho_residual(g, R),
-        "unit": unit_residual(g),
-        "real_equivariance": float(np.max(np.abs(g.values - g.algebra.dense_bar(g.values)))),
-    }
-    return _emit_lift(args, "spin-lift", M, g, residuals)
+    return _emit_lift(args, "spin-lift", M, g, lift_residuals(g, R))
 
 
 def _cmd_phi_lift(args) -> int:
     import numpy as np
 
     from .linalg import realify
-    from .pin_spin import phi_lift, rho_residual, unit_residual
+    from .pin_spin import lift_residuals, phi_lift
 
     U = _load_matrix(args.unitary)
     try:
@@ -240,13 +235,7 @@ def _cmd_phi_lift(args) -> int:
         conj_lift = phi_lift(np.conj(U))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    residuals = {
-        "rho": rho_residual(g, realify(U)),
-        "unit": unit_residual(g),
-        "real_equivariance": float(
-            np.max(np.abs(conj_lift.values - g.algebra.dense_bar(g.values)))),
-    }
-    return _emit_lift(args, "phi-lift", U, g, residuals)
+    return _emit_lift(args, "phi-lift", U, g, lift_residuals(g, realify(U), conj_lift))
 
 
 def _cmd_ahat(args) -> int:

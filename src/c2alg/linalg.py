@@ -5,18 +5,16 @@ Eigenvalue-based routines work in double precision against one tolerance,
 ``default_tol()`` (defined in ``scalars``): 1e-9, or the ``C2ALG_TOL``
 environment variable, which is the only override. Each routine reads it where
 it compares; only the predicate ``is_unitary`` takes an explicit threshold.
-The Real-vector-space splitting works exactly on Gaussian-rational data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianRational, default_tol, rational_from_string
+from .scalars import default_tol, rational_from_string
 
 
 def check_finite(A: np.ndarray) -> np.ndarray:
@@ -143,64 +141,6 @@ def symmetric_unitary_sqrt(U) -> SymmetricSqrt:
     }
     near = bool(np.any(np.abs(np.abs(thetas) - math.pi) < 1e-6))
     return SymmetricSqrt(S, thetas, O, near, residuals)
-
-
-# -- exact splitting of Real vector spaces ------------------------------------------
-
-
-def _gr(value) -> GaussianRational:
-    return GaussianRational.from_value(value)
-
-
-def _apply_involution(C, v):
-    """Conjugate-linear map v -> C * conj(v) on GaussianRational vectors."""
-    n = len(v)
-    out = []
-    for row in C:
-        acc = GaussianRational.ZERO
-        for c, x in zip(row, v):
-            acc = acc + c * x.conjugate()
-        out.append(acc)
-    return out
-
-
-def _check_involution(C):
-    n = len(C)
-    if any(len(row) != n for row in C):
-        raise ValueError("involution matrix must be square")
-    # C * conj(C) = I  <=>  the conjugate-linear map squares to the identity
-    for j in range(n):
-        basis = [GaussianRational.ONE if i == j else GaussianRational.ZERO for i in range(n)]
-        twice = _apply_involution(C, _apply_involution(C, basis))
-        for i, entry in enumerate(twice):
-            expected = GaussianRational.ONE if i == j else GaussianRational.ZERO
-            if entry != expected:
-                raise ValueError("involution axiom violated: the map does not square to the identity")
-
-
-def complexify_split(v, involution):
-    """Split v = v1 (x) 1 + v2 (x) i with v1, v2 fixed by the involution.
-
-    ``involution`` is the matrix C of a conjugate-linear involution
-    x -> C conj(x); the computation is exact on Gaussian-rational data and
-    ``v1 + i*v2`` reassembles v.
-    """
-    vec = [_gr(x) for x in v]
-    C = [[_gr(x) for x in row] for row in involution]
-    if len(C) != len(vec):
-        raise ValueError("dimension mismatch between vector and involution")
-    _check_involution(C)
-    cv = _apply_involution(C, vec)
-    half = Fraction(1, 2)
-    minus_half_i = GaussianRational(0, Fraction(-1, 2))
-    v1 = [(x + y) * half for x, y in zip(vec, cv)]
-    v2 = [(x - y) * minus_half_i for x, y in zip(vec, cv)]
-    return v1, v2
-
-
-def complexify_reassemble(v1, v2):
-    i = GaussianRational.I
-    return [_gr(a) + i * _gr(b) for a, b in zip(v1, v2)]
 
 
 # -- fixed-point retraction ----------------------------------------------------------

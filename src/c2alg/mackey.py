@@ -61,12 +61,14 @@ def _mat_shape(A) -> tuple[int, int]:
     return rows, cols
 
 
-def mat_mul(A, B):
+def mat_mul(A, B, cols: int):
+    """A B with ``cols`` columns: [] has no rows and any column count, so the
+    column count of the product comes from the caller."""
     ra, ca = _mat_shape(A)
     rb, cb = _mat_shape(B)
-    if ra and ca != rb:  # [] has no rows and any column count
+    if (ra and ca != rb) or (rb and cb != cols):
         raise ValueError("dimension mismatch in matrix product")
-    return [[sum(A[i][k] * B[k][j] for k in range(ca)) for j in range(cb)] for i in range(ra)]
+    return [[sum(A[i][k] * B[k][j] for k in range(ca)) for j in range(cols)] for i in range(ra)]
 
 
 def mat_add(A, B):
@@ -174,14 +176,16 @@ def check_mackey_axioms(M: MackeyPresentation) -> MackeyReport:
         ok = _columns_vanish(D, group)
         results.append(AxiomResult(name, ok, detail))
 
-    diff_check("conj_res_eq_res", mat_mul(M.conj, M.res), M.res, M.m_e,
+    # product shapes come from the groups: with no generators a factor is [] or [[]]
+    n_e, n_c2 = M.m_e.ngens, M.m_c2.ngens
+    diff_check("conj_res_eq_res", mat_mul(M.conj, M.res, n_c2), M.res, M.m_e,
                "restrictions are conjugation-fixed")
-    diff_check("tr_conj_eq_tr", mat_mul(M.tr, M.conj), M.tr, M.m_c2,
+    diff_check("tr_conj_eq_tr", mat_mul(M.tr, M.conj, n_e), M.tr, M.m_c2,
                "transfer is conjugation-invariant")
-    diff_check("conj_involution", mat_mul(M.conj, M.conj), mat_identity(M.m_e.ngens),
+    diff_check("conj_involution", mat_mul(M.conj, M.conj, n_e), mat_identity(n_e),
                M.m_e, "conjugation squares to the identity")
-    diff_check("res_tr_eq_id_plus_conj", mat_mul(M.res, M.tr),
-               mat_add(mat_identity(M.m_e.ngens), M.conj), M.m_e,
+    diff_check("res_tr_eq_id_plus_conj", mat_mul(M.res, M.tr, n_e),
+               mat_add(mat_identity(n_e), M.conj), M.m_e,
                "res(tr(y)) = y + conj(y) on every generator")
     return MackeyReport(results, well)
 

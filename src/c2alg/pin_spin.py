@@ -376,8 +376,14 @@ def check_rho_real_equivariance(g: PinElement, rho: OrthogonalAction | None = No
 def is_fixed_spinc(g: PinElement | DensePin) -> bool:
     """Membership of the C2-fixed subgroup: bar(g) = g, within tolerance for a DensePin."""
     if isinstance(g, DensePin):
-        return float(np.max(np.abs(g.algebra.dense_bar(g.values) - g.values))) <= default_tol()
+        return _bar_gap(g) <= default_tol()
     return g.value.bar() == g.value
+
+
+def _bar_gap(g: DensePin, conj_lift: DensePin | None = None) -> float:
+    """max|c - bar(g)| over the blades, with c = conj_lift or g itself; NaN propagates."""
+    c = g if conj_lift is None else conj_lift
+    return float(np.max(np.abs(c.values - g.algebra.dense_bar(g.values))))
 
 
 # -- Spin lift of special orthogonal matrices ---------------------------------------
@@ -478,6 +484,22 @@ def unit_residual(g: DensePin) -> float:
     return g.unit_error
 
 
+def lift_residuals(g: DensePin, target, conj_lift: DensePin | None = None) -> dict:
+    """The residuals of a lift g of the orthogonal matrix ``target``, in report order.
+
+    ``rho`` is ``rho_residual(g, target)``, ``unit`` is ``unit_residual(g)``
+    and ``real_equivariance`` is max|c - bar(g)|, where c is ``conj_lift``
+    (phi(conj U) for g = phi(U)) or, by default, g itself (a spin lift lands
+    in the bar-fixed part). Every caller passes a residual by
+    ``<= default_tol()``, so a NaN fails.
+    """
+    return {
+        "rho": rho_residual(g, target),
+        "unit": unit_residual(g),
+        "real_equivariance": _bar_gap(g, conj_lift),
+    }
+
+
 # -- the Spin^c lift of unitary matrices ---------------------------------------------
 
 
@@ -520,14 +542,6 @@ def phi_lift(U, *, rng=None) -> DensePin:
         "thetas": [float(t) for t in thetas],
         "near_branch_cut": near_branch,
     })
-
-
-def check_phi_real(U) -> bool:
-    """Does phi(conj U) equal the Real conjugate of phi(U)?"""
-    a = phi_lift(np.conj(np.asarray(U, dtype=complex)))
-    b = phi_lift(U)
-    diff = float(np.max(np.abs(a.values - b.algebra.dense_bar(b.values))))
-    return diff <= max(default_tol(), 1e-9)
 
 
 # -- polynomial model of the i_V action ----------------------------------------------

@@ -157,7 +157,7 @@ def test_criterion_10_mackey_fixtures():
         assert report.all_passed == FIXTURE_EXPECTED[name], name
         if FIXTURE_EXPECTED[name]:
             n = presentation.m_e.ngens
-            res_tr = mat_mul(presentation.res, presentation.tr)
+            res_tr = mat_mul(presentation.res, presentation.tr, n)
             for j in range(n):
                 column = [res_tr[i][j] - (1 if i == j else 0) - presentation.conj[i][j]
                           for i in range(n)]

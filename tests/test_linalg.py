@@ -1,14 +1,11 @@
 import inspect
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from c2alg.linalg import (complexify_reassemble, complexify_split,
-                          fixed_point_retraction, is_unitary, matrix_from_json,
+from c2alg.linalg import (fixed_point_retraction, is_unitary, matrix_from_json,
                           matrix_to_json, realify, symmetric_unitary_sqrt)
-from c2alg.scalars import GaussianRational
 from c2alg.verify import random_special_orthogonal, random_unitary
 
 RNG = np.random.default_rng(20240817)
@@ -124,77 +121,6 @@ class TestSymmetricUnitarySqrt:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             symmetric_unitary_sqrt(np.diag([2.0, 1.0]))
-
-
-def _g(re, im=0):
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
-def _rational_unit(rng, n):
-    """Rational point on the unit sphere (stereographic parametrization)."""
-    t = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - 1)]
-    s = sum((x * x for x in t), Fraction(0))
-    den = 1 + s
-    return [(1 - s) / den] + [2 * x / den for x in t]
-
-
-def random_rational_orthogonal(rng, n):
-    """Product of two rational Householder reflections: exactly orthogonal."""
-    M = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(2):
-        u = _rational_unit(rng, n)
-        M = [[M[i][j] - 2 * u[i] * sum(u[k] * M[k][j] for k in range(n))
-              for j in range(n)] for i in range(n)]
-    return M
-
-
-def _rational_circle(rng):
-    t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    den = 1 + t * t
-    return GaussianRational((1 - t * t) / den, 2 * t / den)
-
-
-class TestComplexifySplit:
-    def test_fixed_vector_splits_trivially(self):
-        ident = [[_g(1), _g(0)], [_g(0), _g(1)]]
-        v = [_g(2), _g(Fraction(1, 3))]
-        v1, v2 = complexify_split(v, ident)
-        assert v1 == v and all(x == _g(0) for x in v2)
-
-    def test_imaginary_unit_under_conjugation(self):
-        v1, v2 = complexify_split([GaussianRational.I], [[_g(1)]])
-        assert v1 == [_g(0)] and v2 == [_g(1)]
-
-    def test_round_trip_random_involutions(self):
-        # involutions C = P diag(lambda) P^T with rational orthogonal P and
-        # unit-circle lambdas satisfy C conj(C) = I exactly
-        import random
-        rng = random.Random("split-oracle")
-        n = 3
-        for _ in range(25):
-            P = random_rational_orthogonal(rng, n)
-            lam = [_rational_circle(rng) for _ in range(n)]
-            C = [[sum((lam[k] * (P[i][k] * P[j][k]) for k in range(n)),
-                      GaussianRational.ZERO) for j in range(n)] for i in range(n)]
-            v = [GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
-                                  Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
-                 for _ in range(n)]
-            v1, v2 = complexify_split(v, C)
-            assert complexify_reassemble(v1, v2) == v
-            # both parts are fixed by the involution
-            for part in (v1, v2):
-                conj = [sum((C[i][j] * part[j].conjugate() for j in range(n)),
-                            GaussianRational.ZERO) for i in range(n)]
-                assert conj == part
-
-    def test_multiplication_by_i_is_valid_involution(self):
-        # i * conj(i * conj(v)) = v, so this involution is accepted
-        v1, v2 = complexify_split([_g(1)], [[GaussianRational.I]])
-        assert complexify_reassemble(v1, v2) == [_g(1)]
-
-    def test_involution_axiom_violation_rejected(self):
-        with pytest.raises(ValueError):
-            complexify_split([_g(1)], [[_g(2)]])
 
 
 class TestFixedPointRetraction:

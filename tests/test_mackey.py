@@ -49,7 +49,7 @@ class TestAxioms:
         report = check_mackey_axioms(fixture)
         assert report.all_passed
         # res(tr) = [[1,1],[1,1]] = id + swap, checked per generator
-        assert mat_mul(fixture.res, fixture.tr) == [[1, 1], [1, 1]]
+        assert mat_mul(fixture.res, fixture.tr, 2) == [[1, 1], [1, 1]]
 
     def test_fixture_pattern(self):
         for name, fixture in fixture_presentations().items():
@@ -60,7 +60,7 @@ class TestAxioms:
             if not FIXTURE_EXPECTED[name]:
                 continue
             n = fixture.m_e.ngens
-            res_tr = mat_mul(fixture.res, fixture.tr)
+            res_tr = mat_mul(fixture.res, fixture.tr, n)
             for j in range(n):
                 column = [res_tr[i][j] - (1 if i == j else 0) - fixture.conj[i][j]
                           for i in range(n)]
@@ -80,6 +80,26 @@ class TestAxioms:
         # m_e = 0: res and conj have no rows, tr is 1 x 0
         fixture = MackeyPresentation(AbelianGroup(1), AbelianGroup(0), [], [[]], [])
         assert check_mackey_axioms(fixture).all_passed
+
+    def test_trivial_fixed_points(self):
+        # pi_6 KU_R: m_c2 = 0 and m_e = Z with conj = -1, so res is 1 x 0 and tr 0 x 1,
+        # and res(tr) is the 1 x 1 zero matrix, equal to id + conj
+        fixture = MackeyPresentation(AbelianGroup(0), AbelianGroup(1), [[]], [], [[-1]])
+        report = check_mackey_axioms(fixture)
+        assert report.all_passed
+        # with conj = 1, y + conj(y) = 2y is not res(tr(y)) = 0
+        fixture = MackeyPresentation(AbelianGroup(0), AbelianGroup(1), [[]], [], [[1]])
+        assert [a.passed for a in check_mackey_axioms(fixture).axioms] == [True, True, True,
+                                                                           False]
+
+    def test_product_shape(self):
+        # the column count comes from the caller: a 1 x 0 times a 0 x 1 matrix is [[0]]
+        assert mat_mul([[]], [], 1) == [[0]]
+        assert mat_mul([], [[1, 2]], 2) == []
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mat_mul([[1, 2]], [[1], [1]], 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mat_mul([[1]], [[1, 2]], 1)
 
     def test_torsion_aware_comparison(self):
         # res(tr) = id + conj can hold modulo torsion without integer equality

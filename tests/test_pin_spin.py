@@ -8,11 +8,10 @@ import pytest
 from c2alg.clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, kasparov
 from c2alg.funcalc import alpha_conjugation_check
 from c2alg.linalg import realify, unitary_eigh
-from c2alg.pin_spin import (DensePin, PinElement, _twisted_adjoint_numeric, check_phi_real,
+from c2alg.pin_spin import (DensePin, PinElement, _twisted_adjoint_numeric,
                             check_rho_real_equivariance, householder_factors,
-                            is_fixed_spinc,
-                            iv_model_action, phi_lift, rho_residual, spin_lift,
-                            twisted_adjoint, unit_residual)
+                            is_fixed_spinc, iv_model_action, lift_residuals, phi_lift,
+                            rho_residual, spin_lift, twisted_adjoint, unit_residual)
 from c2alg.scalars import GaussianRational, MultiPoly
 from c2alg.verify import (_rng, rand_multivector, rand_pin, rand_polynomial,
                           random_special_orthogonal, random_unitary, rational_phase,
@@ -652,12 +651,18 @@ class TestPhiLift:
             phi_lift(np.diag([2.0 + 0j]))
 
 
+def _phi_residuals(U) -> dict:
+    """``lift_residuals`` of phi(U), with phi(conj U) as the conjugate lift."""
+    U = np.asarray(U, dtype=complex)
+    return lift_residuals(phi_lift(U), realify(U), phi_lift(np.conj(U)))
+
+
 class TestPhiReal:
     def test_real_orthogonal_input(self):
         R = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-        assert check_phi_real(R)
+        assert _phi_residuals(R)["real_equivariance"] <= 1e-9
         g = phi_lift(R)
-        assert np.max(np.abs(g.values - g.algebra.dense_bar(g.values))) < 1e-12
+        assert lift_residuals(g, realify(R))["real_equivariance"] < 1e-12
 
     def test_multiplication_by_i_both_sides(self):
         U = np.array([[1j]])
@@ -667,12 +672,42 @@ class TestPhiReal:
         phase = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
         expected = phase * s * (alg.scalar(1) + alg.blade([1, 2])).to_dense()
         assert _dist(lifted, expected) < 1e-12
-        assert check_phi_real(U)
+        assert _phi_residuals(U)["real_equivariance"] <= 1e-9
 
     def test_random_u2(self):
         nrng = np.random.default_rng(8)
         for _ in range(50):
-            assert check_phi_real(random_unitary(nrng, 2))
+            assert max(_phi_residuals(random_unitary(nrng, 2)).values()) <= 1e-9
+
+
+class TestLiftResiduals:
+    def test_keys_in_report_order_and_spin_lift_against_itself(self):
+        R = random_special_orthogonal(np.random.default_rng(3), 5)
+        g = spin_lift(R)
+        res = lift_residuals(g, R)
+        assert list(res) == ["rho", "unit", "real_equivariance"]
+        assert res["rho"] == rho_residual(g, R) and res["unit"] == unit_residual(g)
+        # conj_lift=None measures g against its own bar: a spin lift is bar-fixed
+        assert res["real_equivariance"] == _dist(g.values, g.algebra.dense_bar(g.values))
+        assert lift_residuals(g, R, g) == res
+        assert max(res.values()) <= 1e-9
+
+    def test_conj_lift_is_compared_with_the_bar_of_g(self):
+        U = random_unitary(np.random.default_rng(4), 3)
+        g, c = phi_lift(U), phi_lift(np.conj(U))
+        res = lift_residuals(g, realify(U), c)
+        assert list(res) == ["rho", "unit", "real_equivariance"]
+        assert res["real_equivariance"] == _dist(c.values, g.algebra.dense_bar(g.values))
+        # without the conjugate lift, phi(U) of a non-real U is not bar-fixed
+        assert lift_residuals(g, realify(U))["real_equivariance"] > 1e-3
+
+    def test_nan_propagates(self):
+        g = spin_lift(np.eye(2))
+        assert math.isnan(lift_residuals(g, [[math.nan, 0.0], [0.0, 1.0]])["rho"])
+
+    def test_target_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            lift_residuals(spin_lift(np.eye(2)), np.eye(3))
 
 
 class TestFixedSpinc:

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import c2alg
-from c2alg import cli
+from c2alg import cli, pin_spin, verify
 from c2alg.clifford import ccl, ccl_interleaved
 from c2alg.linalg import matrix_to_json, random_unitary
 from c2alg.pin_spin import DensePin
-from c2alg.verify import MAX_CASES, random_special_orthogonal, run_verify
+from c2alg.verify import (MAX_CASES, SuiteResult, random_special_orthogonal, run_verify,
+                          suite_phi, suite_spin_lift)
 
 
 def run_cli(capsys, *argv):
@@ -360,6 +361,74 @@ def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+_LIFT_RESIDUALS = pin_spin.lift_residuals
+
+
+def _skewed_lift_residuals(g, target, conj_lift=None):
+    """``lift_residuals`` with the conjugate lift's phase turned by 3e-10 rad."""
+    c = g if conj_lift is None else conj_lift
+    turned = DensePin(c.algebra, c.vectors, c.phase * np.exp(3e-10j))
+    return _LIFT_RESIDUALS(g, target, turned)
+
+
+class TestOneToleranceRule:
+    """A lift residual passes by ``<= C2ALG_TOL`` in the CLI verdict and in verify alike."""
+
+    def test_gap_above_the_tolerance_fails_the_verdict(self, capsys, tmp_path, monkeypatch):
+        U = random_unitary(np.random.default_rng(2), 2)
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(matrix_to_json(U)), encoding="utf-8")
+        monkeypatch.setattr(pin_spin, "lift_residuals", _skewed_lift_residuals)
+        code, out, _ = run_cli(capsys, "phi-lift", "--unitary", str(path), "--json")
+        report = json.loads(out)
+        gap = report["residuals"]["real_equivariance"]
+        assert 1e-12 < gap <= 1e-9
+        assert (code, report["verdict"]) == (0, "pass")
+        monkeypatch.setenv("C2ALG_TOL", "1e-12")
+        code, out, _ = run_cli(capsys, "phi-lift", "--unitary", str(path), "--json")
+        report = json.loads(out)
+        assert (code, report["verdict"]) == (1, "fail")
+        assert report["residuals"]["rho"] <= 1e-12 and report["residuals"]["unit"] <= 1e-12
+
+    def test_gap_above_the_tolerance_fails_the_phi_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "lift_residuals", _skewed_lift_residuals)
+        result = suite_phi(7, 4)
+        assert result.passed
+        assert 1e-12 < result.residuals["real_equivariance"] <= 1e-9
+        monkeypatch.setenv("C2ALG_TOL", "1e-12")
+        result = suite_phi(7, 4)
+        assert result.failures == [f"phi Real equivariance case {i}" for i in range(4)]
+
+    def test_spin_lift_check_covers_every_residual(self, monkeypatch):
+        # a spin lift is compared with itself, so the turned phase shows as its bar gap
+        monkeypatch.setattr(verify, "lift_residuals", _skewed_lift_residuals)
+        assert suite_spin_lift(7, 2).passed
+        monkeypatch.setenv("C2ALG_TOL", "1e-12")
+        result = suite_spin_lift(7, 2)
+        assert result.failures == ["spin lift residual case 0 (n=2)",
+                                   "spin lift residual case 1 (n=3)"]
+        assert result.checks == suite_spin_lift(7, 2).checks == 5
+
+
+class TestNanResidual:
+    @pytest.mark.parametrize("values", [[float("nan")], [float("nan"), 1.0], [1.0, float("nan")]])
+    def test_recorded_nan_stays(self, values):
+        result = SuiteResult("x")
+        for value in values:
+            result.record_residual("r", value)
+        assert np.isnan(result.to_json()["residuals"]["r"])
+
+    def test_nan_residual_is_reported_and_fails(self, monkeypatch):
+        def nan_rho(g, target, conj_lift=None):
+            return {**pin_spin.lift_residuals(g, target, conj_lift), "rho": float("nan")}
+
+        monkeypatch.setattr(verify, "lift_residuals", nan_rho)
+        report = suite_spin_lift(7, 1).to_json()
+        assert np.isnan(report["residuals"]["rho"])
+        assert report["failures"] == ["spin lift residual case 0 (n=2)"]
+        assert not report["passed"]
 
 
 class TestRunVerifyApi:
