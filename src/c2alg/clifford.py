@@ -31,7 +31,7 @@ import re as _re
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, integer_numerators
 
 # _below_parity, and with it every blade sign, is valid for masks below 2^16.
 MAX_GENERATORS = 16
@@ -443,13 +443,6 @@ def vector_norm_sq(v: Multivector) -> Fraction:
 
 
 # -- exact products on integer numerators -------------------------------------------
-
-
-def integer_numerators(values: list) -> tuple[int, list]:
-    """(den, [x * den for x in values]) for Fractions, den the lcm of their denominators."""
-    ratios = [x.as_integer_ratio() for x in values]
-    den = math.lcm(*[d for _, d in ratios])
-    return den, [n * (den // d) for n, d in ratios]
 
 
 def integer_product(flip, left: dict, right: dict) -> dict:

@@ -10,14 +10,13 @@ exact rational arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re as _re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .scalars import MultiPoly, rational_from_string
+from .scalars import MultiPoly, integer_numerators, rational_from_string
 
 # Largest manifold dimension that `ManifoldSpec.parse` and `CharClassData.from_json`
 # accept. The cost of the degree-dim/4 K-polynomial grows with the partitions of
@@ -207,6 +206,14 @@ class CharClassData:
         self.dim = dim
         self.numbers = clean
 
+    @classmethod
+    def _raw(cls, dim: int, numbers: dict) -> "CharClassData":
+        # trusted: descending partitions of dim/4 mapped to nonzero Fractions
+        self = object.__new__(cls)
+        self.dim = dim
+        self.numbers = numbers
+        return self
+
     def number(self, partition) -> Fraction:
         return self.numbers.get(_normalize_partition(partition), Fraction(0))
 
@@ -275,32 +282,46 @@ def cp_projective_data(n: int) -> CharClassData:
     return CharClassData(dim, numbers)
 
 
+def _splits(part: tuple, total: int) -> list:
+    """Tuples s with 0 <= s_t <= part[t] and sum(s) == total."""
+    level = [((), total)]
+    room = sum(part)
+    for i in part:
+        room -= i
+        level = [(s + (x,), r - x) for s, r in level
+                 for x in range(max(0, r - room), min(i, r) + 1)]
+    return [s for s, _ in level]
+
+
 def product_data(a: CharClassData, b: CharClassData) -> CharClassData:
     """Whitney-product Pontryagin data of a cartesian product.
 
     p_i(M x N) = sum_r p_r(M) p_{i-r}(N), so the number of p_{i_1} ... p_{i_m}
     sums a-number times b-number over the splits 0 <= a_t <= i_t with
     4 sum(a_t) = dim M: the a side takes the nonzero a_t, the b side the
-    nonzero i_t - a_t, each looked up as a descending tuple in ``numbers``.
+    nonzero i_t - a_t, each looked up as a descending tuple. The sums run on
+    integer numerators over the product of the two common denominators.
     """
     dim = a.dim + b.dim
-    if dim % 4 != 0:
+    if dim % 4 != 0 or a.dim % 4 != 0:
         return CharClassData(dim)
+    den_a, ints = integer_numerators(list(a.numbers.values()))
+    num_a = dict(zip(a.numbers, ints))
+    den_b, ints = integer_numerators(list(b.numbers.values()))
+    num_b = dict(zip(b.numbers, ints))
     numbers = {}
     for part in partitions(dim // 4):
         total = 0
-        for split in itertools.product(*(range(i + 1) for i in part)):
-            if 4 * sum(split) != a.dim:
-                continue
-            na = a.numbers.get(tuple(sorted((x for x in split if x), reverse=True)))
+        for split in _splits(part, a.dim // 4):
+            na = num_a.get(tuple(sorted((x for x in split if x), reverse=True)))
             if na:
-                nb = b.numbers.get(tuple(sorted((i - x for i, x in zip(part, split) if i != x),
-                                                reverse=True)))
+                nb = num_b.get(tuple(sorted((i - x for i, x in zip(part, split) if i != x),
+                                            reverse=True)))
                 if nb:
                     total += na * nb
         if total:
-            numbers[part] = total
-    return CharClassData(dim, numbers)
+            numbers[part] = Fraction(total, den_a * den_b)
+    return CharClassData._raw(dim, numbers)
 
 
 def genus_evaluate(seq: MultSeq, data: CharClassData) -> Fraction:

@@ -36,11 +36,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clifford import (CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_numerators,
-                       integer_product)
+from .clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_product
 from .linalg import (check_finite, default_tol, is_unitary, random_unitary, realify,
                      unitary_eigh)
-from .scalars import MultiPoly
+from .scalars import MultiPoly, integer_numerators
 
 EVEN, ODD = 0, 1
 
@@ -555,6 +554,5 @@ def iv_model_action(g: PinElement, x: Multivector, f: MultiPoly):
     if f.nvars != alg.dim:
         raise ValueError("variable-count mismatch")
     rho = twisted_adjoint(g)
-    rho_inv = rho.transpose()  # orthogonal inverse
-    substituted = f.compose_linear([list(row) for row in rho_inv.rows])
-    return g.value * x, substituted
+    # rho^-1 = rho^T over the same den
+    return g.value * x, f._compose_integer(rho.den, list(zip(*rho.numerators)))

@@ -57,6 +57,13 @@ def rational_to_string(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def integer_numerators(values: list) -> tuple[int, list]:
+    """(den, [x * den for x in values]) for Fractions, den the lcm of their denominators."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, [n * (den // d) for n, d in ratios]
+
+
 class GaussianRational:
     """Exact complex number re + im*i with rational re, im.
 
@@ -190,10 +197,25 @@ GaussianRational.ONE = GaussianRational(1)
 GaussianRational.I = GaussianRational(0, 1)
 
 
+def _packed_product(x: dict, y: dict) -> dict:
+    """Product of integer polynomials {packed exponent: coefficient}; zeros are kept."""
+    out: dict = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            k = k1 + k2
+            if k in out:
+                out[k] += c1 * c2
+            else:
+                out[k] = c1 * c2
+    return out
+
+
 class MultiPoly:
     """Sparse multivariate polynomial over the rationals.
 
     Terms map exponent tuples (length ``nvars``) to nonzero Fractions.
+    ``compose_linear`` clears denominators and substitutes on integer
+    numerators, building one Fraction per output term.
     """
 
     __slots__ = ("nvars", "terms")
@@ -332,7 +354,7 @@ class MultiPoly:
                 raise ValueError("replacement variable counts differ")
         else:
             new_nvars = 0
-        out = MultiPoly.zero(new_nvars)
+        out: dict = {}
         power_cache: dict = {}
         for exp, c in self.terms.items():
             term = MultiPoly.constant(new_nvars, c)
@@ -344,20 +366,60 @@ class MultiPoly:
                         p = replacements[i] ** e
                         power_cache[key] = p
                     term = term * p
-            out = out + term
-        return out
+            for e, x in term.terms.items():
+                acc = out.get(e)
+                out[e] = x if acc is None else acc + x
+        return MultiPoly._raw(new_nvars, {e: c for e, c in out.items() if c})
 
     def compose_linear(self, matrix: list[list[Fraction]]) -> "MultiPoly":
         """Return f(M t), i.e. substitute x_k -> sum_i M[k][i] * t_i."""
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix shape must match variable count")
-        reps = [
-            MultiPoly(n, {tuple(1 if j == i else 0 for j in range(n)): Fraction(matrix[k][i])
-                          for i in range(n) if matrix[k][i]})
-            for k in range(n)
-        ]
-        return self.substitute(reps)
+        den, ints = integer_numerators([Fraction(x) for row in matrix for x in row])
+        return self._compose_integer(den, [ints[k * n:(k + 1) * n] for k in range(n)])
+
+    def _compose_integer(self, den: int, rows) -> "MultiPoly":
+        """f(M t) for M = rows / den, with integer rows.
+
+        The coefficients go over their lcm F and the linear forms
+        sum_i rows[k][i] t_i are expanded on integers, so each output term
+        of degree d is one integer over F * den**d. A monomial is packed into
+        one int whose base-(deg f + 1) digits are its exponents and, above
+        them, its degree, so adding keys multiplies monomials.
+        """
+        n = self.nvars
+        F, nums = integer_numerators(list(self.terms.values()))
+        base = max(map(sum, self.terms), default=0) + 1
+        top = base ** n
+        powers: dict = {}
+        out: dict = {}
+        for exp, a in zip(self.terms, nums):
+            term = None
+            for k, e in enumerate(exp):
+                if e:
+                    p = powers.get((k, e))
+                    if p is None:
+                        p = form = {base ** i + top: x for i, x in enumerate(rows[k]) if x}
+                        for _ in range(e - 1):
+                            p = _packed_product(p, form)
+                        powers[k, e] = p
+                    term = p if term is None else _packed_product(term, p)
+            for key, c in ({0: 1} if term is None else term).items():
+                if key in out:
+                    out[key] += a * c
+                else:
+                    out[key] = a * c
+        dens = [F * den ** d for d in range(base)]
+        terms = {}
+        for key, c in out.items():
+            if c:
+                exp = [0] * n
+                for i in range(n):
+                    exp[i] = key % base
+                    key //= base
+                terms[tuple(exp)] = Fraction(c, dens[key])
+        return MultiPoly._raw(n, terms)
 
     def permute_vars(self, perm: list[int]) -> "MultiPoly":
         """Relabel variables: old variable i becomes new variable perm[i]."""

@@ -27,9 +27,9 @@ SUITE_NAMES = ["clifford", "pin-spin", "genus", "mackey", "functional-calculus"]
 MAX_REPORTED_FAILURES = 20
 
 # Largest case count the CLI accepts. Time is linear in the count and memory
-# flat: cold `verify --suite all` takes about 0.71 s at 100 cases, 3.5 s at
-# 1000 and 8.8 s at 3000 (peak RSS 41 MiB throughout) on a 2-vCPU Xeon VM
-# with Python 3.11, so a run at the cap ends in under a minute.
+# flat: cold `verify --suite all` takes about 0.77 s at 100 cases, 2.8 s at
+# 1000 and 7.7 s at 3000 (medians; peak RSS 40 MiB throughout) on a 2-vCPU
+# Xeon VM with Python 3.11, so a run at the cap ends in under a minute.
 MAX_CASES = 10_000
 
 
