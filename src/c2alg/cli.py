@@ -13,6 +13,7 @@ Each handler imports what it runs, so the exact commands (``clifford``,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -218,9 +219,10 @@ def _cmd_spin_lift(args) -> int:
         if np.max(np.abs(M.imag)) > 0:
             raise ValueError("spin-lift expects a real matrix")
         g = spin_lift(R)
+        residuals = lift_residuals(g, R)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return _emit_lift(args, "spin-lift", M, g, lift_residuals(g, R))
+    return _emit_lift(args, "spin-lift", M, g, residuals)
 
 
 def _cmd_phi_lift(args) -> int:
@@ -232,10 +234,10 @@ def _cmd_phi_lift(args) -> int:
     U = _load_matrix(args.unitary)
     try:
         g = phi_lift(U)
-        conj_lift = phi_lift(np.conj(U))
+        residuals = lift_residuals(g, realify(U), phi_lift(np.conj(U)))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return _emit_lift(args, "phi-lift", U, g, lift_residuals(g, realify(U), conj_lift))
+    return _emit_lift(args, "phi-lift", U, g, residuals)
 
 
 def _cmd_ahat(args) -> int:
@@ -359,5 +361,22 @@ def main(argv=None) -> int:
         return EXIT_FAIL
 
 
+def run() -> int:
+    """Entry point of the ``c2alg`` script and of ``python -m c2alg.cli``.
+
+    Runs ``main``, then freezes every object left, so the collector's passes
+    at interpreter shutdown skip them: 14 000 objects after an exact command,
+    23 000 after one that loaded numpy and the spin modules. Objects are
+    still freed by refcount, and atexit handlers and the flushes of the std
+    streams still run. The freeze is here and not in ``main`` because
+    in-process callers of ``main`` (the tests, perfbench's tracing shim) live
+    on after it returns, and frozen objects are left out of every later
+    collection.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -27,9 +27,9 @@ SUITE_NAMES = ["clifford", "pin-spin", "genus", "mackey", "functional-calculus"]
 MAX_REPORTED_FAILURES = 20
 
 # Largest case count the CLI accepts. Time is linear in the count and memory
-# flat: cold `verify --suite all` takes about 0.77 s at 100 cases, 2.8 s at
-# 1000 and 7.7 s at 3000 (medians; peak RSS 40 MiB throughout) on a 2-vCPU
-# Xeon VM with Python 3.11, so a run at the cap ends in under a minute.
+# flat: cold `verify --suite all` takes about 0.45 s at 100 cases, 2.1 s at
+# 1000 and 5.6 s at 3000 (medians; peak RSS 40 MiB throughout) on a shared
+# 2-vCPU Xeon VM with Python 3.11, so a run at the cap ends in under 30 s.
 MAX_CASES = 10_000
 
 
@@ -313,8 +313,12 @@ def suite_spin_lift(seed: int, cases: int) -> SuiteResult:
     for i in range(cases):
         n = 2 + (i % 7)
         R = random_special_orthogonal(nrng, n)
-        g = spin_lift(R)
-        res = lift_residuals(g, R)
+        try:
+            g = spin_lift(R)
+            res = lift_residuals(g, R)
+        except ValueError as exc:  # a C2ALG_TOL below rounding error refuses the input
+            result.check(False, f"spin lift case {i} (n={n}): {exc}")
+            continue
         for key, value in res.items():
             result.record_residual(key, value)
         result.check(all(v <= tol for v in res.values()), f"spin lift residual case {i} (n={n})")
@@ -326,7 +330,11 @@ def suite_spin_lift(seed: int, cases: int) -> SuiteResult:
         alg = ccl(p, 0)
         g = rand_pin(rng, alg, 4, force_even=0, with_phase=False)
         R = twisted_adjoint(g).as_numpy()
-        lifted = spin_lift(R).values
+        try:
+            lifted = spin_lift(R).values
+        except ValueError as exc:
+            result.check(False, f"spin lift round trip case {i}: {exc}")
+            continue
         gn = g.value.to_dense()
         diff = float(min(np.max(np.abs(lifted - gn)), np.max(np.abs(lifted + gn))))
         result.record_residual("round_trip", diff)
@@ -342,18 +350,23 @@ def suite_phi(seed: int, cases: int) -> SuiteResult:
         n = 1 + (i % 4)
         U = random_unitary(nrng, n)
         V = random_unitary(nrng, n)
-        phi_u = phi_lift(U)
-        phi_v = phi_lift(V)
-        phi_uv = phi_lift(U @ V)
+        try:
+            phi_u = phi_lift(U)
+            phi_v = phi_lift(V)
+            phi_uv = phi_lift(U @ V)
+            res = lift_residuals(phi_u, realify(U), phi_lift(np.conj(U)))
+            # phi(U) phi(V) from the factors of both lifts: it shares no eigenbasis with phi(UV)
+            product = DensePin(phi_u.algebra, [*phi_u.vectors, *phi_v.vectors],
+                               phi_u.phase * phi_v.phase)
+            redo = phi_lift(U, rng=nrng)
+        except ValueError as exc:  # a C2ALG_TOL below rounding error refuses the input
+            result.check(False, f"phi case {i} (n={n}): {exc}")
+            continue
 
-        res = lift_residuals(phi_u, realify(U), phi_lift(np.conj(U)))
         for key, value in res.items():
             result.record_residual(key, value)
         result.check(res["rho"] <= tol, f"rho(phi(U)) = realify(U) case {i} (n={n})")
 
-        # phi(U) phi(V) from the factors of both lifts: it shares no eigenbasis with phi(UV)
-        product = DensePin(phi_u.algebra, [*phi_u.vectors, *phi_v.vectors],
-                           phi_u.phase * phi_v.phase)
         res_hom = np.max(np.abs(phi_uv.values - product.values))
         result.record_residual("homomorphism", res_hom)
         result.check(res_hom <= tol, f"phi homomorphism case {i}")
@@ -364,7 +377,6 @@ def suite_phi(seed: int, cases: int) -> SuiteResult:
         result.record_residual("phase_sq_det", res_det)
         result.check(res_det <= tol, f"phase squares to det case {i}")
 
-        redo = phi_lift(U, rng=nrng)
         res_canon = np.max(np.abs(phi_u.values - redo.values))
         result.record_residual("canonicity", res_canon)
         result.check(res_canon <= tol, f"phi canonicity case {i}")

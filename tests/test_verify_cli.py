@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pkgutil
@@ -314,6 +315,49 @@ class TestUsage:
         assert cli.main(["frobnicate"]) == 64
 
 
+def run_module(argv, env=None):
+    """Run ``python -m c2alg.cli`` on argv in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "c2alg.cli", *argv], capture_output=True,
+                          env=None if env is None else {**os.environ, **env}, timeout=120)
+
+
+class TestEntryPoint:
+    """``python -m c2alg.cli`` and the ``c2alg`` script end through ``cli.run``."""
+
+    @pytest.mark.parametrize("argv, tol, code", [
+        (["obstruction", "--genus", "-1/8"], None, 0),
+        (["obstruction", "--genus", "0"], None, 2),
+        (["clifford", "conj", "--signature", "2,0", "--a", "1/0"], None, 64),
+        # the rotation's residuals are 2.2e-16, above this tolerance
+        (["spin-lift", "--matrix", "FILE", "--json"], "1e-17", 1),
+    ], ids=["obstructed", "witness", "usage", "verdict-fail"])
+    def test_exit_code_and_bytes_match_main(self, capsys, monkeypatch, tmp_path,
+                                            argv, tol, code):
+        path = tmp_path / "rot.json"
+        path.write_text(_ROTATION, encoding="utf-8")
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        env = None if tol is None else {"C2ALG_TOL": tol}
+        proc = run_module(argv, env)
+        if tol is not None:
+            monkeypatch.setenv("C2ALG_TOL", tol)
+        assert run_cli(capsys, *argv) == (code, proc.stdout.decode(), proc.stderr.decode())
+        assert proc.returncode == code
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        assert cli.main(["verify", "--suite", "mackey", "--cases", "1"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_run_returns_the_code_of_main_and_freezes(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["c2alg", "obstruction", "--genus", "0"])
+        try:
+            assert cli.run() == 2
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert "witness" in capsys.readouterr().out
+
+
 # (command line, JSON file text or None); "FILE" stands for the file's path
 _HUGE_ENTRIES = '{"rows": 2, "cols": 2, "entries": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}'
 MALFORMED_INPUTS = [
@@ -410,6 +454,47 @@ class TestOneToleranceRule:
         assert result.failures == ["spin lift residual case 0 (n=2)",
                                    "spin lift residual case 1 (n=3)"]
         assert result.checks == suite_spin_lift(7, 2).checks == 5
+
+
+class TestToleranceBelowRounding:
+    """A valid C2ALG_TOL below rounding error refuses inputs; it never ends in a traceback."""
+
+    @pytest.mark.parametrize("command, flag, matrix", [
+        ("spin-lift", "--matrix", [[0.0, -1.0], [1.0, 0.0]]),
+        ("phi-lift", "--unitary", [[0.6 + 0.8j]])], ids=["spin-lift", "phi-lift"])
+    def test_lift_exits_64_with_one_line(self, tmp_path, command, flag, matrix):
+        # the lift is built, and its residuals are refused by the twisted adjoint
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix_to_json(np.array(matrix))), encoding="utf-8")
+        proc = run_module([command, flag, str(path)], {"C2ALG_TOL": "1e-20"})
+        assert (proc.returncode, proc.stdout) == (64, b"")
+        assert b"Traceback" not in proc.stderr
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: twisted adjoint")
+
+    def test_verify_fails_with_a_full_report(self):
+        proc = run_module(["verify", "--suite", "pin-spin", "--cases", "3", "--json"],
+                          {"C2ALG_TOL": "1e-16"})
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "fail"
+        assert "spin-lift: spin lift case 0 (n=2): input is not orthogonal within tolerance" \
+            in report["outputs"]["pin-spin"]["failures"]
+
+    def test_refused_case_is_one_failed_check(self, monkeypatch):
+        monkeypatch.setenv("C2ALG_TOL", "1e-16")
+        spin = suite_spin_lift(7, 2)
+        assert spin.failures[:2] == [
+            "spin lift case 0 (n=2): input is not orthogonal within tolerance",
+            "spin lift case 1 (n=3): input is not orthogonal within tolerance"]
+        phi = suite_phi(7, 2)
+        assert phi.checks == 2
+        assert phi.failures == [
+            "phi case 0 (n=1): input is not unitary within tolerance",
+            "phi case 1 (n=2): input is not unitary within tolerance"]
+        monkeypatch.setenv("C2ALG_TOL", "1e-300")  # refuses a rounded exact rotation too
+        assert suite_spin_lift(1, 4).failures[-1] == \
+            "spin lift round trip case 0: input is not orthogonal within tolerance"
 
 
 class TestNanResidual:
