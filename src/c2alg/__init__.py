@@ -30,7 +30,7 @@ _EXPORTS = {
     "pin_spin": ("DensePin", "OrthogonalAction", "PinElement", "check_rho_real_equivariance",
                  "is_fixed_spinc", "iv_model_action", "phi_lift", "spin_lift",
                  "twisted_adjoint"),
-    "scalars": ("GaussianRational", "MultiPoly", "RatFunc", "Rational"),
+    "scalars": ("GaussianRational", "MultiPoly", "RatFunc"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset({*_EXPORTS, "cli", "verify"})

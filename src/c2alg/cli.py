@@ -169,26 +169,21 @@ def _lift_report(command: str, matrix, element, residuals: dict) -> dict:
     """Report of a ``DensePin`` lift; every nonzero entry of its array is a term.
 
     ``terms`` lists (mask, [re, im]) by mask; ``expression`` writes the
-    same entries as coefficient*blade, ordered by (grade, mask), with float
-    ``repr`` coefficients.
+    same entries through ``format_terms``, with float ``repr`` coefficients.
     """
     import numpy as np
 
+    from .clifford import format_terms
     from .linalg import matrix_to_json
 
     tol = default_tol()
     support = np.flatnonzero(element.values).tolist()
     coeffs = element.values[support].tolist()
-    parts = []
-    for m, c in sorted(zip(support, coeffs), key=lambda t: (t[0].bit_count(), t[0])):
-        blade = "".join(f"e{i + 1}" for i in range(m.bit_length()) if m >> i & 1)
-        cs = _format_float_coeff(c)
-        parts.append(f"{cs}*{blade}" if blade else cs)
     return {
         "command": command,
         "inputs": {"matrix": matrix_to_json(matrix)},
         "outputs": {
-            "expression": " + ".join(parts).replace("+ -", "- "),
+            "expression": format_terms(zip(support, map(_format_float_coeff, coeffs))),
             "terms": [[m, [c.real, c.imag]] for m, c in zip(support, coeffs)],
             "parity": "even" if element.parity == 0 else "odd",
             "generator_convention": element.algebra.convention,

@@ -690,28 +690,14 @@ def parse_multivector(text: str, algebra: CliffordAlgebra) -> Multivector:
     return value
 
 
-def _format_exact_coeff(c: GaussianRational) -> str:
-    if not c.im:
-        return str(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}*i"
-    sign = "+" if c.im > 0 else "-"
-    mag = abs(c.im)
-    istr = "i" if mag == 1 else f"{mag}*i"
-    return f"({c.re} {sign} {istr})"
+def format_terms(pairs) -> str:
+    """Write (mask, coefficient text) pairs as coefficient*blade, ordered by (grade, mask).
 
-
-def format_multivector(mv: Multivector) -> str:
-    if not mv.terms:
-        return "0"
+    A coefficient written "1" or "-1" leaves the bare blade; the empty sum is "0".
+    """
     parts = []
-    for mask in sorted(mv.terms, key=lambda m: (m.bit_count(), m)):
-        cs = _format_exact_coeff(mv.coeff(mask))
-        blade = "".join(f"e{i + 1}" for i in range(mv.algebra.dim) if mask & (1 << i))
+    for mask, cs in sorted(pairs, key=lambda t: (t[0].bit_count(), t[0])):
+        blade = "".join(f"e{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
         if not blade:
             parts.append(cs)
         elif cs == "1":
@@ -720,5 +706,8 @@ def format_multivector(mv: Multivector) -> str:
             parts.append(f"-{blade}")
         else:
             parts.append(f"{cs}*{blade}")
-    text = " + ".join(parts)
-    return text.replace("+ -", "- ")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def format_multivector(mv: Multivector) -> str:
+    return format_terms((m, str(mv.coeff(m))) for m in mv.terms)

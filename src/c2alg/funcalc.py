@@ -18,8 +18,6 @@ from .clifford import MAX_GENERATORS, Multivector, _below_parity, relabel, vecto
 from .pin_spin import PinElement, _require_pin
 from .scalars import MultiPoly, RatFunc
 
-EVEN, ODD = 0, 1
-
 
 class GradedRatFunc:
     """Sum of rational functions times odd-generator blades.

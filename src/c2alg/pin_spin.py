@@ -351,7 +351,8 @@ def _twisted_adjoint_numeric(g: DensePin) -> np.ndarray:
     off_grade = ~(np.max(np.abs(B - M.T @ A), axis=1) <= 100 * tol)
     bad = np.flatnonzero(non_real | off_grade)
     if bad.size:
-        raise ValueError(_NON_REAL if non_real[bad[0]] else _OFF_GRADE)
+        reason = _NON_REAL if non_real[bad[0]] else _OFF_GRADE
+        raise ValueError(f"{reason} (numeric bound 100 * C2ALG_TOL = {100 * tol:.1e})")
     return M.real
 
 
@@ -555,4 +556,4 @@ def iv_model_action(g: PinElement, x: Multivector, f: MultiPoly):
         raise ValueError("variable-count mismatch")
     rho = twisted_adjoint(g)
     # rho^-1 = rho^T over the same den
-    return g.value * x, f._compose_integer(rho.den, list(zip(*rho.numerators)))
+    return g.value * x, f.compose_linear(list(zip(*rho.numerators)), rho.den)

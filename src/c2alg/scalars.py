@@ -15,8 +15,6 @@ import re
 from fractions import Fraction
 from typing import Mapping
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -178,18 +176,14 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
+        """``3/2``, ``i``, ``-3/2*i`` or ``(1/2 - 3*i)``: the form ``parse_multivector`` reads."""
         if not self.im:
             return str(self.re)
-        if not self.re:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
         mag = abs(self.im)
-        istr = "i" if mag == 1 else f"{mag}i"
-        return f"({self.re}{sign}{istr})"
+        istr = "i" if mag == 1 else f"{mag}*i"
+        if not self.re:
+            return istr if self.im > 0 else f"-{istr}"
+        return f"({self.re} {'+' if self.im > 0 else '-'} {istr})"
 
 
 GaussianRational.ZERO = GaussianRational(0)
@@ -214,8 +208,9 @@ class MultiPoly:
     """Sparse multivariate polynomial over the rationals.
 
     Terms map exponent tuples (length ``nvars``) to nonzero Fractions.
-    ``compose_linear`` clears denominators and substitutes on integer
-    numerators, building one Fraction per output term.
+    ``substitute`` and ``compose_linear`` share one engine: they clear
+    denominators, expand on integer numerators with packed monomials and
+    build one Fraction per output term.
     """
 
     __slots__ = ("nvars", "terms")
@@ -354,53 +349,49 @@ class MultiPoly:
                 raise ValueError("replacement variable counts differ")
         else:
             new_nvars = 0
-        out: dict = {}
-        power_cache: dict = {}
-        for exp, c in self.terms.items():
-            term = MultiPoly.constant(new_nvars, c)
-            for i, e in enumerate(exp):
-                if e:
-                    key = (i, e)
-                    p = power_cache.get(key)
-                    if p is None:
-                        p = replacements[i] ** e
-                        power_cache[key] = p
-                    term = term * p
-            for e, x in term.terms.items():
-                acc = out.get(e)
-                out[e] = x if acc is None else acc + x
-        return MultiPoly._raw(new_nvars, {e: c for e, c in out.items() if c})
+        den, nums = integer_numerators([c for r in replacements for c in r.terms.values()])
+        rep_degree = max((sum(e) for r in replacements for e in r.terms), default=0)
+        base = max(map(sum, self.terms), default=0) * rep_degree + 1
+        weights = [base ** i for i in range(new_nvars)]
+        nums = iter(nums)
+        forms = [{sum(map(operator.mul, e, weights)): next(nums) for e in r.terms}
+                 for r in replacements]
+        return self._substituted(forms, den, new_nvars, base)
 
-    def compose_linear(self, matrix: list[list[Fraction]]) -> "MultiPoly":
-        """Return f(M t), i.e. substitute x_k -> sum_i M[k][i] * t_i."""
+    def compose_linear(self, matrix: list[list], den: int = 1) -> "MultiPoly":
+        """Return f(M t) for M = matrix / den, i.e. x_k -> sum_i M[k][i] * t_i."""
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix shape must match variable count")
-        den, ints = integer_numerators([Fraction(x) for row in matrix for x in row])
-        return self._compose_integer(den, [ints[k * n:(k + 1) * n] for k in range(n)])
-
-    def _compose_integer(self, den: int, rows) -> "MultiPoly":
-        """f(M t) for M = rows / den, with integer rows.
-
-        The coefficients go over their lcm F and the linear forms
-        sum_i rows[k][i] t_i are expanded on integers, so each output term
-        of degree d is one integer over F * den**d. A monomial is packed into
-        one int whose base-(deg f + 1) digits are its exponents and, above
-        them, its degree, so adding keys multiplies monomials.
-        """
-        n = self.nvars
-        F, nums = integer_numerators(list(self.terms.values()))
+        lcm, ints = integer_numerators([x for row in matrix for x in row])
         base = max(map(sum, self.terms), default=0) + 1
-        top = base ** n
+        forms = [{base ** i: x for i, x in enumerate(ints[k * n:(k + 1) * n]) if x}
+                 for k in range(n)]
+        return self._substituted(forms, lcm * den, n, base)
+
+    def _substituted(self, forms: list, den: int, nvars: int, base: int) -> "MultiPoly":
+        """f(r) for replacements r_k = forms[k] / den in ``nvars`` variables.
+
+        A form is an integer polynomial whose monomials are packed into one
+        int, the exponents as base-``base`` digits, so adding keys multiplies
+        monomials; every exponent of f(r) must stay below ``base``. The
+        coefficients of f go over their lcm F, and a term of degree d is
+        scaled by den**(deg f - d), so each output coefficient is one integer
+        over F * den**(deg f).
+        """
+        F, nums = integer_numerators(list(self.terms.values()))
+        degree = max(map(sum, self.terms), default=0)
+        scale = [den ** (degree - d) for d in range(degree + 1)]
         powers: dict = {}
         out: dict = {}
         for exp, a in zip(self.terms, nums):
+            a *= scale[sum(exp)]
             term = None
             for k, e in enumerate(exp):
                 if e:
                     p = powers.get((k, e))
                     if p is None:
-                        p = form = {base ** i + top: x for i, x in enumerate(rows[k]) if x}
+                        p = form = forms[k]
                         for _ in range(e - 1):
                             p = _packed_product(p, form)
                         powers[k, e] = p
@@ -410,16 +401,15 @@ class MultiPoly:
                     out[key] += a * c
                 else:
                     out[key] = a * c
-        dens = [F * den ** d for d in range(base)]
+        total = F * den ** degree
         terms = {}
         for key, c in out.items():
             if c:
-                exp = [0] * n
-                for i in range(n):
-                    exp[i] = key % base
-                    key //= base
-                terms[tuple(exp)] = Fraction(c, dens[key])
-        return MultiPoly._raw(n, terms)
+                exp = [0] * nvars
+                for i in range(nvars):
+                    key, exp[i] = divmod(key, base)
+                terms[tuple(exp)] = Fraction(c, total)
+        return MultiPoly._raw(nvars, terms)
 
     def permute_vars(self, perm: list[int]) -> "MultiPoly":
         """Relabel variables: old variable i becomes new variable perm[i]."""

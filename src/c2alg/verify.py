@@ -110,6 +110,13 @@ def _exact(alg, ratios: dict) -> Multivector:
                                       for m, (a, b, c, d) in ratios.items() if a or c}, den)
 
 
+def rand_algebra(rng, max_dim):
+    """ccl(p, q) with 1 <= p + q <= max_dim: p is drawn first, then q; (0, 0) becomes (1, 0)."""
+    p = rng.randint(0, max_dim)
+    q = rng.randint(0, max_dim - p)
+    return ccl(p if p + q else 1, q)
+
+
 def rand_multivector(rng, alg, max_terms=4):
     ratios = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -176,11 +183,7 @@ def suite_clifford(seed: int, cases: int) -> SuiteResult:
     result = SuiteResult("clifford")
     rng = _rng(seed, "clifford")
     for i in range(cases):
-        p = rng.randint(0, 6)
-        q = rng.randint(0, 6 - p)
-        if p + q == 0:
-            p = 1
-        alg = ccl(p, q)
+        alg = rand_algebra(rng, 6)
         x = rand_multivector(rng, alg)
         y = rand_multivector(rng, alg)
         z = rand_multivector(rng, alg)
@@ -237,11 +240,7 @@ def suite_rho(seed: int, cases: int) -> SuiteResult:
     result = SuiteResult("rho")
     rng = _rng(seed, "rho")
     for i in range(cases):
-        p = rng.randint(0, 4)
-        q = rng.randint(0, 4 - p)
-        if p + q == 0:
-            p = 1
-        alg = ccl(p, q)
+        alg = rand_algebra(rng, 4)
         g = rand_pin(rng, alg, 4)
         h = rand_pin(rng, alg, 4)
         rho_g = twisted_adjoint(g)
@@ -271,11 +270,7 @@ def suite_pin_kernel(seed: int, cases: int) -> SuiteResult:
     result = SuiteResult("pin-kernel")
     rng = _rng(seed, "pin-kernel")
     for i in range(cases):
-        p = rng.randint(0, 4)
-        q = rng.randint(0, 4 - p)
-        if p + q == 0:
-            p = 1
-        alg = ccl(p, q)
+        alg = rand_algebra(rng, 4)
         ge = rand_pin(rng, alg, 4, force_even=0)
         v = rand_real_vector(rng, alg)
         w = rand_multivector(rng, alg, 3)
@@ -538,11 +533,7 @@ def suite_functional_calculus(seed: int, cases: int) -> SuiteResult:
                  "odd coefficient read-off")
 
     for i in range(cases):
-        p = rng.randint(0, 4)
-        q = rng.randint(0, 4 - p)
-        if p + q == 0:
-            p = 1
-        alg = ccl(p, q)
+        alg = rand_algebra(rng, 4)
         v = rand_real_vector(rng, alg)
         image = funcalc.fc_eval(v)
         result.check(image.check_relations(), f"fc graded-* relations case {i}")

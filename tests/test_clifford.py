@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from c2alg.clifford import (SplitSpec, ccl, ccl_interleaved, format_multivector,
-                            from_kasparov, graded_tensor_split, kasparov,
+                            format_terms, from_kasparov, graded_tensor_split, kasparov,
                             parse_multivector, relabel, to_kasparov, vector_norm_sq)
 from c2alg.scalars import GaussianRational
 from c2alg.verify import _rng, rand_coeff, rand_multivector, rational_unit_vector
@@ -413,6 +413,13 @@ class TestExpressionGrammar:
         assert parse_multivector("e2*" + "-+" * 1500 + "e1", alg) == alg.generator(2) * e1
         with pytest.raises(ValueError, match="nests deeper"):
             parse_multivector("(" * 101 + "e1" + ")" * 101, alg)
+
+    def test_format_terms_bare_blades_and_empty_sum(self):
+        assert format_terms([(3, "1"), (1, "-1"), (0, "1")]) == "1 - e1 + e1e2"
+        assert format_terms([(4, "1.0"), (2, "-1.0")]) == "-1.0*e2 + 1.0*e3"
+        assert format_terms([(5, "(1 + i)"), (2, "-3/2*i")]) == "-3/2*i*e2 + (1 + i)*e1e3"
+        assert format_terms([]) == "0"
+        assert format_multivector(ccl(2, 0).zero()) == "0"
 
     def test_serialized_terms_sorted(self):
         alg = ccl(2, 0)

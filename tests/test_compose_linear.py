@@ -1,10 +1,12 @@
 """``MultiPoly.compose_linear`` and ``substitute`` against their Fraction forms.
 
-``compose_linear`` clears denominators and substitutes integer linear forms;
-``iv_model_action`` feeds it the integer rows of rho(g)^T. The oracles below
-are the Fraction implementations they replaced: one ``MultiPoly`` per linear
-form, powers by ``**`` and one ``MultiPoly`` sum per term. Every polynomial
-and matrix must give the same polynomial both ways.
+``substitute`` and ``compose_linear`` share one engine: it clears
+denominators and expands integer forms on packed monomials.
+``iv_model_action`` feeds ``compose_linear`` the integer rows of rho(g)^T
+with their denominator. The oracles below are the Fraction implementations
+the engine replaced: one ``MultiPoly`` per linear form, powers by ``**`` and
+one ``MultiPoly`` sum per term. Every polynomial and matrix must give the
+same polynomial both ways.
 """
 
 import random
@@ -115,6 +117,61 @@ class TestAgainstFractionOracle:
             f = rand_poly(rng, nvars, max_degree=3)
             reps = [rand_poly(rng, 3, max_degree=2, max_terms=3) for _ in range(nvars)]
             assert f.substitute(reps) == oracle_substitute(f, reps)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_substitute_denominators_and_mixed_degrees(self, seed):
+        # replacements up to degree 3 need a packing base wider than deg f + 1
+        rng = random.Random(1000 + seed)
+        for nvars in range(1, 4):
+            f = rand_poly(rng, nvars, max_degree=4)
+            reps = [rand_poly(rng, 2, max_degree=3, max_terms=4) for _ in range(nvars)]
+            assert f.substitute(reps) == oracle_substitute(f, reps)
+
+    def test_substitute_keeps_one_denominator_per_degree(self):
+        # x^2 + x/3 under x -> y^2/2 + 1/5
+        f = MultiPoly(1, {(2,): Fraction(1), (1,): Fraction(1, 3)})
+        r = MultiPoly(1, {(2,): Fraction(1, 2), (0,): Fraction(1, 5)})
+        assert f.substitute([r]) == MultiPoly(1, {
+            (4,): Fraction(1, 4), (2,): Fraction(1, 5) + Fraction(1, 6),
+            (0,): Fraction(1, 25) + Fraction(1, 15)})
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_constant_replacements_into_no_variables(self, seed):
+        rng = random.Random(2000 + seed)
+        f = rand_poly(rng, 3)
+        values = [rand_fraction(rng) for _ in range(3)]
+        reps = [MultiPoly.constant(0, v) for v in values]
+        value = sum((c * values[0] ** e0 * values[1] ** e1 * values[2] ** e2
+                     for (e0, e1, e2), c in f.terms.items()), Fraction(0))
+        assert f.substitute(reps) == oracle_substitute(f, reps) == MultiPoly.constant(0, value)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_zero_replacement(self, seed):
+        rng = random.Random(3000 + seed)
+        f = rand_poly(rng, 3)
+        reps = [rand_poly(rng, 2, max_degree=2), MultiPoly.zero(2), rand_poly(rng, 2)]
+        expected = oracle_substitute(f, reps)
+        assert f.substitute(reps) == expected
+        kept = MultiPoly(3, {e: c for e, c in f.terms.items() if not e[1]})
+        assert expected == kept.substitute(reps)
+
+    def test_zero_polynomial(self):
+        reps = [MultiPoly.variable(2, 0) + Fraction(1, 3), MultiPoly.constant(2, 7)]
+        assert MultiPoly.zero(2).substitute(reps) == MultiPoly.zero(2)
+        assert MultiPoly.zero(3).compose_linear([[Fraction(1, 2)] * 3] * 3) == MultiPoly.zero(3)
+        assert MultiPoly.zero(0).substitute([]) == MultiPoly.zero(0)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_integer_rows_over_den(self, seed):
+        rng = random.Random(4000 + seed)
+        for nvars in range(7):
+            f = rand_poly(rng, nvars)
+            den = rng.randint(1, 30)
+            rows = [[rng.randint(-20, 20) for _ in range(nvars)] for _ in range(nvars)]
+            scaled = [[Fraction(x, den) for x in row] for row in rows]
+            assert f.compose_linear(rows, den) == f.compose_linear(scaled)
+            assert f.compose_linear(scaled, 3) == oracle_compose_linear(
+                f, [[x / 3 for x in row] for row in scaled])
 
 
 class TestShape:

@@ -14,8 +14,8 @@ import pytest
 
 from c2alg.clifford import ccl
 from c2alg.scalars import GaussianRational
-from c2alg.verify import (rand_coeff, rand_fraction, rand_multivector, rand_real_vector,
-                          rational_phase, rational_unit_vector)
+from c2alg.verify import (rand_algebra, rand_coeff, rand_fraction, rand_multivector,
+                          rand_real_vector, rational_phase, rational_unit_vector)
 
 SEEDS = range(200)
 SIGNATURES = [(p, q) for p in range(7) for q in range(7 - p)]
@@ -112,3 +112,17 @@ def test_scalar_generators_match_their_fraction_oracle(generator, oracle):
 def test_unit_vector_needs_a_generator():
     with pytest.raises(ValueError):
         rational_unit_vector(random.Random(0), ccl(0, 0))
+
+
+@pytest.mark.parametrize("max_dim", [4, 6])
+def test_rand_algebra_keeps_the_inline_signature_draw(max_dim):
+    # the draw each suite wrote out before ``rand_algebra`` held it
+    for seed in SEEDS:
+        rng, oracle_rng = _twin_rngs(seed, "rand_algebra")
+        for _ in range(5):
+            p = oracle_rng.randint(0, max_dim)
+            q = oracle_rng.randint(0, max_dim - p)
+            if p + q == 0:
+                p = 1
+            assert rand_algebra(rng, max_dim) is ccl(p, q)
+        assert rng.getstate() == oracle_rng.getstate(), seed

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from c2alg.clifford import ccl, parse_multivector
 from c2alg.scalars import (GaussianRational, MultiPoly, RatFunc, rational_from_string,
                            rational_to_string)
 
@@ -60,6 +61,19 @@ class TestGaussianRational:
     def test_pow(self):
         assert GaussianRational.I ** 4 == GaussianRational.ONE
         assert GaussianRational(2) ** -1 == GaussianRational(Fraction(1, 2))
+
+    @pytest.mark.parametrize("c, text", [
+        (GaussianRational(0, 1), "i"),
+        (GaussianRational(0, -1), "-i"),
+        (GaussianRational(0, Fraction(-3, 2)), "-3/2*i"),
+        (GaussianRational(1, 1), "(1 + i)"),
+        (GaussianRational(Fraction(-1, 2), -3), "(-1/2 - 3*i)"),
+        (GaussianRational(Fraction(3, 4)), "3/4"),
+    ])
+    def test_str_is_the_multivector_grammar(self, c, text):
+        assert str(c) == text
+        alg = ccl(1, 0)
+        assert parse_multivector(str(c), alg) == alg.scalar(c)
 
 
 class TestMultiPoly:

@@ -471,6 +471,7 @@ class TestToleranceBelowRounding:
         assert b"Traceback" not in proc.stderr
         lines = proc.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: twisted adjoint")
+        assert "C2ALG_TOL" in lines[0]
 
     def test_verify_fails_with_a_full_report(self):
         proc = run_module(["verify", "--suite", "pin-spin", "--cases", "3", "--json"],
