@@ -350,6 +350,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        # str() of an exact result past Python's integer-string digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: a result has more digits than can be printed", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # what is still buffered goes to devnull, so the flush at exit is quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -433,13 +433,17 @@ def vector_norm_sq(v: Multivector) -> Fraction:
     that squares to -1 (the last q generators of ``kasparov(p, q)``), so such
     weight raises ValueError.
     """
+    return Fraction(_norm_sq_numerator(v), v.den * v.den)
+
+
+def _norm_sq_numerator(v: Multivector) -> int:
     if v.terms and v.grades() != {1}:
         raise ValueError("input must be a pure grade-1 element")
     if any(m & v.algebra.neg_square_mask for m in v.terms):
         raise ValueError("input has weight on a generator that squares to -1")
     if not v.is_real():
         raise ValueError("input must have real rational coefficients")
-    return Fraction(sum(x * x for x, _ in v.terms.values()), v.den * v.den)
+    return sum(x * x for x, _ in v.terms.values())
 
 
 # -- exact products on integer numerators -------------------------------------------

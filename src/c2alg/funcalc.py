@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import MAX_GENERATORS, Multivector, _below_parity, relabel, vector_norm_sq
+from .clifford import MAX_GENERATORS, Multivector, _below_parity, _norm_sq_numerator, relabel
 from .pin_spin import PinElement, _require_pin
 from .scalars import MultiPoly, RatFunc
 
@@ -318,12 +318,15 @@ def fc_eval(v: Multivector) -> FcImage:
 
     Requires a grade-1 (or zero) element with real rational coefficients and
     no weight on a generator that squares to -1 (see ``vector_norm_sq``).
+    On integer numerators: v = x/D, N = sum x_i^2, a -> D^2/(D^2+N), b -> xD/(D^2+N).
     """
     if v.terms and v.grades() != {1}:
         raise ValueError("non-vector input")
-    norm = vector_norm_sq(v)
-    scale = Fraction(1) / (1 + norm)
-    return FcImage(v.algebra.scalar(scale), v.scale(scale))
+    d = v.den
+    den = d * d + _norm_sq_numerator(v)
+    return FcImage(
+        Multivector._reduced(v.algebra, {0: (d * d, 0)}, den),
+        Multivector._reduced(v.algebra, {m: (x * d, 0) for m, (x, _) in v.terms.items()}, den))
 
 
 def fc_equivariance(v: Multivector) -> bool:

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import math
 import re as _re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .scalars import MultiPoly, integer_numerators, rational_from_string
 
 # Largest manifold dimension that `ManifoldSpec.parse` and `CharClassData.from_json`
 # accept. The cost of the degree-dim/4 K-polynomial grows with the partitions of
 # dim/4: on a 2-vCPU Xeon VM, data plus genus from a cold sequence cache take
-# 0.60-0.79 s at dim 40 (CP20, CP2^10, CP4^5, CP10^2), 1.7 s at dim 44 (CP22)
-# and 3.6 s at dim 48 (CP24).
+# 0.64-0.79 s at dim 40 (CP20, CP2^10, CP4^5, CP10^2), 1.6 s at dim 44 (CP22) and
+# 3.7 s at dim 48 (CP24); once warm, a dim-40 product and its genus take under 1 ms.
 MAX_DIM = 40
 
 # -- rational power series helpers (dense coefficient lists) -------------------------
@@ -92,6 +93,7 @@ class MultSeq:
         self._series = series
         self.name = name
         self._cache: dict[int, MultiPoly] = {}
+        self._terms: dict[int, list] = {}
 
     def characteristic_coefficients(self, order: int) -> list[Fraction]:
         coeffs = list(self._series(order))
@@ -109,6 +111,13 @@ class MultSeq:
             poly = self._compute(k)
             self._cache[k] = poly
         return poly
+
+    def _partition_terms(self, k: int) -> list:
+        """(descending partition, coefficient) per term of the degree-k polynomial."""
+        if k not in self._terms:
+            self._terms[k] = [(tuple(j + 1 for j in reversed(range(k)) for _ in range(e[j])), c)
+                              for e, c in self.k_polynomial(k).terms.items()]
+        return self._terms[k]
 
     def _compute(self, k: int) -> MultiPoly:
         logc = series_log(self.characteristic_coefficients(k), k)
@@ -152,21 +161,15 @@ def ahat_polynomial(k: int) -> MultiPoly:
 # -- Pontryagin data ------------------------------------------------------------------
 
 
-def partitions(k: int) -> Iterable[tuple[int, ...]]:
-    """Partitions of k as descending tuples."""
-    if k == 0:
-        yield ()
-        return
-
+@lru_cache(maxsize=None)
+def partitions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Partitions of k as descending tuples, computed once per k."""
     def rec(remaining, largest):
         if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(k, k)
+            return [()]
+        return [(first,) + rest for first in range(min(remaining, largest), 0, -1)
+                for rest in rec(remaining - first, first)]
+    return tuple(rec(k, k))
 
 
 def _normalize_partition(parts) -> tuple[int, ...]:
@@ -282,15 +285,22 @@ def cp_projective_data(n: int) -> CharClassData:
     return CharClassData(dim, numbers)
 
 
-def _splits(part: tuple, total: int) -> list:
-    """Tuples s with 0 <= s_t <= part[t] and sum(s) == total."""
-    level = [((), total)]
-    room = sum(part)
-    for i in part:
-        room -= i
-        level = [(s + (x,), r - x) for s, r in level
-                 for x in range(max(0, r - room), min(i, r) + 1)]
-    return [s for s, _ in level]
+@lru_cache(maxsize=None)
+def _split_table(k: int, ka: int) -> tuple:
+    """Per partition of k, each distinct (a-part, b-part) of its splits of a-weight ka, counted."""
+    table = []
+    for part in partitions(k):
+        level = [((), ka)]
+        room = k
+        for i in part:
+            room -= i
+            level = [(s + (x,), r - x) for s, r in level
+                     for x in range(max(0, r - room), min(i, r) + 1)]
+        table.append((part, tuple(Counter(
+            (tuple(sorted((x for x in s if x), reverse=True)),
+             tuple(sorted((i - x for i, x in zip(part, s) if i != x), reverse=True)))
+            for s, _ in level).items())))
+    return tuple(table)
 
 
 def product_data(a: CharClassData, b: CharClassData) -> CharClassData:
@@ -299,8 +309,10 @@ def product_data(a: CharClassData, b: CharClassData) -> CharClassData:
     p_i(M x N) = sum_r p_r(M) p_{i-r}(N), so the number of p_{i_1} ... p_{i_m}
     sums a-number times b-number over the splits 0 <= a_t <= i_t with
     4 sum(a_t) = dim M: the a side takes the nonzero a_t, the b side the
-    nonzero i_t - a_t, each looked up as a descending tuple. The sums run on
-    integer numerators over the product of the two common denominators.
+    nonzero i_t - a_t, each a descending tuple. Each distinct pair is looked
+    up once, times the number of splits giving it (``_split_table``, built once
+    per pair of degrees). The sums run on integer numerators over the product
+    of the two common denominators.
     """
     dim = a.dim + b.dim
     if dim % 4 != 0 or a.dim % 4 != 0:
@@ -310,33 +322,24 @@ def product_data(a: CharClassData, b: CharClassData) -> CharClassData:
     den_b, ints = integer_numerators(list(b.numbers.values()))
     num_b = dict(zip(b.numbers, ints))
     numbers = {}
-    for part in partitions(dim // 4):
-        total = 0
-        for split in _splits(part, a.dim // 4):
-            na = num_a.get(tuple(sorted((x for x in split if x), reverse=True)))
-            if na:
-                nb = num_b.get(tuple(sorted((i - x for i, x in zip(part, split) if i != x),
-                                            reverse=True)))
-                if nb:
-                    total += na * nb
+    for part, pairs in _split_table(dim // 4, a.dim // 4):
+        total = sum(count * num_a.get(pa, 0) * num_b.get(pb, 0) for (pa, pb), count in pairs)
         if total:
             numbers[part] = Fraction(total, den_a * den_b)
     return CharClassData._raw(dim, numbers)
 
 
 def genus_evaluate(seq: MultSeq, data: CharClassData) -> Fraction:
-    """Pair the degree-(dim/4) K-polynomial with the Pontryagin numbers."""
+    """Pair the degree-(dim/4) K-polynomial, read as (partition, coefficient)
+    terms once per degree, with the Pontryagin numbers."""
     if data.dim % 4 != 0:
         return Fraction(0)
     k = data.dim // 4
     if k == 0:
         return data.number(())
-    K = seq.k_polynomial(k)
     total = Fraction(0)
-    for exp, coeff in K.terms.items():
-        part = tuple(sorted(
-            (j + 1 for j in range(k) for _ in range(exp[j])), reverse=True))
-        n = data.number(part)
+    for part, coeff in seq._partition_terms(k):
+        n = data.numbers.get(part)
         if n:
             total += coeff * n
     return total

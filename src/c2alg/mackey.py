@@ -263,7 +263,7 @@ def fixed_point_obstruction(q) -> ObstructionCertificate:
     a, b = q.numerator, q.denominator
     period = b // math.gcd(2, b)  # den(2q)
     if period > MAX_PERIOD:
-        raise ValueError(f"residue period {period} of genus {rational_to_string(q)} "
+        raise ValueError(f"residue period of a genus with a {len(str(b))}-digit denominator "
                          f"exceeds the supported maximum {MAX_PERIOD}")
     # periodicity: f(m + period) - f(m) = period*(2m + period) - 2q*period is integral
     if 2 * a * period % b:

@@ -43,7 +43,9 @@ def rational_from_string(text: str) -> Fraction:
         exponent = _EXPONENT.search(text)
         if exponent and int(exponent.group(1)) > _MAX_EXPONENT:
             raise ValueError("exponent too large")
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
+        str(value)  # raises past Python's integer-string digit limit: what is read can be printed
+        return value
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError as exc:

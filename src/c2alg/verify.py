@@ -187,7 +187,8 @@ def suite_clifford(seed: int, cases: int) -> SuiteResult:
         x = rand_multivector(rng, alg)
         y = rand_multivector(rng, alg)
         z = rand_multivector(rng, alg)
-        result.check((x * y) * z == x * (y * z), f"associativity case {i} in {alg.label}")
+        xy, x_bar, x_star = x * y, x.bar(), x.star()
+        result.check(xy * z == x * (y * z), f"associativity case {i} in {alg.label}")
 
         v = rand_real_vector(rng, alg)
         w = rand_real_vector(rng, alg)
@@ -195,17 +196,16 @@ def suite_clifford(seed: int, cases: int) -> SuiteResult:
         twice_dot = Multivector._reduced(alg, {0: (2 * dot, 0)} if dot else {}, v.den * w.den)
         result.check(v * w + w * v == twice_dot, f"polarization case {i}")
 
-        result.check(x.bar().bar() == x, f"bar involution case {i}")
-        result.check((x * y).bar() == x.bar() * y.bar(), f"bar multiplicative case {i}")
-        result.check(x.bar().grades() == x.grades(), f"bar even case {i}")
-        result.check(x.star().star() == x, f"star involution case {i}")
-        result.check((x * y).star() == y.star() * x.star(),
-                     f"star anti-multiplicative case {i}")
+        result.check(x_bar.bar() == x, f"bar involution case {i}")
+        result.check(xy.bar() == x_bar * y.bar(), f"bar multiplicative case {i}")
+        result.check(x_bar.grades() == x.grades(), f"bar even case {i}")
+        result.check(x_star.star() == x, f"star involution case {i}")
+        result.check(xy.star() == y.star() * x_star, f"star anti-multiplicative case {i}")
 
         kx, ky = to_kasparov(x), to_kasparov(y)
-        result.check(to_kasparov(x * y) == kx * ky, f"kasparov multiplicative case {i}")
-        result.check(to_kasparov(x.bar()) == kx.bar(), f"kasparov bar case {i}")
-        result.check(to_kasparov(x.star()) == kx.star(), f"kasparov star case {i}")
+        result.check(to_kasparov(xy) == kx * ky, f"kasparov multiplicative case {i}")
+        result.check(to_kasparov(x_bar) == kx.bar(), f"kasparov bar case {i}")
+        result.check(to_kasparov(x_star) == kx.star(), f"kasparov star case {i}")
         result.check(from_kasparov(kx) == x, f"kasparov bijective case {i}")
 
     for i in range(max(1, cases // 10)):
@@ -441,10 +441,10 @@ def suite_genus(seed: int, cases: int) -> SuiteResult:
 
         a = build(8)
         b = build(8)
-        result.check(genus.product_data(a, b) == genus.product_data(b, a),
-                     f"product commutativity case {i}")
+        ab = genus.product_data(a, b)
+        result.check(ab == genus.product_data(b, a), f"product commutativity case {i}")
         result.check(
-            genus.genus_evaluate(seq, genus.product_data(a, b))
+            genus.genus_evaluate(seq, ab)
             == genus.genus_evaluate(seq, a) * genus.genus_evaluate(seq, b),
             f"genus multiplicative case {i}")
         round_trip = genus.CharClassData.from_json(a.to_json())

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from c2alg.clifford import ccl, kasparov
+from c2alg.clifford import ccl, kasparov, vector_norm_sq
 from c2alg.funcalc import (GradedRatFunc, alpha_conjugation_check,
                            comultiplication, delta_a_triple, delta_b_triple,
                            expand_slot, fc_equivariance, fc_eval, s_generators)
 from c2alg.pin_spin import PinElement
 from c2alg.scalars import MultiPoly, RatFunc
-from c2alg.verify import (_rng, rand_multivector, rand_pin, rand_real_vector,
+from c2alg.verify import (_rng, rand_fraction, rand_multivector, rand_pin, rand_real_vector,
                           rational_unit_vector)
 
 
@@ -199,6 +199,50 @@ class TestFunctionalCalculus:
             v = rand_real_vector(rng, ccl(p, q))
             assert fc_equivariance(v)
             assert fc_eval(v).check_relations()
+
+
+def fc_eval_fraction_formula(v):
+    """(a, b) images by the Fraction formula: s = 1/(1 + |v|^2), a = s, b = s v."""
+    scale = Fraction(1) / (1 + vector_norm_sq(v))
+    return v.algebra.scalar(scale), v.scale(scale)
+
+
+class TestFcEvalOracle:
+    """``fc_eval`` on integer numerators against the Fraction formula, field by field."""
+
+    def _assert_matches(self, v):
+        image = fc_eval(v)
+        a, b = fc_eval_fraction_formula(v)
+        # == on exact elements compares den and the integer pairs, so both are canonical
+        assert (image.a_img.den, image.a_img.terms) == (a.den, a.terms)
+        assert (image.b_img.den, image.b_img.terms) == (b.den, b.terms)
+
+    def test_random_vectors_in_ccl(self):
+        rng = _rng(52, "fc-oracle")
+        for _ in range(150):
+            p = rng.randint(0, 6)
+            q = rng.randint(0, 6 - p)
+            alg = ccl(p if p + q else 1, q)
+            v = rand_real_vector(rng, alg)
+            self._assert_matches(v)
+            self._assert_matches(v.scale(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))))
+            self._assert_matches(rational_unit_vector(rng, alg))
+
+    def test_positive_span_of_kasparov(self):
+        rng = _rng(53, "fc-oracle")
+        for _ in range(150):
+            p = rng.randint(1, 6)
+            q = rng.randint(0, 6 - p)
+            alg = kasparov(p, q)
+            self._assert_matches(alg.vector([rand_fraction(rng, 9, 8) for _ in range(p)]
+                                            + [0] * q))
+
+    def test_zero_vector(self):
+        for alg in (ccl(1, 0), ccl(2, 3), kasparov(1, 2)):
+            self._assert_matches(alg.zero())
+            image = fc_eval(alg.zero())
+            assert (image.a_img.den, image.a_img.terms) == (1, {0: (1, 0)})
+            assert (image.b_img.den, image.b_img.terms) == (1, {})
 
 
 class TestAlphaConjugation:

@@ -1,10 +1,11 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from c2alg.genus import (MAX_DIM, CharClassData, ManifoldSpec, ahat_polynomial,
+from c2alg.genus import (MAX_DIM, CharClassData, ManifoldSpec, _split_table, ahat_polynomial,
                          ahat_sequence, ahat_series, cp_projective_data,
                          genus_evaluate, partitions, point_data, product_data,
                          series_inv, series_log)
@@ -217,6 +218,113 @@ def product_data_oracle(a: CharClassData, b: CharClassData) -> CharClassData:
         if total:
             numbers[part] = total
     return CharClassData(dim, numbers)
+
+
+# -- oracles for the per-degree tables: the per-split enumeration they replaced ---------
+
+
+def splits_oracle(part: tuple, total: int) -> list:
+    """Tuples s with 0 <= s_t <= part[t] and sum(s) == total, one per split."""
+    level = [((), total)]
+    room = sum(part)
+    for i in part:
+        room -= i
+        level = [(s + (x,), r - x) for s, r in level
+                 for x in range(max(0, r - room), min(i, r) + 1)]
+    return [s for s, _ in level]
+
+
+def split_pair(part: tuple, split: tuple) -> tuple:
+    """The (a-part, b-part) a split looks up, each sorted descending."""
+    return (tuple(sorted((x for x in split if x), reverse=True)),
+            tuple(sorted((i - x for i, x in zip(part, split) if i != x), reverse=True)))
+
+
+def product_data_split_oracle(a: CharClassData, b: CharClassData) -> CharClassData:
+    """Whitney product with one lookup per split, both tuples sorted on every split."""
+    dim = a.dim + b.dim
+    if dim % 4 != 0 or a.dim % 4 != 0:
+        return CharClassData(dim)
+    numbers = {}
+    for part in partitions(dim // 4):
+        total = Fraction(0)
+        for split in splits_oracle(part, a.dim // 4):
+            part_a, part_b = split_pair(part, split)
+            total += a.numbers.get(part_a, 0) * b.numbers.get(part_b, 0)
+        if total:
+            numbers[part] = total
+    return CharClassData(dim, numbers)
+
+
+def genus_evaluate_sorted_oracle(seq, data: CharClassData) -> Fraction:
+    """Genus with each K-polynomial exponent sorted into a partition on every call."""
+    if data.dim % 4 != 0:
+        return Fraction(0)
+    k = data.dim // 4
+    if k == 0:
+        return data.number(())
+    total = Fraction(0)
+    for exp, coeff in seq.k_polynomial(k).terms.items():
+        part = tuple(sorted((j + 1 for j in range(k) for _ in range(exp[j])), reverse=True))
+        total += coeff * data.number(part)
+    return total
+
+
+class TestSplitTable:
+    def test_matches_the_split_enumeration(self):
+        # every partition of k <= MAX_DIM / 4 and every a-side weight
+        for k in range(MAX_DIM // 4 + 1):
+            for ka in range(k + 1):
+                table = _split_table(k, ka)
+                assert [part for part, _ in table] == list(partitions(k))
+                for part, pairs in table:
+                    expected = Counter(split_pair(part, s) for s in splits_oracle(part, ka))
+                    assert len(dict(pairs)) == len(pairs)  # each distinct pair once
+                    assert dict(pairs) == expected, (k, ka, part)
+
+    def test_one_lookup_per_distinct_pair(self):
+        # CP4^2 x CP4: a-weight 4 in degree 6
+        assert sum(len(splits_oracle(part, 4)) for part in partitions(6)) == 65
+        assert sum(len(pairs) for _, pairs in _split_table(6, 4)) == 29
+
+    def test_tables_are_built_once_per_degree(self):
+        assert partitions(7) is partitions(7)
+        assert isinstance(partitions(7), tuple)
+        assert _split_table(7, 3) is _split_table(7, 3)
+        seq = ahat_sequence()
+        assert seq._partition_terms(3) is seq._partition_terms(3)
+
+    def test_products_up_to_max_dim_match_the_oracles(self):
+        # chains of projective spaces and of rational JSON factors up to MAX_DIM: every
+        # intermediate product and genus is compared with the per-split oracles
+        rng = _rng(2, "split-table")
+        seq = ahat_sequence()
+        chains = [[cp_projective_data(2)] * 10, [cp_projective_data(4)] * 5,
+                  [cp_projective_data(2)] * 6 + [cp_projective_data(4)] * 2]
+        for _ in range(8):
+            chain, dim = [], 0
+            while True:
+                factor_dim = rng.choice((4, 8, 12))
+                if dim + factor_dim > MAX_DIM:
+                    break
+                pontryagin = {",".join(map(str, part)): f"{rng.randint(-9, 9)}/{rng.randint(1, 7)}"
+                              for part in partitions(factor_dim // 4) if rng.random() < 0.8}
+                chain.append(CharClassData.from_json({"dim": factor_dim,
+                                                      "pontryagin": pontryagin}))
+                dim += factor_dim
+            chains.append(chain)
+        for chain in chains:
+            data = point_data()
+            for factor in chain:
+                expected = product_data_split_oracle(data, factor)
+                data = product_data(data, factor)
+                assert data == expected
+                assert genus_evaluate(seq, data) == genus_evaluate_sorted_oracle(seq, data)
+        cp2, cp4 = (genus_evaluate(seq, cp_projective_data(n)) for n in (2, 4))
+        for spec, value in (("CP2^10", Fraction(1, 1073741824)),
+                            ("CP4^5", Fraction(243, 34359738368)),
+                            ("CP2^6 x CP4^2", cp2 ** 6 * cp4 ** 2)):
+            assert genus_evaluate(seq, ManifoldSpec.parse(spec).char_data()) == value
 
 
 class TestProductData:

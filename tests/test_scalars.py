@@ -27,6 +27,14 @@ class TestRational:
         with pytest.raises(ValueError):
             rational_from_string("one half")
 
+    def test_values_past_the_print_limit_refused(self):
+        # Python prints integers of at most 4300 digits; what is read must print
+        assert rational_from_string("1e4299") == 10**4299
+        assert rational_from_string("1e-4299") == Fraction(1, 10**4299)
+        for text in ("1e4300", "1e-4300", "99e4299", "1.5e4300", "1e+4300"):
+            with pytest.raises(ValueError, match="not a rational"):
+                rational_from_string(text)
+
     def test_lowest_terms_invariant(self):
         f = Fraction(6, -4)
         assert f.denominator > 0 and abs(f.numerator) == 3

@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -360,6 +361,13 @@ class TestEntryPoint:
 
 # (command line, JSON file text or None); "FILE" stands for the file's path
 _HUGE_ENTRIES = '{"rows": 2, "cols": 2, "entries": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}'
+# Python prints integers of at most 4300 digits (sys.get_int_max_str_digits)
+_DIGITS_4301 = '{"dim": 8, "pontryagin": {"1,1": "1e4300"}}'
+_DIGITS_3001 = "1" + "0" * 3000
+# inputs of 4300 digits each; the genus (7 p1^2 - 4 p2) / 5760 has 4301
+_RESULT_4301_DIGITS = json.dumps({"dim": 8, "pontryagin": {"1,1": "9" * 4300,
+                                                          "2": "-" + "9" * 4300}})
+
 MALFORMED_INPUTS = [
     (["clifford", "conj", "--signature", "2,0", "--a", "1/0"], None),
     (["clifford", "conj", "--signature", "2,0", "--a", "(" * 600 + "e1" + ")" * 600], None),
@@ -382,6 +390,13 @@ MALFORMED_INPUTS = [
     (["phi-lift", "--unitary", "FILE"], _HUGE_ENTRIES),
     (["obstruction", "--genus", "1e-9"], None),
     (["obstruction", "--genus", "1/1000000007"], None),
+    (["obstruction", "--genus", "1e4300"], None),
+    (["obstruction", "--genus", "1e4300", "--json"], None),
+    (["obstruction", "--genus", "1e-4299"], None),
+    (["ahat", "--pontryagin", "FILE"], _DIGITS_4301),
+    (["ahat", "--pontryagin", "FILE", "--json"], _DIGITS_4301),
+    (["ahat", "--pontryagin", "FILE"], _RESULT_4301_DIGITS),
+    (["clifford", "mul", "--signature", "1,0", "--a", _DIGITS_3001, "--b", _DIGITS_3001], None),
 ]
 
 
@@ -393,7 +408,11 @@ MALFORMED_INPUTS = [
                               "spin-lift-empty", "phi-lift-empty", "huge-exponent",
                               "huge-signature", "negative-cases", "cases-above-cap",
                               "spin-lift-overflow", "phi-lift-overflow",
-                              "genus-period-1e-9", "genus-period-prime"])
+                              "genus-period-1e-9", "genus-period-prime",
+                              "genus-4301-digits", "genus-4301-digits-json",
+                              "genus-period-4300-digits", "pontryagin-4301-digits",
+                              "pontryagin-4301-digits-json", "ahat-result-4301-digits",
+                              "product-6001-digits"])
 def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
@@ -405,6 +424,40 @@ def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestPrintableValues:
+    """Values up to Python's 4300-digit integer-string limit are read and printed."""
+
+    def test_largest_printable_values_still_work(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "obstruction", "--genus", "1e4299", "--json")
+        assert code == 2
+        assert json.loads(out)["inputs"]["genus"] == "1" + "0" * 4299 + "/1"
+        path = tmp_path / "p.json"
+        path.write_text('{"dim": 8, "pontryagin": {"1,1": "1e4299"}}', encoding="utf-8")
+        code, out, _ = run_cli(capsys, "ahat", "--pontryagin", str(path))
+        assert code == 0
+        assert out.strip() == str(Fraction(7 * 10**4299, 5760))
+
+    def test_period_error_names_the_size(self, capsys):
+        code, out, err = run_cli(capsys, "obstruction", "--genus", "1e-4299")
+        assert (code, out) == (64, "")
+        assert err == ("error: residue period of a genus with a 4300-digit denominator "
+                       "exceeds the supported maximum 100000\n")
+
+    def test_unprintable_result_exits_64_in_process(self, capsys):
+        code, out, err = run_cli(capsys, "clifford", "mul", "--signature", "1,0",
+                                 "--a", _DIGITS_3001, "--b", _DIGITS_3001, "--json")
+        assert (code, out) == (64, "")
+        assert err == "error: a result has more digits than can be printed\n"
+
+    def test_other_value_errors_still_raise(self, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("not a digit-limit error")
+
+        monkeypatch.setitem(cli._HANDLERS, "obstruction", broken)
+        with pytest.raises(ValueError, match="not a digit-limit error"):
+            cli.main(["obstruction", "--genus", "1"])
 
 
 _LIFT_RESIDUALS = pin_spin.lift_residuals
