@@ -2,10 +2,13 @@
 
 A multiplicative sequence is built from the Taylor coefficients of an even
 characteristic power series R(z) (z standing for the square of a formal
-root). Its degree-k polynomial in the Pontryagin classes p_1..p_k is obtained
-by expanding log R over formal roots, rewriting power sums in elementary
-symmetric polynomials with Newton's identities, and exponentiating, all in
-exact rational arithmetic.
+root). Its degree-k polynomial in the Pontryagin classes p_1..p_k is kept as
+``{descending partition: coefficient}``, the partition (i_1, ..., i_m) for the
+monomial p_{i_1} ... p_{i_m}: the form that ``genus_evaluate`` pairs with
+Pontryagin numbers. One recurrence builds each degree from the lower ones:
+Newton's identities give the power sums of the formal roots, and
+exponentiating log R degree by degree gives the K-polynomials, all in exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from typing import Mapping
 from .scalars import MultiPoly, integer_numerators, rational_from_string
 
 # Largest manifold dimension that `ManifoldSpec.parse` and `CharClassData.from_json`
-# accept. The cost of the degree-dim/4 K-polynomial grows with the partitions of
-# dim/4: on a 2-vCPU Xeon VM, data plus genus from a cold sequence cache take
-# 0.64-0.79 s at dim 40 (CP20, CP2^10, CP4^5, CP10^2), 1.6 s at dim 44 (CP22) and
-# 3.7 s at dim 48 (CP24); once warm, a dim-40 product and its genus take under 1 ms.
+# accept, and the range the tests check against oracles. Cost no longer sets it: on a
+# 2-vCPU Xeon VM, a cold sequence builds the degree-10 K-polynomial (42 terms) in about
+# 15 ms, and CP20's data plus genus take 17 ms. The cost grows with the partitions of
+# dim/4: 40 ms at dim 48 (77 terms), 0.15 s at dim 60 (176) and 1.1 s at dim 80 (627).
 MAX_DIM = 40
 
 # -- rational power series helpers (dense coefficient lists) -------------------------
@@ -67,83 +70,67 @@ def ahat_series(order: int) -> tuple[Fraction, ...]:
 # -- multiplicative sequences ---------------------------------------------------------
 
 
-def _weighted_degree(exp: tuple) -> int:
-    return sum((i + 1) * e for i, e in enumerate(exp))
-
-
-def _truncate_weighted(poly: MultiPoly, bound: int) -> MultiPoly:
-    return MultiPoly(poly.nvars,
-                     {e: c for e, c in poly.terms.items() if _weighted_degree(e) <= bound})
-
-
-def _weighted_part(poly: MultiPoly, k: int) -> MultiPoly:
-    return MultiPoly(poly.nvars,
-                     {e: c for e, c in poly.terms.items() if _weighted_degree(e) == k})
+def _add_product(acc: dict, a: dict, b: dict, scale) -> None:
+    """acc += scale * a * b on partition-keyed terms: monomials multiply by merging parts."""
+    for pa, ca in a.items():
+        for pb, cb in b.items():
+            key = tuple(sorted(pa + pb, reverse=True))
+            acc[key] = acc.get(key, 0) + scale * ca * cb
 
 
 class MultSeq:
     """Multiplicative sequence attached to an even characteristic series.
 
-    ``series(order)`` must yield Taylor coefficients [1, a1, a2, ...] of R(z);
-    K-polynomials are memoized per degree. Variable i of the degree-k
-    polynomial is the Pontryagin class p_{i+1} (weight i+1).
+    ``series(order)`` must yield Taylor coefficients [1, a1, a2, ...] of R(z).
+    Terms are ``{descending partition: coefficient}``: the partition
+    (i_1, ..., i_m) stands for p_{i_1} ... p_{i_m}. Over formal roots z_j,
+    with l_m the coefficients of log R and P_m the power sums of the z_j,
+    the total K-polynomial is exp(S) with S = sum_m l_m P_m. Two lists grow
+    together, one degree n at a time:
+
+    - Newton: P_n = sum_{i<n} (-1)^{i-1} p_i P_{n-i} + (-1)^{n-1} n p_n, with
+      integer coefficients;
+    - graded exponential: n K_n = sum_{m<=n} m l_m P_m K_{n-m}.
+
+    Every term has weight n, so nothing is truncated, and each degree is
+    built once; a higher degree extends the lists.
     """
 
     def __init__(self, series, name: str = ""):
         self._series = series
         self.name = name
-        self._cache: dict[int, MultiPoly] = {}
-        self._terms: dict[int, list] = {}
+        self._power_sums: list[dict] = [{}]
+        self._terms: list[dict] = [{(): Fraction(1)}]
 
     def characteristic_coefficients(self, order: int) -> list[Fraction]:
-        coeffs = list(self._series(order))
+        coeffs = list(map(Fraction, self._series(order)))
         if coeffs[0] != 1:
             raise ValueError("characteristic series must start with 1")
         return coeffs
 
     def k_polynomial(self, k: int) -> MultiPoly:
+        """Degree-k polynomial; variable i is p_{i+1}, its exponent the count of part i+1."""
         if k < 0:
             raise ValueError("negative degree")
-        if k == 0:
-            return MultiPoly.one(0)
-        poly = self._cache.get(k)
-        if poly is None:
-            poly = self._compute(k)
-            self._cache[k] = poly
-        return poly
+        return MultiPoly._raw(k, {tuple(part.count(i + 1) for i in range(k)): c
+                                  for part, c in self._partition_terms(k).items()})
 
-    def _partition_terms(self, k: int) -> list:
-        """(descending partition, coefficient) per term of the degree-k polynomial."""
-        if k not in self._terms:
-            self._terms[k] = [(tuple(j + 1 for j in reversed(range(k)) for _ in range(e[j])), c)
-                              for e, c in self.k_polynomial(k).terms.items()]
-        return self._terms[k]
-
-    def _compute(self, k: int) -> MultiPoly:
-        logc = series_log(self.characteristic_coefficients(k), k)
-        n = k
-        e = [None] + [MultiPoly.variable(n, i) for i in range(n)]
-        # Newton's identities: P_m = sum (-1)^{i-1} e_i P_{m-i} + (-1)^{m-1} m e_m
-        P: list = [None] * (k + 1)
-        for m in range(1, k + 1):
-            acc = e[m] * Fraction((-1) ** (m - 1) * m)
-            for i in range(1, m):
-                term = e[i] * P[m - i]
-                if i % 2 == 0:
-                    term = -term
-                acc = acc + term
-            P[m] = acc
-        S = MultiPoly.zero(n)
-        for m in range(1, k + 1):
-            if logc[m]:
-                S = S + P[m] * logc[m]
-        # exp(S), truncated to weighted degree k
-        total = MultiPoly.one(n)
-        term = MultiPoly.one(n)
-        for j in range(1, k + 1):
-            term = _truncate_weighted(term * S, k) * Fraction(1, j)
-            total = total + term
-        return _weighted_part(total, k)
+    def _partition_terms(self, k: int) -> dict:
+        """{descending partition: coefficient} of the degree-k polynomial."""
+        P, K = self._power_sums, self._terms
+        if k >= len(K):
+            logc = series_log(self.characteristic_coefficients(k), k)
+            for n in range(len(K), k + 1):
+                acc = {(n,): (-1) ** (n - 1) * n}
+                for i in range(1, n):
+                    _add_product(acc, {(i,): 1}, P[n - i], 1 if i % 2 else -1)
+                P.append({part: c for part, c in acc.items() if c})
+                acc = {}
+                for m in range(1, n + 1):
+                    if logc[m]:
+                        _add_product(acc, P[m], K[n - m], m * logc[m])
+                K.append({part: c / n for part, c in acc.items() if c})
+        return K[k]
 
 
 @lru_cache(maxsize=None)
@@ -170,6 +157,11 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
         return [(first,) + rest for first in range(min(remaining, largest), 0, -1)
                 for rest in rec(remaining - first, first)]
     return tuple(rec(k, k))
+
+
+def _key(part: tuple) -> str:
+    """The JSON key of a partition: its parts joined by commas."""
+    return ",".join(map(str, part))
 
 
 def _normalize_partition(parts) -> tuple[int, ...]:
@@ -201,9 +193,10 @@ class CharClassData:
                 part = _normalize_partition(part)
                 if sum(part) != k:
                     raise ValueError(f"partition {part} does not have weight {k}")
-                val = Fraction(val)
-                if val:
-                    clean[part] = val
+                if part in clean:
+                    raise ValueError(f"partition {_key(part)} is given twice")
+                clean[part] = Fraction(val)
+            clean = {part: val for part, val in clean.items() if val}
         if dim == 0 and () not in clean:
             clean[()] = Fraction(1)
         self.dim = dim
@@ -232,7 +225,7 @@ class CharClassData:
         return {
             "dim": self.dim,
             "pontryagin": {
-                ",".join(str(p) for p in part): f"{v.numerator}/{v.denominator}"
+                _key(part): f"{v.numerator}/{v.denominator}"
                 for part, v in sorted(self.numbers.items())
             },
         }
@@ -240,17 +233,22 @@ class CharClassData:
     @staticmethod
     def from_json(obj) -> "CharClassData":
         try:
-            dim = int(obj["dim"])
+            given = obj["dim"]
             raw = obj.get("pontryagin", {})
+            dim = int(given)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError("CharClassData JSON must have dim and pontryagin") from exc
+        if isinstance(given, bool) or (isinstance(given, float) and given != dim):
+            raise ValueError(f"dim must be an integer, not {given!r}")
         _check_dim(dim)
         if not isinstance(raw, dict):
             raise ValueError("pontryagin must map partitions to rational numbers")
         numbers = {}
         for key, val in raw.items():
-            parts = tuple(int(s) for s in str(key).split(",") if s.strip())
-            numbers[parts] = rational_from_string(str(val))
+            part = _normalize_partition(s for s in str(key).split(",") if s.strip())
+            if part in numbers:
+                raise ValueError(f"partition {_key(part)} is given twice")
+            numbers[part] = rational_from_string(str(val))
         return CharClassData(dim, numbers)
 
 
@@ -330,15 +328,12 @@ def product_data(a: CharClassData, b: CharClassData) -> CharClassData:
 
 
 def genus_evaluate(seq: MultSeq, data: CharClassData) -> Fraction:
-    """Pair the degree-(dim/4) K-polynomial, read as (partition, coefficient)
-    terms once per degree, with the Pontryagin numbers."""
+    """Pair the partition-keyed terms of the degree-(dim/4) K-polynomial with
+    the Pontryagin numbers."""
     if data.dim % 4 != 0:
         return Fraction(0)
-    k = data.dim // 4
-    if k == 0:
-        return data.number(())
     total = Fraction(0)
-    for part, coeff in seq._partition_terms(k):
+    for part, coeff in seq._partition_terms(data.dim // 4).items():
         n = data.numbers.get(part)
         if n:
             total += coeff * n

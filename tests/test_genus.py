@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from c2alg.genus import (MAX_DIM, CharClassData, ManifoldSpec, _split_table, ahat_polynomial,
-                         ahat_sequence, ahat_series, cp_projective_data,
+from c2alg.genus import (MAX_DIM, CharClassData, ManifoldSpec, MultSeq, _split_table,
+                         ahat_polynomial, ahat_sequence, ahat_series, cp_projective_data,
                          genus_evaluate, partitions, point_data, product_data,
                          series_inv, series_log)
 from c2alg.scalars import MultiPoly
@@ -67,6 +67,44 @@ def symmetrization_oracle(series, k: int) -> MultiPoly:
         sym = sym - e_product * coeff
         out = out + MultiPoly(k, {tuple(p_monomial): coeff})
     return out
+
+
+# -- oracle for the graded-exponential recurrence: Newton's identities and a truncated
+# exp(S) over k-variable MultiPoly products, built from scratch per degree ------------
+
+
+def _weighted_degree(exp: tuple) -> int:
+    return sum((i + 1) * e for i, e in enumerate(exp))
+
+
+def _truncate_weighted(poly: MultiPoly, bound: int) -> MultiPoly:
+    return MultiPoly(poly.nvars,
+                     {e: c for e, c in poly.terms.items() if _weighted_degree(e) <= bound})
+
+
+def newton_exp_oracle(series, k: int) -> MultiPoly:
+    """Degree-k K-polynomial as exp(sum_m l_m P_m), truncated to weighted degree k."""
+    if k == 0:
+        return MultiPoly.one(0)
+    logc = series_log(list(series(k)), k)
+    e = [None] + [MultiPoly.variable(k, i) for i in range(k)]
+    P = [None] * (k + 1)
+    for m in range(1, k + 1):
+        acc = e[m] * Fraction((-1) ** (m - 1) * m)
+        for i in range(1, m):
+            term = e[i] * P[m - i]
+            acc = acc + (term if i % 2 else -term)
+        P[m] = acc
+    S = MultiPoly.zero(k)
+    for m in range(1, k + 1):
+        if logc[m]:
+            S = S + P[m] * logc[m]
+    total = MultiPoly.one(k)
+    term = MultiPoly.one(k)
+    for j in range(1, k + 1):
+        term = _truncate_weighted(term * S, k) * Fraction(1, j)
+        total = total + term
+    return MultiPoly(k, {e: c for e, c in total.terms.items() if _weighted_degree(e) == k})
 
 
 class TestSeriesHelpers:
@@ -137,6 +175,44 @@ class TestAhatPolynomials:
                          if j else MultiPoly.one(nv))
                 rhs = rhs + left * right
             assert lhs == rhs
+
+
+class TestRecurrence:
+    def test_matches_the_newton_exp_oracle_up_to_degree_ten(self):
+        seq = ahat_sequence()
+        for k in range(MAX_DIM // 4 + 1):
+            assert seq.k_polynomial(k) == newton_exp_oracle(ahat_series, k), k
+
+    def test_projective_basis_pins_every_coefficient(self):
+        # products of CP^{2 lambda_i} over the partitions lambda of k span the degree-k
+        # Pontryagin data, and A-hat(CP^{2j}) = (-1)^j C(2j, j) / 2^{4j}
+        seq = ahat_sequence()
+        for k in range(MAX_DIM // 4 + 1):
+            for lam in partitions(k):
+                data, expected = point_data(), Fraction(1)
+                for j in lam:
+                    data = product_data(data, cp_projective_data(2 * j))
+                    expected *= Fraction((-1) ** j * math.comb(2 * j, j), 2 ** (4 * j))
+                assert genus_evaluate(seq, data) == expected, lam
+
+    def test_linear_series_gives_the_top_class(self):
+        # R(z) = 1 + z: the total K-polynomial is prod (1 + z_j), so K_k = p_k
+        seq = MultSeq(lambda order: (Fraction(1), Fraction(1)))
+        for k in range(1, MAX_DIM // 4 + 1):
+            assert seq._partition_terms(k) == {(k,): 1}
+            assert seq.k_polynomial(k) == MultiPoly.variable(k, k - 1)
+
+    def test_build_order_does_not_matter(self):
+        high_first, low_first = MultSeq(ahat_series), MultSeq(ahat_series)
+        high_first._partition_terms(10)
+        low_first._partition_terms(3)
+        for k in range(11):
+            assert high_first._partition_terms(k) == low_first._partition_terms(k), k
+
+    def test_degree_zero_is_the_unit(self):
+        assert ahat_sequence().k_polynomial(0) == MultiPoly.one(0)
+        with pytest.raises(ValueError):
+            ahat_sequence().k_polynomial(-1)
 
 
 class TestProjectiveData:
@@ -454,6 +530,23 @@ class TestCharClassData:
         obj = data.to_json()
         assert obj["pontryagin"]["1,1"] == "18/1"
         assert CharClassData.from_json(obj) == data
+
+    def test_repeated_partition_refused(self):
+        # (2, 1) and (1, 2) name the same monomial p_2 p_1
+        with pytest.raises(ValueError, match="partition 2,1 is given twice"):
+            CharClassData(12, {(2, 1): 3, (1, 2): 5})
+        with pytest.raises(ValueError, match="partition 1 is given twice"):
+            CharClassData.from_json({"dim": 4, "pontryagin": {"1": "3", "01": "2"}})
+        with pytest.raises(ValueError, match="partition 1,1 is given twice"):
+            CharClassData.from_json({"dim": 8, "pontryagin": {"1,1": "0", "1, 1": "5"}})
+
+    def test_dim_must_be_integral(self):
+        expected = CharClassData(8, {(1, 1): 3})
+        for dim in (8, 8.0, "8"):
+            assert CharClassData.from_json({"dim": dim, "pontryagin": {"1,1": "3"}}) == expected
+        for dim in (4.7, True, False):
+            with pytest.raises(ValueError, match="dim must be an integer"):
+                CharClassData.from_json({"dim": dim, "pontryagin": {}})
 
     def test_missing_entries_are_zero(self):
         data = CharClassData(8, {(2,): 5})

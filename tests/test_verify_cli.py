@@ -397,6 +397,11 @@ MALFORMED_INPUTS = [
     (["ahat", "--pontryagin", "FILE", "--json"], _DIGITS_4301),
     (["ahat", "--pontryagin", "FILE"], _RESULT_4301_DIGITS),
     (["clifford", "mul", "--signature", "1,0", "--a", _DIGITS_3001, "--b", _DIGITS_3001], None),
+    (["ahat", "--pontryagin", "FILE"], '{"dim": 4.7, "pontryagin": {"1": "3"}}'),
+    (["ahat", "--pontryagin", "FILE"], '{"dim": true, "pontryagin": {}}'),
+    (["ahat", "--pontryagin", "FILE"], '{"dim": 4, "pontryagin": {"1": "3", "01": "2"}}'),
+    (["ahat", "--pontryagin", "FILE"], '{"dim": 8, "pontryagin": {"1,1": "3", "1, 1": "5"}}'),
+    (["ahat", "--pontryagin", "FILE"], '{"dim": 12, "pontryagin": {"2,1": "3", "1,2": "5"}}'),
 ]
 
 
@@ -412,7 +417,9 @@ MALFORMED_INPUTS = [
                               "genus-4301-digits", "genus-4301-digits-json",
                               "genus-period-4300-digits", "pontryagin-4301-digits",
                               "pontryagin-4301-digits-json", "ahat-result-4301-digits",
-                              "product-6001-digits"])
+                              "product-6001-digits", "dim-not-integral", "dim-bool",
+                              "partition-twice-zero-padded", "partition-twice-spaced",
+                              "partition-twice-reordered"])
 def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
