@@ -201,14 +201,9 @@ def comultiplication(tag: str) -> GradedRatFunc:
 
 
 def _halve_exponent(poly: MultiPoly, var: int) -> MultiPoly:
-    out = {}
-    for exp, c in poly.terms.items():
-        if exp[var] % 2:
-            raise ValueError("polynomial is not even in the variable")
-        new = list(exp)
-        new[var] //= 2
-        out[tuple(new)] = c
-    return MultiPoly(poly.nvars, out)
+    if not poly.is_even_in(var):
+        raise ValueError("polynomial is not even in the variable")
+    return poly.map_exponents(lambda e: e[:var] + (e[var] // 2,) + e[var + 1:])
 
 
 def expand_slot(element: GradedRatFunc, slot: int) -> GradedRatFunc:

@@ -112,8 +112,8 @@ class MultSeq:
         """Degree-k polynomial; variable i is p_{i+1}, its exponent the count of part i+1."""
         if k < 0:
             raise ValueError("negative degree")
-        return MultiPoly._raw(k, {tuple(part.count(i + 1) for i in range(k)): c
-                                  for part, c in self._partition_terms(k).items()})
+        return MultiPoly(k, {tuple(part.count(i + 1) for i in range(k)): c
+                             for part, c in self._partition_terms(k).items()})
 
     def _partition_terms(self, k: int) -> dict:
         """{descending partition: coefficient} of the degree-k polynomial."""
@@ -181,7 +181,9 @@ class CharClassData:
     __slots__ = ("dim", "numbers")
 
     def __init__(self, dim: int, numbers: Mapping | None = None):
-        dim = int(dim)
+        given, dim = dim, int(dim)
+        if isinstance(given, bool) or (not isinstance(given, str) and given != dim):
+            raise ValueError(f"dim must be an integer, not {given!r}")
         if dim < 0:
             raise ValueError("negative dimension")
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -238,8 +240,6 @@ class CharClassData:
             dim = int(given)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError("CharClassData JSON must have dim and pontryagin") from exc
-        if isinstance(given, bool) or (isinstance(given, float) and given != dim):
-            raise ValueError(f"dim must be an integer, not {given!r}")
         _check_dim(dim)
         if not isinstance(raw, dict):
             raise ValueError("pontryagin must map partitions to rational numbers")
@@ -249,7 +249,7 @@ class CharClassData:
             if part in numbers:
                 raise ValueError(f"partition {_key(part)} is given twice")
             numbers[part] = rational_from_string(str(val))
-        return CharClassData(dim, numbers)
+        return CharClassData(given, numbers)
 
 
 def _check_dim(dim: int) -> None:

@@ -214,9 +214,9 @@ class DensePin:
     length 2^n indexed by blade mask. It measures ``unit_error``, the max-norm
     of g * star(g) - 1, on the real product in O(m n 2^n):
     star(g) = conj(phase) star(u_m) ... star(u_1), and star(u) is u with
-    ``algebra.star_signs`` applied. An error above 100 * tol, or NaN, is
-    refused. ``-g`` negates the phase and the values and shares the rest.
-    ``meta`` holds report data only.
+    ``algebra.star_signs`` applied. An error above 100 * max(tol, 1e-9), or
+    NaN, is refused. ``-g`` negates the phase and the values and shares the
+    rest. ``meta`` holds report data only.
     """
 
     __slots__ = ("algebra", "vectors", "phase", "values", "parity", "unit_error", "meta")

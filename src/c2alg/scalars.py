@@ -79,6 +79,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
     @classmethod
     def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
         self = object.__new__(cls)
@@ -209,36 +212,52 @@ def _packed_product(x: dict, y: dict) -> dict:
 class MultiPoly:
     """Sparse multivariate polynomial over the rationals.
 
-    Terms map exponent tuples (length ``nvars``) to nonzero Fractions.
-    ``substitute`` and ``compose_linear`` share one engine: they clear
-    denominators, expand on integer numerators with packed monomials and
-    build one Fraction per output term.
+    Stored as integer numerators over one denominator, as ``OrthogonalAction``
+    is: ``numerators`` maps exponent tuples (length ``nvars``) to ints over
+    ``den``, in lowest terms (``den >= 1``, gcd of ``den`` and every numerator
+    1, no zero numerator, ``den = 1`` when empty), so ``==`` compares fields.
+    The constructor takes ``{exponent: coefficient}``; ``terms`` builds that
+    view back as Fractions. ``substitute`` and ``compose_linear`` share one
+    engine, which expands the numerators on packed monomials.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "numerators")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] | None = None):
-        object.__setattr__(self, "nvars", int(nvars))
-        clean = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if len(exp) != nvars:
-                    raise ValueError(f"exponent {exp} has wrong length for {nvars} variables")
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[tuple(exp)] = coeff
-        object.__setattr__(self, "terms", clean)
+    def __new__(cls, nvars: int, terms: Mapping[tuple, Fraction] | None = None):
+        nvars = int(nvars)
+        exps, coeffs = [], []
+        for exp, coeff in (terms or {}).items():
+            if len(exp) != nvars:
+                raise ValueError(f"exponent {exp} has wrong length for {nvars} variables")
+            exps.append(tuple(exp))
+            coeffs.append(Fraction(coeff))
+        den, nums = integer_numerators(coeffs)
+        return cls._reduced(nvars, dict(zip(exps, nums)), den)
+
+    @classmethod
+    def _reduced(cls, nvars: int, numerators: dict, den: int) -> "MultiPoly":
+        """Polynomial from integer numerators over den > 0: zeros dropped, one gcd divided out."""
+        numerators = {e: c for e, c in numerators.items() if c}
+        g = math.gcd(den, *numerators.values())
+        if g != 1:
+            den //= g
+            numerators = {e: c // g for e, c in numerators.items()}
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "numerators", numerators)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
-    @classmethod
-    def _raw(cls, nvars: int, terms: dict) -> "MultiPoly":
-        # trusted: tuple exponents of length nvars, nonzero Fraction coefficients
-        self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
-        return self
+    def __reduce__(self):
+        return MultiPoly, (self.nvars, self.terms)
+
+    @property
+    def terms(self) -> dict:
+        """{exponent: Fraction} of the nonzero terms."""
+        return {e: Fraction(c, self.den) for e, c in self.numerators.items()}
 
     @staticmethod
     def zero(nvars: int) -> "MultiPoly":
@@ -261,10 +280,10 @@ class MultiPoly:
         return MultiPoly(nvars, {tuple(exp): _ONE})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def coeff(self, exp: tuple) -> Fraction:
-        return self.terms.get(tuple(exp), _ZERO)
+        return Fraction(self.numerators.get(tuple(exp), 0), self.den)
 
     def _check(self, other: "MultiPoly"):
         if self.nvars != other.nvars:
@@ -274,44 +293,36 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
         self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            acc = out.get(exp)
-            s = c if acc is None else acc + c
-            if s:
-                out[exp] = s
-            elif acc is not None:
-                del out[exp]
-        return MultiPoly._raw(self.nvars, out)
+        den = math.lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        out = {e: c * f1 for e, c in self.numerators.items()}
+        for e, c in other.numerators.items():
+            out[e] = out.get(e, 0) + c * f2
+        return MultiPoly._reduced(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return MultiPoly.zero(self.nvars)
-            return MultiPoly._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
+            n, d = other.as_integer_ratio()
+            return MultiPoly._reduced(
+                self.nvars, {e: c * n for e, c in self.numerators.items()}, self.den * d)
         self._check(other)
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self.numerators.items():
+            for e2, c2 in other.numerators.items():
                 exp = tuple(map(operator.add, e1, e2))
-                c = c1 * c2
-                acc = out.get(exp)
-                out[exp] = c if acc is None else acc + c
-        return MultiPoly._raw(self.nvars, {e: c for e, c in out.items() if c})
+                out[exp] = out.get(exp, 0) + c1 * c2
+        return MultiPoly._reduced(self.nvars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -330,16 +341,17 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.numerators == other.numerators)
 
     def leading_monomial_grlex(self) -> tuple:
         """Largest monomial in graded-lexicographic order."""
-        if not self.terms:
+        if not self.numerators:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=lambda e: (sum(e), e))
+        return max(self.numerators, key=lambda e: (sum(e), e))
 
     def leading_coeff_grlex(self) -> Fraction:
-        return self.terms[self.leading_monomial_grlex()]
+        return self.coeff(self.leading_monomial_grlex())
 
     def substitute(self, replacements: list["MultiPoly"]) -> "MultiPoly":
         """Substitute variable i by replacements[i] (all over a common new ring)."""
@@ -351,13 +363,12 @@ class MultiPoly:
                 raise ValueError("replacement variable counts differ")
         else:
             new_nvars = 0
-        den, nums = integer_numerators([c for r in replacements for c in r.terms.values()])
-        rep_degree = max((sum(e) for r in replacements for e in r.terms), default=0)
-        base = max(map(sum, self.terms), default=0) * rep_degree + 1
+        den = math.lcm(*[r.den for r in replacements])
+        rep_degree = max((sum(e) for r in replacements for e in r.numerators), default=0)
+        base = max(map(sum, self.numerators), default=0) * rep_degree + 1
         weights = [base ** i for i in range(new_nvars)]
-        nums = iter(nums)
-        forms = [{sum(map(operator.mul, e, weights)): next(nums) for e in r.terms}
-                 for r in replacements]
+        forms = [{sum(map(operator.mul, e, weights)): c * (den // r.den)
+                  for e, c in r.numerators.items()} for r in replacements]
         return self._substituted(forms, den, new_nvars, base)
 
     def compose_linear(self, matrix: list[list], den: int = 1) -> "MultiPoly":
@@ -366,7 +377,7 @@ class MultiPoly:
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix shape must match variable count")
         lcm, ints = integer_numerators([x for row in matrix for x in row])
-        base = max(map(sum, self.terms), default=0) + 1
+        base = max(map(sum, self.numerators), default=0) + 1
         forms = [{base ** i: x for i, x in enumerate(ints[k * n:(k + 1) * n]) if x}
                  for k in range(n)]
         return self._substituted(forms, lcm * den, n, base)
@@ -376,17 +387,15 @@ class MultiPoly:
 
         A form is an integer polynomial whose monomials are packed into one
         int, the exponents as base-``base`` digits, so adding keys multiplies
-        monomials; every exponent of f(r) must stay below ``base``. The
-        coefficients of f go over their lcm F, and a term of degree d is
-        scaled by den**(deg f - d), so each output coefficient is one integer
-        over F * den**(deg f).
+        monomials; every exponent of f(r) must stay below ``base``. A term of
+        f of degree d is scaled by den**(deg f - d), so each output numerator
+        is one integer over self.den * den**(deg f).
         """
-        F, nums = integer_numerators(list(self.terms.values()))
-        degree = max(map(sum, self.terms), default=0)
+        degree = max(map(sum, self.numerators), default=0)
         scale = [den ** (degree - d) for d in range(degree + 1)]
         powers: dict = {}
         out: dict = {}
-        for exp, a in zip(self.terms, nums):
+        for exp, a in self.numerators.items():
             a *= scale[sum(exp)]
             term = None
             for k, e in enumerate(exp):
@@ -403,51 +412,46 @@ class MultiPoly:
                     out[key] += a * c
                 else:
                     out[key] = a * c
-        total = F * den ** degree
-        terms = {}
+        numerators = {}
         for key, c in out.items():
             if c:
                 exp = [0] * nvars
                 for i in range(nvars):
                     key, exp[i] = divmod(key, base)
-                terms[tuple(exp)] = Fraction(c, total)
-        return MultiPoly._raw(nvars, terms)
+                numerators[tuple(exp)] = c
+        return MultiPoly._reduced(nvars, numerators, self.den * den ** degree)
+
+    def map_exponents(self, relabel) -> "MultiPoly":
+        """The terms with each exponent e moved to relabel(e), a one-to-one map of exponents."""
+        return MultiPoly._reduced(
+            self.nvars, {relabel(e): c for e, c in self.numerators.items()}, self.den)
 
     def permute_vars(self, perm: list[int]) -> "MultiPoly":
         """Relabel variables: old variable i becomes new variable perm[i]."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError("not a permutation")
-        out = {}
-        for exp, c in self.terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exp):
-                new[perm[i]] = e
-            out[tuple(new)] = c
-        return MultiPoly(self.nvars, out)
+        old = sorted(range(self.nvars), key=perm.__getitem__)  # new variable j was old[j]
+        return self.map_exponents(lambda e: tuple(e[i] for i in old))
 
     def is_even_in(self, var: int) -> bool:
-        return all(e[var] % 2 == 0 for e in self.terms)
+        return all(e[var] % 2 == 0 for e in self.numerators)
 
     def is_odd_in(self, var: int) -> bool:
-        return all(e[var] % 2 == 1 for e in self.terms)
+        return all(e[var] % 2 == 1 for e in self.numerators)
 
     def shift_out_var(self, var: int) -> "MultiPoly":
         """Divide by variable ``var`` (every term must contain it)."""
-        if not self.is_odd_in(var) and not all(e[var] >= 1 for e in self.terms):
+        if not all(e[var] >= 1 for e in self.numerators):
             raise ValueError("not divisible by the variable")
-        out = {}
-        for exp, c in self.terms.items():
-            new = list(exp)
-            new[var] -= 1
-            out[tuple(new)] = c
-        return MultiPoly(self.nvars, out)
+        return self.map_exponents(lambda e: e[:var] + (e[var] - 1,) + e[var + 1:])
 
     def __str__(self):
-        if not self.terms:
+        if not self.numerators:
             return "0"
+        terms = self.terms
         parts = []
-        for exp in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[exp]
+        for exp in sorted(terms, key=lambda e: (sum(e), e)):
+            c = terms[exp]
             factors = []
             for i, e in enumerate(exp):
                 if e == 1:
@@ -499,6 +503,9 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
+
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den)
 
     @property
     def nvars(self) -> int:

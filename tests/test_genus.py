@@ -548,6 +548,16 @@ class TestCharClassData:
             with pytest.raises(ValueError, match="dim must be an integer"):
                 CharClassData.from_json({"dim": dim, "pontryagin": {}})
 
+    def test_constructor_refuses_non_integral_dim(self):
+        # int() would truncate 4.7 to a dim-4 class and read True as dim 1
+        with pytest.raises(ValueError, match=r"^dim must be an integer, not 4\.7$"):
+            CharClassData(4.7, {(1,): 3})
+        for dim in (True, False, Fraction(9, 2)):
+            with pytest.raises(ValueError, match="dim must be an integer"):
+                CharClassData(dim)
+        assert CharClassData(8.0, {(1, 1): 3}) == CharClassData(8, {(1, 1): 3})
+        assert CharClassData(8.0).dim == 8 and type(CharClassData(8.0).dim) is int
+
     def test_missing_entries_are_zero(self):
         data = CharClassData(8, {(2,): 5})
         assert data.number((1, 1)) == 0

@@ -370,10 +370,25 @@ class TestMultiPoly:
                               for _ in range(rng.randint(0, 4))})
             q = MultiPoly(3, {tuple(rng.randint(0, 2) for _ in range(3)): rand_rational(rng)
                               for _ in range(rng.randint(0, 4))})
-            for result in (p + q, -p, p * q, p * Fraction(2, 3), p - p):
+            affine = [MultiPoly(3, {(0, 0, 0): rand_rational(rng), (0, 0, 1): rand_rational(rng),
+                                    (1, 0, 0): rand_rational(rng)}) for _ in range(3)]
+            rows = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            x0 = MultiPoly.variable(3, 0)
+            for result in (p + q, -p, p * q, p * Fraction(2, 3), p - p, p ** 2,
+                           p.substitute(affine), p.compose_linear(rows, rng.choice(DENOMINATORS)),
+                           p.permute_vars([2, 0, 1]), (p * x0).shift_out_var(0)):
                 assert result == MultiPoly(3, result.terms)
                 assert all(type(c) is Fraction and c for c in result.terms.values())
                 assert all(type(e) is tuple and len(e) == 3 for e in result.terms)
+                # lowest terms: one positive den, coprime to the nonzero integer numerators
+                assert type(result.den) is int and result.den >= 1
+                assert all(type(c) is int and c for c in result.numerators.values())
+                assert math.gcd(result.den, *result.numerators.values()) == 1
+                assert result.numerators or result.den == 1
+            # old variable i becomes new variable perm[i]
+            rotated = {(b, c, a): v for (a, b, c), v in p.terms.items()}
+            assert p.permute_vars([2, 0, 1]).terms == rotated
+            assert (p * x0).shift_out_var(0) == p
             expected = {}
             for e1, c1 in p.terms.items():
                 for e2, c2 in q.terms.items():

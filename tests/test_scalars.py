@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,19 @@ def poly2_st():
     exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
     return st.builds(lambda d: MultiPoly(2, d),
                      st.dictionaries(exps, fractions_st, max_size=4))
+
+
+@pytest.mark.parametrize("value", [
+    GaussianRational(Fraction(1, 2), -3),
+    MultiPoly(2, {(1, 0): Fraction(3, 4), (0, 2): -2}),
+    RatFunc(MultiPoly.variable(2, 0), MultiPoly(2, {(0, 1): 3, (0, 0): Fraction(1, 5)})),
+], ids=["GaussianRational", "MultiPoly", "RatFunc"])
+def test_immutable_scalars_copy_and_pickle(value):
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value
+        assert str(copied) == str(value)
+        with pytest.raises(AttributeError, match="immutable"):
+            copied.den = 1
 
 
 class TestRational:
