@@ -14,127 +14,135 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import MAX_GENERATORS, Multivector, _below_parity, _norm_sq_numerator, relabel
+from .clifford import MAX_GENERATORS, Multivector, _norm_sq_numerator, ccl, relabel
 from .pin_spin import PinElement, _require_pin
 from .scalars import MultiPoly, RatFunc
 
 
 class GradedRatFunc:
-    """Sum of rational functions times odd-generator blades.
+    """Sum of rational functions times odd-generator blades, over one denominator.
 
-    ``terms`` maps bitmasks over the odd generators (one per tensor slot) to
-    RatFunc coefficients in ``nvars`` commuting variables.
+    Stored as ``Multivector`` is: ``numerators`` maps bitmasks over the odd
+    generators (one per tensor slot) to nonzero MultiPolys in ``nvars``
+    commuting variables over one MultiPoly ``den``. The constructor takes
+    ``{mask: RatFunc}`` and puts different denominators over their product;
+    as in ``RatFunc`` no gcd is taken, so ``==`` cross-multiplies per blade.
+    ``terms`` and ``coeff`` build ``RatFunc``s only when asked.
     """
 
-    __slots__ = ("nvars", "nslots", "terms")
+    __slots__ = ("nvars", "nslots", "numerators", "den")
 
     def __init__(self, nvars: int, nslots: int, terms: dict | None = None):
-        if nslots > MAX_GENERATORS:
-            raise ValueError(f"at most {MAX_GENERATORS} odd generators supported")
-        self.nvars = nvars
-        self.nslots = nslots
-        clean = {}
-        if terms:
-            for mask, f in terms.items():
-                if mask >> nslots:
-                    raise ValueError("blade uses more odd generators than available")
-                if f.nvars != nvars:
-                    raise ValueError("variable-count mismatch")
-                if not f.is_zero():
-                    clean[mask] = f
-        self.terms = clean
+        if not 0 <= nslots <= MAX_GENERATORS:
+            raise ValueError(f"the number of odd generators must lie in 0..{MAX_GENERATORS}")
+        numerators, den = {}, MultiPoly.one(nvars)
+        for mask, f in (terms or {}).items():
+            if mask >> nslots:
+                raise ValueError("blade uses more odd generators than available")
+            if f.nvars != nvars:
+                raise ValueError("variable-count mismatch")
+            if f.is_zero():
+                continue
+            num = f.num
+            if f.den != den:
+                numerators = {m: n * f.den for m, n in numerators.items()}
+                num, den = num * den, den * f.den
+            numerators[mask] = num
+        self.nvars, self.nslots, self.numerators, self.den = nvars, nslots, numerators, den
+
+    def _like(self, numerators: dict, den: MultiPoly) -> "GradedRatFunc":
+        """Element of this shape with the given numerators over den, zeros dropped."""
+        out = object.__new__(GradedRatFunc)
+        out.nvars, out.nslots, out.den = self.nvars, self.nslots, den
+        out.numerators = {m: n for m, n in numerators.items() if not n.is_zero()}
+        return out
 
     @staticmethod
     def scalar(nvars: int, nslots: int, f: RatFunc) -> "GradedRatFunc":
         return GradedRatFunc(nvars, nslots, {0: f})
 
-    def coeff(self, mask: int) -> RatFunc:
-        return self.terms.get(mask, RatFunc.zero(self.nvars))
+    @property
+    def terms(self) -> dict:
+        """{mask: RatFunc} of the nonzero blades."""
+        return {m: RatFunc(n, self.den) for m, n in self.numerators.items()}
 
-    def _check(self, other: "GradedRatFunc"):
+    def coeff(self, mask: int) -> RatFunc:
+        return RatFunc(self.numerators.get(mask, MultiPoly.zero(self.nvars)), self.den)
+
+    def _coerce(self, other) -> "GradedRatFunc":
+        if isinstance(other, (int, Fraction)):
+            other = RatFunc.from_const(self.nvars, other)
+        if isinstance(other, RatFunc):
+            other = GradedRatFunc.scalar(self.nvars, self.nslots, other)
+        if not isinstance(other, GradedRatFunc):
+            raise TypeError(f"cannot combine GradedRatFunc with {type(other).__name__}")
         if self.nvars != other.nvars or self.nslots != other.nslots:
             raise ValueError("model shape mismatch")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
-            other = GradedRatFunc.scalar(self.nvars, self.nslots, self._as_rf(other))
-        self._check(other)
-        out = dict(self.terms)
-        for m, f in other.terms.items():
-            g = out.get(m)
-            s = f if g is None else g + f
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return GradedRatFunc(self.nvars, self.nslots, out)
+        other = self._coerce(other)
+        if self.den == other.den:
+            den, left, right = self.den, self.numerators, other.numerators
+        else:
+            den = self.den * other.den
+            left = {m: n * other.den for m, n in self.numerators.items()}
+            right = {m: n * self.den for m, n in other.numerators.items()}
+        out = dict(left)
+        for m, n in right.items():
+            out[m] = out[m] + n if m in out else n
+        return self._like(out, den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
-            other = GradedRatFunc.scalar(self.nvars, self.nslots, self._as_rf(other))
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __neg__(self):
-        return GradedRatFunc(self.nvars, self.nslots, {m: -f for m, f in self.terms.items()})
-
-    def _as_rf(self, value) -> RatFunc:
-        if isinstance(value, RatFunc):
-            return value
-        return RatFunc.from_const(self.nvars, value)
+        return self._like({m: -n for m, n in self.numerators.items()}, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
-            c = self._as_rf(other)
-            return GradedRatFunc(self.nvars, self.nslots,
-                                 {m: f * c for m, f in self.terms.items()})
-        self._check(other)
-        # every odd generator squares to +1: only the reordering swaps give a sign
-        right = [(m2, _below_parity(m2), f2) for m2, f2 in other.terms.items()]
+        other = self._coerce(other)
+        flip = ccl(self.nslots, 0).flip
+        right = [(m2, flip(m2), (n2, -n2)) for m2, n2 in other.numerators.items()]
         out: dict = {}
-        for m1, f1 in self.terms.items():
-            for m2, flip, f2 in right:
-                f = f1 * f2
-                if (m1 & flip).bit_count() & 1:
-                    f = -f
+        for m1, n1 in self.numerators.items():
+            for m2, f2, signed in right:
+                n = n1 * signed[(m1 & f2).bit_count() & 1]
                 mask = m1 ^ m2
-                g = out.get(mask)
-                s = f if g is None else g + f
-                out[mask] = s
-        return GradedRatFunc(self.nvars, self.nslots,
-                             {m: f for m, f in out.items() if not f.is_zero()})
+                out[mask] = out[mask] + n if mask in out else n
+        return self._like(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, GradedRatFunc):
             return NotImplemented
-        return (self.nvars, self.nslots, self.terms) == (other.nvars, other.nslots, other.terms)
+        return ((self.nvars, self.nslots) == (other.nvars, other.nslots)
+                and self.numerators.keys() == other.numerators.keys()
+                and all(n * other.den == other.numerators[m] * self.den
+                        for m, n in self.numerators.items()))
 
     def parity(self):
-        grades = {m.bit_count() & 1 for m in self.terms}
+        grades = {m.bit_count() & 1 for m in self.numerators}
         if len(grades) == 1:
             return grades.pop()
         return None
 
     def star(self) -> "GradedRatFunc":
-        """Blade reversal; coefficients are real rational functions."""
-        out = {}
-        for m, f in self.terms.items():
-            k = m.bit_count()
-            out[m] = -f if (k * (k - 1) // 2) & 1 else f
-        return GradedRatFunc(self.nvars, self.nslots, out)
+        """Blade reversal; coefficients are real rational functions.
+
+        Reversing k generators takes k(k-1)/2 swaps, an odd number when k % 4 is 2 or 3."""
+        return self._like({m: -n if m.bit_count() & 2 else n
+                           for m, n in self.numerators.items()}, self.den)
 
     def is_self_adjoint(self) -> bool:
         return self == self.star()
 
     def odd_readoff(self) -> RatFunc:
         """Sum of the single-generator coefficients (the scalar form of the coproduct)."""
-        total = RatFunc.zero(self.nvars)
-        for i in range(self.nslots):
-            total = total + self.coeff(1 << i)
-        return total
+        odd = [n for m, n in self.numerators.items() if m.bit_count() == 1]
+        return RatFunc(sum(odd, MultiPoly.zero(self.nvars)), self.den)
 
     def swap_slots(self, i: int, j: int) -> "GradedRatFunc":
         """Exchange tensor slots i and j (variables and odd generators together)."""
@@ -148,20 +156,19 @@ class GradedRatFunc:
         positions = list(range(self.nslots))
         positions[i], positions[j] = j, i
         out: dict = {}
-        for mask, f in self.terms.items():
+        for mask, n in self.numerators.items():
             sign, mask = relabel(mask, positions)
-            g = f.permute_vars(perm)
-            out[mask] = -g if sign < 0 else g
-        return GradedRatFunc(self.nvars, self.nslots, out)
+            out[mask] = n.permute_vars(perm) * sign
+        return self._like(out, self.den.permute_vars(perm))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.numerators:
             return "0"
+        terms = self.terms
         parts = []
-        for mask in sorted(self.terms):
+        for mask in sorted(terms):
             blade = "".join(f"eps{i + 1}" for i in range(self.nslots) if mask & (1 << i))
-            f = self.terms[mask]
-            parts.append(f"({f})" + (f"*{blade}" if blade else ""))
+            parts.append(f"({terms[mask]})" + (f"*{blade}" if blade else ""))
         return " + ".join(parts)
 
 
@@ -202,7 +209,7 @@ def comultiplication(tag: str) -> GradedRatFunc:
 
 def _halve_exponent(poly: MultiPoly, var: int) -> MultiPoly:
     if not poly.is_even_in(var):
-        raise ValueError("polynomial is not even in the variable")
+        raise ValueError("coefficient or denominator is not even in the slot variable")
     return poly.map_exponents(lambda e: e[:var] + (e[var] // 2,) + e[var + 1:])
 
 
@@ -212,65 +219,42 @@ def expand_slot(element: GradedRatFunc, slot: int) -> GradedRatFunc:
     Uses the substitution form of the coproduct: even dependence on the slot
     variable is rewritten through x^2 -> u^2 + v^2, and a linear odd factor
     x*eps becomes u*eps_u + v*eps_v. Elements of the generator algebra always
-    have this shape.
+    have this shape. The one ``den`` is promoted once, after multiplying
+    through by x if it is odd in x. Distinct blades land on distinct blades,
+    so each image is written directly over the promoted ``den``.
     """
     if not 0 <= slot < element.nslots:
         raise ValueError("slot out of range")
-    nv, ns = element.nvars, element.nslots
-    new_nv, new_ns = nv + 1, ns + 1
+    nv = element.nvars
+    if slot >= nv:
+        raise ValueError("slot has no function variable")
+    u = MultiPoly.variable(nv + 1, slot)
+    v = MultiPoly.variable(nv + 1, slot + 1)
+    reps = [MultiPoly.variable(nv + 1, t + (t > slot)) for t in range(nv)]
+    reps[slot] = u * u + v * v
 
     def promote(poly: MultiPoly) -> MultiPoly:
-        halved = _halve_exponent(poly, slot)
-        reps = []
-        pair_square = (MultiPoly.variable(new_nv, slot) ** 2
-                       + MultiPoly.variable(new_nv, slot + 1) ** 2)
-        for t in range(nv):
-            if t < slot:
-                reps.append(MultiPoly.variable(new_nv, t))
-            elif t == slot:
-                reps.append(pair_square)
-            else:
-                reps.append(MultiPoly.variable(new_nv, t + 1))
-        return halved.substitute(reps)
+        return _halve_exponent(poly, slot).substitute(reps)
 
-    def shift_mask(mask: int) -> int:
-        low = mask & ((1 << slot) - 1)
-        high = (mask >> slot) << (slot + 1)
-        return low | high
-
+    numerators, den = element.numerators, element.den
+    if not den.is_even_in(slot):
+        # multiply through by the slot variable; a den of mixed parity stays uneven
+        var = MultiPoly.variable(nv, slot)
+        numerators = {m: n * var for m, n in numerators.items()}
+        den = den * var
+    bit = 1 << slot
     out: dict = {}
-
-    def accumulate(mask, num, den):
-        f = RatFunc(num, den)
-        if f.is_zero():
-            return
-        acc = out.get(mask)
-        out[mask] = f if acc is None else acc + f
-
-    for mask, f in element.terms.items():
-        num, den = f.num, f.den
-        if not den.is_even_in(slot):
-            # multiply through by the slot variable to make the denominator even
-            var = MultiPoly.variable(nv, slot)
-            num = num * var
-            den = den * var
-            if not den.is_even_in(slot):
-                raise ValueError("coefficient has mixed parity in the slot variable")
-        new_den = promote(den)
-        if mask & (1 << slot):
+    for mask, num in numerators.items():
+        base = (mask & (bit - 1)) | (mask >> slot + 1 << slot + 2)  # generators above slot move up
+        if mask & bit:
             if not num.is_odd_in(slot):
                 raise ValueError("odd-slot coefficient must be odd in the slot variable")
             core = promote(num.shift_out_var(slot))
-            base = shift_mask(mask & ~(1 << slot))
-            accumulate(base | (1 << slot),
-                       core * MultiPoly.variable(new_nv, slot), new_den)
-            accumulate(base | (1 << (slot + 1)),
-                       core * MultiPoly.variable(new_nv, slot + 1), new_den)
+            out[base | bit] = core * u
+            out[base | bit << 1] = core * v
         else:
-            if not num.is_even_in(slot):
-                raise ValueError("even-slot coefficient must be even in the slot variable")
-            accumulate(shift_mask(mask), promote(num), new_den)
-    return GradedRatFunc(new_nv, new_ns, out)
+            out[base] = promote(num)
+    return GradedRatFunc(nv + 1, element.nslots + 1)._like(out, promote(den))
 
 
 def delta_b_triple() -> GradedRatFunc:

@@ -292,6 +292,8 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         den = math.lcm(self.den, other.den)
         f1, f2 = den // self.den, den // other.den
@@ -316,6 +318,8 @@ class MultiPoly:
             n, d = other.as_integer_ratio()
             return MultiPoly._reduced(
                 self.nvars, {e: c * n for e, c in self.numerators.items()}, self.den * d)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         out: dict = {}
         for e1, c1 in self.numerators.items():
@@ -573,9 +577,6 @@ class RatFunc:
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.nvars == other.nvars and self.num * other.den == other.num * self.den
-
-    def permute_vars(self, perm: list[int]) -> "RatFunc":
-        return RatFunc(self.num.permute_vars(perm), self.den.permute_vars(perm))
 
     def __str__(self):
         if self.den == MultiPoly.one(self.nvars):
