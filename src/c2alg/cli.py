@@ -204,17 +204,12 @@ def _emit_lift(args, command: str, matrix, element, residuals: dict) -> int:
 
 
 def _cmd_spin_lift(args) -> int:
-    import numpy as np
-
     from .pin_spin import lift_residuals, spin_lift
 
     M = _load_matrix(args.matrix)
     try:
-        R = np.asarray(M.real, dtype=float)
-        if np.max(np.abs(M.imag)) > 0:
-            raise ValueError("spin-lift expects a real matrix")
-        g = spin_lift(R)
-        residuals = lift_residuals(g, R)
+        g = spin_lift(M)
+        residuals = lift_residuals(g, M)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return _emit_lift(args, "spin-lift", M, g, residuals)

@@ -98,6 +98,9 @@ class GradedRatFunc:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __neg__(self):
         return self._like({m: -n for m, n in self.numerators.items()}, self.den)
 

@@ -17,18 +17,26 @@ import numpy as np
 from .scalars import default_tol, rational_from_string
 
 
-def check_finite(A: np.ndarray) -> np.ndarray:
-    """Return A; raise ValueError if any entry is NaN or infinite."""
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    return A
+def _read_matrix(M, dtype=complex, *, square: bool = True, finite: bool = True) -> np.ndarray:
+    """The one reader of a caller's matrix: a 2-D ``dtype`` array, square unless told not.
 
-
-def _as_matrix(M) -> np.ndarray:
-    A = np.asarray(M, dtype=complex)
+    ``dtype=float`` is a real read: it refuses a nonzero imaginary part and
+    takes the real part of a complex array whose imaginary part is zero.
+    Unless ``finite`` is False, a NaN or infinite entry is refused.
+    """
+    A = np.asarray(M)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
-    return check_finite(A)
+    if dtype is float and A.dtype.kind == "c":
+        if np.any(A.imag):
+            raise ValueError("expected a real matrix")
+        A = A.real
+    if square and A.shape[0] != A.shape[1]:
+        raise ValueError("non-square input")
+    A = A.astype(dtype, copy=False)
+    if finite and not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    return A
 
 
 def random_unitary(nrng, n: int) -> np.ndarray:
@@ -50,9 +58,7 @@ def _gram_is_identity(A: np.ndarray, eye: np.ndarray, tol: float) -> bool:
 
 def is_unitary(M, tol: float | None = None) -> bool:
     """True iff the max-norm of M*M - I is within tol. Rejects non-square input."""
-    A = _as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("non-square input")
+    A = _read_matrix(M)
     if tol is None:
         tol = default_tol()
     return _gram_is_identity(A, np.eye(A.shape[0]), tol)
@@ -65,10 +71,10 @@ def realify(U) -> np.ndarray:
     j-th complex coordinate, so each entry u = a+bi becomes the 2x2 block
     [[a, -b], [b, a]].
     """
-    A = _as_matrix(U)
-    if not is_unitary(A):
-        raise ValueError("input is not unitary within tolerance")
+    A = _read_matrix(U)
     n = A.shape[0]
+    if not _gram_is_identity(A, np.eye(n), default_tol()):
+        raise ValueError("input is not unitary within tolerance")
     R = np.zeros((2 * n, 2 * n))
     R[0::2, 0::2] = A.real
     R[0::2, 1::2] = -A.imag
@@ -87,10 +93,8 @@ def unitary_eigh(A) -> tuple[np.ndarray, np.ndarray]:
     gives a real symmetric H and so a real orthogonal V. The angles are read
     off diag(V* A V) on the principal branch (-pi, pi].
     """
-    A = _as_matrix(A)
+    A = _read_matrix(A)
     tol = default_tol()
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("non-square input")
     eye = np.eye(A.shape[0])
     if not _gram_is_identity(A, eye, tol):
         raise ValueError("input is not unitary within tolerance")
@@ -127,9 +131,7 @@ def symmetric_unitary_sqrt(U) -> SymmetricSqrt:
     its eigenbasis O is real orthogonal and S = O diag(exp(i theta/2)) O^T.
     Eigenvalues near the branch cut are flagged in the result metadata.
     """
-    A = _as_matrix(U)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("non-square input")
+    A = _read_matrix(U)
     if not float(np.max(np.abs(A - A.T))) <= default_tol():
         raise ValueError("input is not symmetric within tolerance")
     O, thetas = unitary_eigh((A + A.T) / 2)
@@ -166,12 +168,12 @@ def fixed_point_retraction(x, y) -> Retraction:
     representative (x S*, S y) has real entries and lies in the same orbit.
     """
     tol = default_tol()
-    X = _as_matrix(x)
+    X = _read_matrix(x, square=False)
     Y = np.asarray(y, dtype=complex)
     n = X.shape[1]
     if Y.shape[0] != n:
         raise ValueError("fiber dimension does not match the frame")
-    if float(np.max(np.abs(X.conj().T @ X - np.eye(n)))) > tol:
+    if not _gram_is_identity(X, np.eye(n), tol):
         raise ValueError("frame columns are not orthonormal within tolerance")
     Ustar = X.conj().T @ X.conj()
     fixed_res = float(np.max(np.abs(X.conj() - X @ Ustar)))
@@ -231,11 +233,11 @@ def matrix_from_json(obj) -> np.ndarray:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError("each entry must be a [re, im] pair")
             M[i, j] = complex(_entry_to_float(pair[0]), _entry_to_float(pair[1]))
-    return check_finite(M)
+    return _read_matrix(M, square=False)
 
 
 def matrix_to_json(M) -> dict:
-    A = _as_matrix(M)
+    A = _read_matrix(M, square=False)
     return {
         "rows": int(A.shape[0]),
         "cols": int(A.shape[1]),

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_product
-from .linalg import (check_finite, default_tol, is_unitary, random_unitary, realify,
+from .linalg import (_gram_is_identity, _read_matrix, default_tol, random_unitary, realify,
                      unitary_eigh)
 from .scalars import MultiPoly, integer_numerators
 
@@ -400,7 +400,7 @@ def householder_factors(R: np.ndarray) -> list[np.ndarray]:
     column with nonnegative e_j component uses the two-reflection route
     through the stabilized midpoint (a + e_j)/|a + e_j|.
     """
-    A = check_finite(np.array(R, dtype=float, copy=True))
+    A = _read_matrix(R, float).copy()
     n = A.shape[0]
     factors: list[np.ndarray] = []
     for j in range(n):
@@ -457,11 +457,9 @@ def spin_lift(R) -> DensePin:
     second product.
     """
     tol = default_tol()
-    A = np.asarray(R, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("non-square input")
+    A = _read_matrix(R, float)
     n = A.shape[0]
-    if not is_unitary(A):
+    if not _gram_is_identity(A, np.eye(n), tol):
         raise ValueError("input is not orthogonal within tolerance")
     if np.linalg.det(A) < 0:
         raise ValueError("determinant -1: odd Pin lift not handled by this operation")
@@ -472,10 +470,10 @@ def spin_lift(R) -> DensePin:
 
 def rho_residual(g: DensePin, R) -> float:
     """Max-norm residual between twisted_adjoint(g) and an n x n target; NaN propagates."""
-    A = np.asarray(R, dtype=float)
     n = g.algebra.dim
-    if A.shape != (n, n):
+    if np.shape(R) != (n, n):
         raise ValueError(f"target matrix must have shape ({n}, {n})")
+    A = _read_matrix(R, float, finite=False)
     return float(np.max(np.abs(twisted_adjoint(g) - A)))
 
 
@@ -516,9 +514,7 @@ def phi_lift(U, *, rng=None) -> DensePin:
     ``rng`` to decompose Q* U Q for a random unitary Q instead (used to
     exercise canonicity).
     """
-    A = np.asarray(U, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("non-square input")
+    A = _read_matrix(U)
     n = A.shape[0]
     algebra = ccl_interleaved(n)
     if rng is None:

@@ -15,7 +15,6 @@ import re
 from fractions import Fraction
 from typing import Mapping
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -115,13 +114,6 @@ class GaussianRational:
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.from_value(other)
-        # zero fast paths keep Clifford products cheap for pure-real/pure-imaginary data
-        if not self.im:
-            if not other.im:
-                return GaussianRational._raw(self.re * other.re, _ZERO)
-            return GaussianRational._raw(self.re * other.re, self.re * other.im)
-        if not other.im:
-            return GaussianRational._raw(self.re * other.re, self.im * other.re)
         return GaussianRational._raw(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -532,12 +524,15 @@ class RatFunc:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -547,20 +542,26 @@ class RatFunc:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        other = self._coerce(other)
+        return NotImplemented if other is None else other / self
 
-    def _coerce(self, other) -> "RatFunc":
+    def _coerce(self, other) -> "RatFunc | None":
+        """other as a RatFunc of this variable count; None for a type it does not know."""
         if isinstance(other, RatFunc):
             if other.nvars != self.nvars:
                 raise ValueError("variable-count mismatch")
@@ -569,7 +570,7 @@ class RatFunc:
             return RatFunc.from_const(self.nvars, other)
         if isinstance(other, MultiPoly):
             return RatFunc(other)
-        raise TypeError(f"cannot combine RatFunc with {type(other).__name__}")
+        return None
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):

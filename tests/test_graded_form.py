@@ -2,7 +2,8 @@
 
 The product and the involutions are checked against per-blade RatFunc
 arithmetic signed by ``CliffordAlgebra.blade_product``; the mixed
-MultiPoly/RatFunc operators are checked in both operand orders.
+MultiPoly/RatFunc operators are checked in both operand orders, and so is a
+scalar (int or RatFunc) with a graded element.
 """
 
 import random
@@ -144,3 +145,21 @@ class TestMixedPolynomialOperands:
         assert x + r == r + x
         assert x - r == -(r - x)
         assert x - r == RatFunc(x) - r
+
+
+class TestMixedGradedOperands:
+    def test_scalar_on_the_left_of_a_graded_element(self):
+        _, b = s_generators()
+        one = RatFunc.one(1)
+        graded_one = GradedRatFunc.scalar(1, 1, one)
+        assert one + b == graded_one + b
+        assert one * b == graded_one * b == b
+        assert one - b == graded_one - b
+        assert 1 - b == graded_one - b
+        assert 2 * b == b + b
+
+    def test_unknown_operand_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            RatFunc.one(1) + "x"
+        with pytest.raises(TypeError):
+            "x" - s_generators()[1]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from c2alg.linalg import (fixed_point_retraction, is_unitary, matrix_from_json,
-                          matrix_to_json, realify, symmetric_unitary_sqrt)
+                          matrix_to_json, realify, symmetric_unitary_sqrt, unitary_eigh)
+from c2alg.pin_spin import householder_factors, phi_lift, rho_residual, spin_lift
 from c2alg.verify import random_special_orthogonal, random_unitary
 
 RNG = np.random.default_rng(20240817)
@@ -219,3 +220,88 @@ class TestMatrixJson:
     def test_non_finite_rejected(self, entry):
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             matrix_from_json({"rows": 1, "cols": 1, "entries": [[entry]]})
+
+
+_ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+_SHAPE_2 = r"target matrix must have shape \(2, 2\)"
+
+# name: (routine of one matrix, message for 1-D input, message for a non-square
+# matrix or None if it is accepted, message for a NaN entry or None if it
+# propagates, real-only)
+_READERS = {
+    "spin_lift": (spin_lift, "expected a matrix", "non-square input",
+                  "matrix entries must be finite", True),
+    "householder_factors": (householder_factors, "expected a matrix", "non-square input",
+                            "matrix entries must be finite", True),
+    "rho_residual": (lambda M: rho_residual(spin_lift(np.eye(2)), M), _SHAPE_2, _SHAPE_2,
+                     None, True),
+    "phi_lift": (phi_lift, "expected a matrix", "non-square input",
+                 "matrix entries must be finite", False),
+    "realify": (realify, "expected a matrix", "non-square input",
+                "matrix entries must be finite", False),
+    "is_unitary": (is_unitary, "expected a matrix", "non-square input",
+                   "matrix entries must be finite", False),
+    "unitary_eigh": (unitary_eigh, "expected a matrix", "non-square input",
+                     "matrix entries must be finite", False),
+    "symmetric_unitary_sqrt": (symmetric_unitary_sqrt, "expected a matrix", "non-square input",
+                               "matrix entries must be finite", False),
+    # a frame is an N x n isometry, so a non-square one is read
+    "fixed_point_retraction": (lambda M: fixed_point_retraction(M, np.ones(2)),
+                               "expected a matrix", None, "matrix entries must be finite", False),
+}
+_REAL_ONLY = [name for name, entry in _READERS.items() if entry[4]]
+
+
+class TestMatrixReader:
+    """Every routine reads its matrix through one check, with the same messages."""
+
+    @pytest.mark.parametrize("name", _READERS)
+    def test_one_dimensional_input_refused(self, name):
+        routine, message = _READERS[name][:2]
+        with pytest.raises(ValueError, match=message):
+            routine(np.ones(2))
+
+    @pytest.mark.parametrize("name", _READERS)
+    def test_non_square_input(self, name):
+        routine, _, message = _READERS[name][:3]
+        frame = np.eye(3)[:, :2]
+        if message is None:
+            routine(frame)
+        else:
+            with pytest.raises(ValueError, match=message):
+                routine(frame)
+
+    @pytest.mark.parametrize("name", _READERS)
+    def test_nan_entry(self, name):
+        routine, message = _READERS[name][0], _READERS[name][3]
+        M = np.eye(2)
+        M[0, 1] = np.nan
+        if message is None:
+            assert np.isnan(routine(M))
+        else:
+            with pytest.raises(ValueError, match=message):
+                routine(M)
+
+    @pytest.mark.parametrize("name", _READERS)
+    def test_imaginary_part(self, name):
+        # i * I is symmetric and unitary: a complex routine reads it, a real-only one
+        # refuses it with a ValueError instead of dropping it with a ComplexWarning
+        routine, real_only = _READERS[name][0], _READERS[name][4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if real_only:
+                with pytest.raises(ValueError, match="expected a real matrix"):
+                    routine(1j * np.eye(2))
+            else:
+                routine(1j * np.eye(2))
+
+    @pytest.mark.parametrize("name", _REAL_ONLY)
+    def test_zero_imaginary_part_read_as_real(self, name):
+        routine = _READERS[name][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            read = routine(_ROTATION.astype(complex))
+        expected = routine(_ROTATION)
+        if name == "spin_lift":
+            read, expected = read.values, expected.values
+        assert np.array_equal(read, expected)

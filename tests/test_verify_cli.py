@@ -209,6 +209,12 @@ class TestLiftCommands:
         assert out == ""
         assert err == "error: matrix entries must be finite\n"
 
+    def test_imaginary_part_refused_by_spin_lift(self, capsys, tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text(_IMAGINARY_ROTATION, encoding="utf-8")
+        code, out, err = run_cli(capsys, "spin-lift", "--matrix", str(path))
+        assert (code, out, err) == (64, "", "error: expected a real matrix\n")
+
     @pytest.mark.parametrize("command, flag", [("spin-lift", "--matrix"),
                                                ("phi-lift", "--unitary")])
     def test_empty_matrix_is_refused_by_name(self, capsys, tmp_path, command, flag):
@@ -367,6 +373,8 @@ _DIGITS_3001 = "1" + "0" * 3000
 # inputs of 4300 digits each; the genus (7 p1^2 - 4 p2) / 5760 has 4301
 _RESULT_4301_DIGITS = json.dumps({"dim": 8, "pontryagin": {"1,1": "9" * 4300,
                                                           "2": "-" + "9" * 4300}})
+# the 90-degree rotation with an imaginary part on one entry
+_IMAGINARY_ROTATION = '{"rows": 2, "cols": 2, "entries": [[[0, 0], [-1, 0]], [[1, 0], [0, 0.5]]]}'
 
 MALFORMED_INPUTS = [
     (["clifford", "conj", "--signature", "2,0", "--a", "1/0"], None),
@@ -402,6 +410,7 @@ MALFORMED_INPUTS = [
     (["ahat", "--pontryagin", "FILE"], '{"dim": 4, "pontryagin": {"1": "3", "01": "2"}}'),
     (["ahat", "--pontryagin", "FILE"], '{"dim": 8, "pontryagin": {"1,1": "3", "1, 1": "5"}}'),
     (["ahat", "--pontryagin", "FILE"], '{"dim": 12, "pontryagin": {"2,1": "3", "1,2": "5"}}'),
+    (["spin-lift", "--matrix", "FILE"], _IMAGINARY_ROTATION),
 ]
 
 
@@ -419,7 +428,7 @@ MALFORMED_INPUTS = [
                               "pontryagin-4301-digits-json", "ahat-result-4301-digits",
                               "product-6001-digits", "dim-not-integral", "dim-bool",
                               "partition-twice-zero-padded", "partition-twice-spaced",
-                              "partition-twice-reordered"])
+                              "partition-twice-reordered", "spin-lift-imaginary"])
 def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
