@@ -72,8 +72,10 @@ class GradedRatFunc:
     def _coerce(self, other) -> "GradedRatFunc":
         if isinstance(other, (int, Fraction)):
             other = RatFunc.from_const(self.nvars, other)
+        if isinstance(other, MultiPoly):
+            other = RatFunc(other)
         if isinstance(other, RatFunc):
-            other = GradedRatFunc.scalar(self.nvars, self.nslots, other)
+            other = GradedRatFunc.scalar(other.nvars, self.nslots, other)
         if not isinstance(other, GradedRatFunc):
             raise TypeError(f"cannot combine GradedRatFunc with {type(other).__name__}")
         if self.nvars != other.nvars or self.nslots != other.nslots:
@@ -311,9 +313,13 @@ def fc_eval(v: Multivector) -> FcImage:
         Multivector._reduced(v.algebra, {m: (x * d, 0) for m, (x, _) in v.terms.items()}, den))
 
 
-def fc_equivariance(v: Multivector) -> bool:
-    """fc(conj v) agrees with the componentwise conjugate of fc(v)."""
-    image = fc_eval(v)
+def fc_equivariance(v: Multivector, image: FcImage | None = None) -> bool:
+    """fc(conj v) agrees with the componentwise conjugate of fc(v).
+
+    Pass a precomputed ``image = fc_eval(v)`` to reuse it.
+    """
+    if image is None:
+        image = fc_eval(v)
     conj_image = fc_eval(v.bar())
     return (conj_image.a_img == image.a_img.bar()
             and conj_image.b_img == image.b_img.bar())

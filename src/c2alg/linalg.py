@@ -4,7 +4,8 @@ square roots, fixed-point retraction.
 Eigenvalue-based routines work in double precision against one tolerance,
 ``default_tol()`` (defined in ``scalars``): 1e-9, or the ``C2ALG_TOL``
 environment variable, which is the only override. Each routine reads it where
-it compares; only the predicate ``is_unitary`` takes an explicit threshold.
+it compares (``default_tol`` caches only the parse of each value); only the
+predicate ``is_unitary`` takes an explicit threshold.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ def _read_matrix(M, dtype=complex, *, square: bool = True, finite: bool = True) 
     if A.ndim != 2:
         raise ValueError("expected a matrix")
     if dtype is float and A.dtype.kind == "c":
-        if np.any(A.imag):
+        if A.imag.any():
             raise ValueError("expected a real matrix")
         A = A.real
     if square and A.shape[0] != A.shape[1]:
         raise ValueError("non-square input")
     A = A.astype(dtype, copy=False)
-    if finite and not np.all(np.isfinite(A)):
+    if finite and not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -132,16 +133,16 @@ def symmetric_unitary_sqrt(U) -> SymmetricSqrt:
     Eigenvalues near the branch cut are flagged in the result metadata.
     """
     A = _read_matrix(U)
-    if not float(np.max(np.abs(A - A.T))) <= default_tol():
+    if not float(np.abs(A - A.T).max()) <= default_tol():
         raise ValueError("input is not symmetric within tolerance")
     O, thetas = unitary_eigh((A + A.T) / 2)
     S = (O * np.exp(0.5j * thetas)) @ O.T
     residuals = {
-        "square": float(np.max(np.abs(S @ S - A))),
-        "symmetry": float(np.max(np.abs(S - S.T))),
-        "unitarity": float(np.max(np.abs(S.conj().T @ S - np.eye(A.shape[0])))),
+        "square": float(np.abs(S @ S - A).max()),
+        "symmetry": float(np.abs(S - S.T).max()),
+        "unitarity": float(np.abs(S.conj().T @ S - np.eye(A.shape[0])).max()),
     }
-    near = bool(np.any(np.abs(np.abs(thetas) - math.pi) < 1e-6))
+    near = bool((np.abs(np.abs(thetas) - math.pi) < 1e-6).any())
     return SymmetricSqrt(S, thetas, O, near, residuals)
 
 
@@ -176,7 +177,7 @@ def fixed_point_retraction(x, y) -> Retraction:
     if not _gram_is_identity(X, np.eye(n), tol):
         raise ValueError("frame columns are not orthonormal within tolerance")
     Ustar = X.conj().T @ X.conj()
-    fixed_res = float(np.max(np.abs(X.conj() - X @ Ustar)))
+    fixed_res = float(np.abs(X.conj() - X @ Ustar).max())
     if fixed_res > max(100 * tol, 1e-7):
         raise ValueError(f"orbit is not conjugation-fixed (residual {fixed_res:.3e})")
     U = Ustar.conj().T
@@ -186,10 +187,10 @@ def fixed_point_retraction(x, y) -> Retraction:
     fiber = S @ Y
     residuals = {
         "fixed_orbit": fixed_res,
-        "frame_imag": float(np.max(np.abs(frame.imag))),
-        "fiber_imag": float(np.max(np.abs(fiber.imag))) if fiber.size else 0.0,
-        "orbit_frame": float(np.max(np.abs(frame @ S - X))),
-        "orbit_fiber": float(np.max(np.abs(S.conj().T @ fiber - Y))) if fiber.size else 0.0,
+        "frame_imag": float(np.abs(frame.imag).max()),
+        "fiber_imag": float(np.abs(fiber.imag).max()) if fiber.size else 0.0,
+        "orbit_frame": float(np.abs(frame @ S - X).max()),
+        "orbit_fiber": float(np.abs(S.conj().T @ fiber - Y).max()) if fiber.size else 0.0,
     }
     return Retraction(frame, fiber, sqrt, residuals)
 

@@ -224,7 +224,7 @@ class DensePin:
     def __init__(self, algebra: CliffordAlgebra, vectors, phase=1, *, meta=None):
         n = algebra.dim
         factors = np.array(vectors) if all(np.shape(u) == (n,) for u in vectors) else None
-        if factors is None or factors.dtype.kind not in "iuf" or not np.all(np.isfinite(factors)):
+        if factors is None or factors.dtype.kind not in "iuf" or not np.isfinite(factors).all():
             raise ValueError(f"a factor of a Pin element of {algebra.label} "
                              f"is a finite real array of shape ({n},)")
         factors = factors.astype(float).reshape(len(factors), n)
@@ -238,7 +238,7 @@ class DensePin:
         for u in factors[::-1] * np.array(algebra.star_signs, dtype=float):
             unit = algebra.dense_mul_vector(unit, u)
         unit[0] -= 1.0
-        unit_error = float(np.max(np.abs(unit)))
+        unit_error = float(np.abs(unit).max())
         if not unit_error <= max(default_tol(), 1e-9) * 100:
             raise ValueError("Pin element must satisfy g * star(g) = 1 within tolerance")
         values = phase * product
@@ -347,8 +347,8 @@ def _twisted_adjoint_numeric(g: DensePin) -> np.ndarray:
     if g.parity == ODD:
         B = -B
     M = A.conj() @ B.T
-    non_real = ~np.all(np.abs(M.imag) <= 100 * tol, axis=0)
-    off_grade = ~(np.max(np.abs(B - M.T @ A), axis=1) <= 100 * tol)
+    non_real = ~(np.abs(M.imag) <= 100 * tol).all(axis=0)
+    off_grade = ~(np.abs(B - M.T @ A).max(axis=1) <= 100 * tol)
     bad = np.flatnonzero(non_real | off_grade)
     if bad.size:
         reason = _NON_REAL if non_real[bad[0]] else _OFF_GRADE
@@ -383,14 +383,14 @@ def is_fixed_spinc(g: PinElement | DensePin) -> bool:
 def _bar_gap(g: DensePin, conj_lift: DensePin | None = None) -> float:
     """max|c - bar(g)| over the blades, with c = conj_lift or g itself; NaN propagates."""
     c = g if conj_lift is None else conj_lift
-    return float(np.max(np.abs(c.values - g.algebra.dense_bar(g.values))))
+    return float(np.abs(c.values - g.algebra.dense_bar(g.values)).max())
 
 
 # -- Spin lift of special orthogonal matrices ---------------------------------------
 
 
 def _reflect_inplace(A: np.ndarray, u: np.ndarray):
-    A -= 2.0 * np.outer(u, u @ A)
+    A -= 2.0 * (u[:, None] * (u @ A))
 
 
 def householder_factors(R: np.ndarray) -> list[np.ndarray]:
@@ -401,27 +401,25 @@ def householder_factors(R: np.ndarray) -> list[np.ndarray]:
     through the stabilized midpoint (a + e_j)/|a + e_j|.
     """
     A = _read_matrix(R, float).copy()
-    n = A.shape[0]
+    eye = np.eye(A.shape[0])
     factors: list[np.ndarray] = []
-    for j in range(n):
-        a = A[:, j].copy()
-        e = np.zeros(n)
-        e[j] = 1.0
-        if float(np.linalg.norm(a - e)) < 1e-13:
+    # math.sqrt(u @ u) has the bits of np.linalg.norm(u) for a real vector u
+    for j, e in enumerate(eye):
+        a = A[:, j]  # a view, read before A is reflected
+        u = a - e
+        if math.sqrt(u @ u) < 1e-13:
             continue
         if a[j] >= 0.0:
-            h = a + e
-            h /= np.linalg.norm(h)
-            _reflect_inplace(A, h)
+            u = a + e
+            u /= math.sqrt(u @ u)
+            _reflect_inplace(A, u)
             A[j] = -A[j]  # the reflection by e_j
-            factors.append(h)
-            factors.append(e)
+            factors += [u, e]
         else:
-            u = a - e
-            u /= np.linalg.norm(u)
+            u /= math.sqrt(u @ u)
             _reflect_inplace(A, u)
             factors.append(u)
-    if not float(np.max(np.abs(A - np.eye(n)))) <= max(1e-11, 10 * default_tol()):
+    if not float(np.abs(A - eye).max()) <= max(1e-11, 10 * default_tol()):
         raise ValueError("reflection factorization failed to converge")
     if len(factors) % 2:
         raise ValueError("odd reflection count; determinant is not +1")
@@ -474,7 +472,7 @@ def rho_residual(g: DensePin, R) -> float:
     if np.shape(R) != (n, n):
         raise ValueError(f"target matrix must have shape ({n}, {n})")
     A = _read_matrix(R, float, finite=False)
-    return float(np.max(np.abs(twisted_adjoint(g) - A)))
+    return float(np.abs(twisted_adjoint(g) - A).max())
 
 
 def unit_residual(g: DensePin) -> float:
@@ -523,7 +521,7 @@ def phi_lift(U, *, rng=None) -> DensePin:
         Q = random_unitary(rng, n)
         V, thetas = unitary_eigh(Q.conj().T @ A @ Q)
         V = Q @ V
-    near_branch = bool(np.any(np.abs(np.abs(thetas) - math.pi) < 1e-6))
+    near_branch = bool((np.abs(np.abs(thetas) - math.pi) < 1e-6).any())
 
     W = realify(V)
     rotors = []  # the vectors (c w_{2j-1} + s w_{2j}) w_{2j-1} of each plane rotor

@@ -8,6 +8,7 @@ check ``C2ALG_TOL`` without loading the spectral modules.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -25,8 +26,17 @@ _EXPONENT = re.compile(r"[eE][+-]?(\d+)")
 
 
 def default_tol() -> float:
-    """The ``C2ALG_TOL`` value, or 1e-9; anything but a positive finite number is an error."""
-    raw = os.environ.get("C2ALG_TOL", "1e-9")
+    """The ``C2ALG_TOL`` value, or 1e-9; anything but a positive finite number is an error.
+
+    The environment is read on every call, so a new value takes effect at the
+    next comparison; only the parse of each raw string is cached.
+    """
+    return _parse_tol(os.environ.get("C2ALG_TOL", "1e-9"))
+
+
+@functools.lru_cache(maxsize=16)
+def _parse_tol(raw: str) -> float:
+    # an error is raised, not cached, so a bad value is refused at every call
     try:
         tol = float(raw)
     except ValueError:

@@ -537,7 +537,7 @@ def suite_functional_calculus(seed: int, cases: int) -> SuiteResult:
         v = rand_real_vector(rng, alg)
         image = funcalc.fc_eval(v)
         result.check(image.check_relations(), f"fc graded-* relations case {i}")
-        result.check(funcalc.fc_equivariance(v), f"fc equivariance case {i}")
+        result.check(funcalc.fc_equivariance(v, image), f"fc equivariance case {i}")
 
         g = rand_pin(rng, alg, 4, force_even=0)
         w = rand_multivector(rng, alg, 3)

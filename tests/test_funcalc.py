@@ -200,6 +200,13 @@ class TestFunctionalCalculus:
             assert fc_equivariance(v)
             assert fc_eval(v).check_relations()
 
+    def test_equivariance_reuses_a_given_image(self):
+        # the suite passes the image it has just built; a given image is used, not rebuilt
+        alg = ccl(0, 1)
+        w1 = alg.generator(1)
+        assert fc_equivariance(w1, fc_eval(w1))
+        assert not fc_equivariance(w1, fc_eval(w1.scale(2)))
+
 
 def fc_eval_fraction_formula(v):
     """(a, b) images by the Fraction formula: s = 1/(1 + |v|^2), a = s, b = s v."""

@@ -3,7 +3,7 @@
 The product and the involutions are checked against per-blade RatFunc
 arithmetic signed by ``CliffordAlgebra.blade_product``; the mixed
 MultiPoly/RatFunc operators are checked in both operand orders, and so is a
-scalar (int or RatFunc) with a graded element.
+scalar (int, MultiPoly or RatFunc) with a graded element.
 """
 
 import random
@@ -157,6 +157,17 @@ class TestMixedGradedOperands:
         assert one - b == graded_one - b
         assert 1 - b == graded_one - b
         assert 2 * b == b + b
+
+    def test_polynomial_with_a_graded_element(self):
+        _, b = s_generators()
+        x = MultiPoly.variable(1, 0)
+        graded_x = GradedRatFunc.scalar(1, 1, RatFunc(x))
+        assert x + b == b + x == graded_x + b
+        assert x * b == b * x == graded_x * b
+        assert b - x == b - graded_x
+        assert x - b == graded_x - b
+        with pytest.raises(ValueError, match="model shape mismatch"):
+            MultiPoly.variable(2, 0) + b
 
     def test_unknown_operand_is_a_type_error(self):
         with pytest.raises(TypeError):

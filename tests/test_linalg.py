@@ -201,6 +201,11 @@ class TestToleranceOverride:
         monkeypatch.setenv("C2ALG_TOL", value)
         with pytest.raises(ValueError, match="C2ALG_TOL must be a positive finite number"):
             default_tol()
+        # the parse of each value is cached, but a refusal is not: it recurs
+        with pytest.raises(ValueError, match="C2ALG_TOL must be a positive finite number"):
+            default_tol()
+        monkeypatch.setenv("C2ALG_TOL", "1e-4")
+        assert default_tol() == 1e-4
 
 
 class TestMatrixJson:
