@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,75 @@ from c2alg.mackey import (MAX_PERIOD, AbelianGroup, FIXTURE_EXPECTED, MackeyPres
                           fixture_presentations, map_well_defined, mat_mul,
                           obstruction_value, obstruction_chain_report)
 from c2alg.verify import _rng, rand_fraction
+
+
+# -- an oracle: the axioms as matrix differences, column by column ----------------------
+
+
+def _shape_oracle(A):
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    if any(len(row) != cols for row in A):
+        raise ValueError("ragged matrix")
+    return rows, cols
+
+
+def _mat_add_oracle(A, B):
+    ra, ca = _shape_oracle(A)
+    if (ra, ca) != _shape_oracle(B):
+        raise ValueError("dimension mismatch in matrix sum")
+    return [[A[i][j] + B[i][j] for j in range(ca)] for i in range(ra)]
+
+
+def _identity_oracle(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _columns_vanish_oracle(M, group):
+    rows, cols = _shape_oracle(M) if M else (group.ngens, 0)
+    return all(group.is_zero([M[i][j] for i in range(rows)]) for j in range(cols))
+
+
+def map_well_defined_oracle(A, src, dst):
+    """d_i * column_i must vanish in dst for every torsion generator of src."""
+    for i, d in enumerate(src.orders):
+        if d == 0:
+            continue
+        for j, c in enumerate(dst.orders):
+            entry = d * A[j][i]
+            if (c == 0 and entry != 0) or (c != 0 and entry % c != 0):
+                return False
+    return True
+
+
+def axiom_verdicts_oracle(M):
+    """Verdicts of axioms (1)-(4): the difference of the two sides has vanishing columns."""
+    n_e, n_c2 = M.m_e.ngens, M.m_c2.ngens
+
+    def vanishes(A, B, group):
+        return _columns_vanish_oracle(_mat_add_oracle(A, [[-x for x in row] for row in B]), group)
+
+    return [
+        vanishes(mat_mul(M.conj, M.res, n_c2), M.res, M.m_e),
+        vanishes(mat_mul(M.tr, M.conj, n_e), M.tr, M.m_c2),
+        vanishes(mat_mul(M.conj, M.conj, n_e), _identity_oracle(n_e), M.m_e),
+        vanishes(mat_mul(M.res, M.tr, n_e), _mat_add_oracle(_identity_oracle(n_e), M.conj),
+                 M.m_e),
+    ]
+
+
+def random_presentation(rng):
+    """Free rank 0-2 and up to two torsion orders 2-4 per group, entries -3..3."""
+    def group():
+        torsion = [rng.randint(2, 4) for _ in range(rng.randint(0, 2))]
+        return AbelianGroup(rng.randint(0, 2), torsion)
+
+    def matrix(rows, cols):
+        return [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+
+    m_c2, m_e = group(), group()
+    return MackeyPresentation(m_c2, m_e, matrix(m_e.ngens, m_c2.ngens),
+                              matrix(m_c2.ngens, m_e.ngens), matrix(m_e.ngens, m_e.ngens))
 
 
 class TestAbelianGroup:
@@ -100,6 +170,27 @@ class TestAxioms:
             mat_mul([[1, 2]], [[1], [1]], 2)
         with pytest.raises(ValueError, match="dimension mismatch"):
             mat_mul([[1]], [[1, 2]], 1)
+
+    def test_random_presentations_match_the_matrix_difference_oracle(self):
+        rng = random.Random(20261020)
+        seen = set()
+        for case in range(2000):
+            M = random_presentation(rng)
+            report = check_mackey_axioms(M)
+            verdicts = axiom_verdicts_oracle(M)
+            assert [a.passed for a in report.axioms] == verdicts, case
+            well = {"res": map_well_defined_oracle(M.res, M.m_c2, M.m_e),
+                    "tr": map_well_defined_oracle(M.tr, M.m_e, M.m_c2),
+                    "conj": map_well_defined_oracle(M.conj, M.m_e, M.m_e)}
+            assert report.well_defined == well, case
+            for name, src, dst in (("res", M.m_c2, M.m_e), ("tr", M.m_e, M.m_c2),
+                                   ("conj", M.m_e, M.m_e)):
+                assert map_well_defined(getattr(M, name), src, dst) == well[name], case
+            seen.update((k, v) for k, v in enumerate(verdicts + list(well.values())))
+            seen.add(("zero group", M.m_e.ngens * M.m_c2.ngens == 0))
+        # every verdict is seen both ways, and zero groups are among the cases
+        assert seen == {(k, v) for k in range(7) for v in (True, False)} | {
+            ("zero group", True), ("zero group", False)}
 
     def test_torsion_aware_comparison(self):
         # res(tr) = id + conj can hold modulo torsion without integer equality

@@ -124,6 +124,24 @@ class TestMultiPoly:
         assert f.leading_monomial_grlex() == (2, 0)
         assert f.leading_coeff_grlex() == 2
 
+    @pytest.mark.parametrize("terms, text", [
+        ({}, "0"),
+        ({(0, 0, 0): 7}, "7"),
+        ({(0, 0, 0): Fraction(-5, 3)}, "-5/3"),
+        ({(1, 0, 0): 1, (0, 2, 0): -1}, "x0 - x1^2"),
+        ({(1, 1, 0): -1, (0, 0, 1): -1}, "-x2 - x0*x1"),
+        ({(2, 0, 0): Fraction(-1, 2), (0, 0, 3): Fraction(3, 4), (0, 0, 0): -2},
+         "-2 - 1/2*x0^2 + 3/4*x2^3"),
+        ({(1, 0, 2): Fraction(2, 5), (0, 0, 0): 1, (3, 0, 0): -3},
+         "1 + 2/5*x0*x2^2 - 3*x0^3"),
+        # one degree orders by exponent tuple: x1 = (0, 1) before x0 = (1, 0)
+        ({(1, 1, 0): Fraction(-1, 7), (0, 1, 0): 1, (1, 0, 0): 1}, "x1 + x0 - 1/7*x0*x1"),
+    ])
+    def test_str(self, terms, text):
+        # unit and -1 coefficients leave the bare monomial, "+ -" folds to "- ",
+        # terms go by degree, then exponent tuple
+        assert str(MultiPoly(3, terms)) == repr(MultiPoly(3, terms)) == text
+
 
 class TestRatFunc:
     def test_canonical_reduction(self):
