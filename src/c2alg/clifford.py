@@ -31,7 +31,7 @@ import re as _re
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import GaussianRational, integer_numerators
+from .scalars import GaussianRational, format_sum, integer_numerators, rational_to_string
 
 # _below_parity, and with it every blade sign, is valid for masks below 2^16.
 MAX_GENERATORS = 16
@@ -81,12 +81,6 @@ class CliffordAlgebra:
 
     def __repr__(self):
         return f"<{self.label}>"
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
     def flip(self, m2):
         """Mask f with sign(e_m1 * e_m2) = (-1)^popcount(m1 & f), for every m1.
@@ -183,16 +177,6 @@ class CliffordAlgebra:
             raise ValueError("coefficient count must equal the generator count")
         return Multivector(self, {1 << i: c for i, c in enumerate(coeffs)})
 
-    @staticmethod
-    def coerce_coeff(c) -> GaussianRational:
-        """An exact coefficient; anything else, a float included, is a TypeError."""
-        if isinstance(c, GaussianRational):
-            return c
-        if isinstance(c, (int, Fraction)):
-            return GaussianRational(c)
-        raise TypeError(f"coefficients are exact (int, Fraction or GaussianRational), "
-                        f"not {type(c).__name__}; numeric data is a dense array")
-
     def parse(self, text: str) -> "Multivector":
         return parse_multivector(text, self)
 
@@ -243,8 +227,9 @@ class Multivector:
 
     ``terms`` map a mask to Python ints (re, im), the coefficient being
     (re + im i) / ``den``, in canonical form: den >= 1, gcd(den, numerators)
-    = 1, no (0, 0) pair, den = 1 when empty. The constructor coerces each
-    coefficient (``coerce_coeff``), which refuses floats: numeric data is a
+    = 1, no (0, 0) pair, den = 1 when empty. The constructor refuses a mask
+    outside 0..2^n - 1 and coerces each coefficient
+    (``GaussianRational.from_value``), which refuses floats: numeric data is a
     dense array (``to_dense``), not a ``Multivector``.
     """
 
@@ -255,7 +240,11 @@ class Multivector:
     exact = True
 
     def __init__(self, algebra: CliffordAlgebra, terms: dict):
-        coeffs = {m: algebra.coerce_coeff(c) for m, c in terms.items()}
+        size = 1 << algebra.dim
+        for m in terms:
+            if not 0 <= m < size:
+                raise ValueError(f"blade mask {m} is outside 0..{size - 1} for {algebra.label}")
+        coeffs = {m: GaussianRational.from_value(c) for m, c in terms.items()}
         self.algebra = algebra
         # the lcm of reduced denominators leaves no common factor
         self.den, ints = integer_numerators([x for c in coeffs.values() for x in (c.re, c.im)])
@@ -328,7 +317,7 @@ class Multivector:
         return self.scale(other)  # only a scalar reaches here, and scalars are central
 
     def scale(self, c) -> "Multivector":
-        c = self.algebra.coerce_coeff(c)
+        c = GaussianRational.from_value(c)
         if not c:
             return self.algebra.zero()
         # c = (p + q i) / r; a product of nonzero Gaussian integers is nonzero
@@ -421,8 +410,7 @@ class Multivector:
         out = []
         for m in sorted(self.terms):
             c = self.coeff(m)
-            out.append([m, [f"{c.re.numerator}/{c.re.denominator}",
-                            f"{c.im.numerator}/{c.im.denominator}"]])
+            out.append([m, [rational_to_string(c.re), rational_to_string(c.im)]])
         return out
 
 
@@ -694,23 +682,14 @@ def parse_multivector(text: str, algebra: CliffordAlgebra) -> Multivector:
     return value
 
 
-def format_terms(pairs) -> str:
-    """Write (mask, coefficient text) pairs as coefficient*blade, ordered by (grade, mask).
+def _blade_name(mask: int) -> str:
+    """e1e3 for mask 5; the scalar blade 0 has the empty name."""
+    return "".join(f"e{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
 
-    A coefficient written "1" or "-1" leaves the bare blade; the empty sum is "0".
-    """
-    parts = []
-    for mask, cs in sorted(pairs, key=lambda t: (t[0].bit_count(), t[0])):
-        blade = "".join(f"e{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
-        if not blade:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(blade)
-        elif cs == "-1":
-            parts.append(f"-{blade}")
-        else:
-            parts.append(f"{cs}*{blade}")
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+def format_terms(pairs) -> str:
+    """Write (mask, coefficient text) pairs as coefficient*blade, ordered by (grade, mask)."""
+    return format_sum(((m.bit_count(), m), _blade_name(m), cs) for m, cs in pairs)
 
 
 def format_multivector(mv: Multivector) -> str:

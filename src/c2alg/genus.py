@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .scalars import MultiPoly, integer_numerators, rational_from_string
+from .scalars import MultiPoly, integer_numerators, rational_from_string, rational_to_string
 
 # Largest manifold dimension that `ManifoldSpec.parse` and `CharClassData.from_json`
 # accept, and the range the tests check against oracles. Cost no longer sets it: on a
@@ -227,8 +227,7 @@ class CharClassData:
         return {
             "dim": self.dim,
             "pontryagin": {
-                _key(part): f"{v.numerator}/{v.denominator}"
-                for part, v in sorted(self.numbers.items())
+                _key(part): rational_to_string(v) for part, v in sorted(self.numbers.items())
             },
         }
 

@@ -48,13 +48,25 @@ def random_unitary(nrng, n: int) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
-def _gram_is_identity(A: np.ndarray, eye: np.ndarray, tol: float) -> bool:
-    """Is the max-norm of A*A - eye within tol? ``eye`` is the identity of A's size.
+def _gram_residual(A: np.ndarray) -> float:
+    """Max-norm of A*A - I; the 1 is taken off the diagonal in place, with no identity built."""
+    G = A.conj().T @ A
+    G.flat[::G.shape[0] + 1] -= 1
+    return float(np.abs(G).max())
+
+
+def _gram_is_identity(A: np.ndarray, tol: float) -> bool:
+    """Is the max-norm of A*A - I within tol?
 
     No unitary matrix has an entry above 1, so an entry above 1 + tol fails
     before A*A is formed, and huge finite entries cannot overflow it.
     """
-    return bool(np.abs(A).max() <= 1 + tol) and float(np.abs(A.conj().T @ A - eye).max()) <= tol
+    return bool(np.abs(A).max() <= 1 + tol) and _gram_residual(A) <= tol
+
+
+def _near_branch_cut(thetas: np.ndarray) -> bool:
+    """Does an angle lie within 1e-6 of the branch cut at +-pi?"""
+    return bool((np.abs(np.abs(thetas) - math.pi) < 1e-6).any())
 
 
 def is_unitary(M, tol: float | None = None) -> bool:
@@ -62,7 +74,7 @@ def is_unitary(M, tol: float | None = None) -> bool:
     A = _read_matrix(M)
     if tol is None:
         tol = default_tol()
-    return _gram_is_identity(A, np.eye(A.shape[0]), tol)
+    return _gram_is_identity(A, tol)
 
 
 def realify(U) -> np.ndarray:
@@ -74,7 +86,7 @@ def realify(U) -> np.ndarray:
     """
     A = _read_matrix(U)
     n = A.shape[0]
-    if not _gram_is_identity(A, np.eye(n), default_tol()):
+    if not _gram_is_identity(A, default_tol()):
         raise ValueError("input is not unitary within tolerance")
     R = np.zeros((2 * n, 2 * n))
     R[0::2, 0::2] = A.real
@@ -96,13 +108,13 @@ def unitary_eigh(A) -> tuple[np.ndarray, np.ndarray]:
     """
     A = _read_matrix(A)
     tol = default_tol()
-    eye = np.eye(A.shape[0])
-    if not _gram_is_identity(A, eye, tol):
+    if not _gram_is_identity(A, tol):
         raise ValueError("input is not unitary within tolerance")
     w = np.sort(np.angle(np.linalg.eigvals(A))).tolist()
     gaps = [b - a for a, b in zip(w, w[1:] + [w[0] + 2 * math.pi])]
     k = gaps.index(max(gaps))
     B = -np.exp(-1j * (w[k] + gaps[k] / 2)) * A
+    eye = np.eye(A.shape[0])
     H = 1j * np.linalg.solve(eye + B, eye - B)
     _, V = np.linalg.eigh(H.real if (A == A.T).all() else H)
     d = np.sum(V.conj() * (A @ V), axis=0)
@@ -140,10 +152,9 @@ def symmetric_unitary_sqrt(U) -> SymmetricSqrt:
     residuals = {
         "square": float(np.abs(S @ S - A).max()),
         "symmetry": float(np.abs(S - S.T).max()),
-        "unitarity": float(np.abs(S.conj().T @ S - np.eye(A.shape[0])).max()),
+        "unitarity": _gram_residual(S),
     }
-    near = bool((np.abs(np.abs(thetas) - math.pi) < 1e-6).any())
-    return SymmetricSqrt(S, thetas, O, near, residuals)
+    return SymmetricSqrt(S, thetas, O, _near_branch_cut(thetas), residuals)
 
 
 # -- fixed-point retraction ----------------------------------------------------------
@@ -170,11 +181,15 @@ def fixed_point_retraction(x, y) -> Retraction:
     """
     tol = default_tol()
     X = _read_matrix(x, square=False)
-    Y = np.asarray(y, dtype=complex)
+    Y = np.asarray(y)
+    if Y.ndim not in (1, 2):
+        raise ValueError("fiber must be a vector or a matrix")
+    # a vector is read as its one-column matrix
+    Y = _read_matrix(Y[:, None] if Y.ndim == 1 else Y, square=False).reshape(Y.shape)
     n = X.shape[1]
     if Y.shape[0] != n:
         raise ValueError("fiber dimension does not match the frame")
-    if not _gram_is_identity(X, np.eye(n), tol):
+    if not _gram_is_identity(X, tol):
         raise ValueError("frame columns are not orthonormal within tolerance")
     Ustar = X.conj().T @ X.conj()
     fixed_res = float(np.abs(X.conj() - X @ Ustar).max())

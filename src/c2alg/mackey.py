@@ -71,17 +71,6 @@ def mat_mul(A, B, cols: int):
     return [[sum(A[i][k] * B[k][j] for k in range(ca)) for j in range(cols)] for i in range(ra)]
 
 
-def mat_add(A, B):
-    ra, ca = _mat_shape(A)
-    rb, cb = _mat_shape(B)
-    if (ra, ca) != (rb, cb):
-        raise ValueError("dimension mismatch in matrix sum")
-    return [[A[i][j] + B[i][j] for j in range(ca)] for i in range(ra)]
-
-def mat_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def map_well_defined(A, src: AbelianGroup, dst: AbelianGroup) -> bool:
     """Does the integer matrix descend to a homomorphism src -> dst?
 
@@ -91,14 +80,7 @@ def map_well_defined(A, src: AbelianGroup, dst: AbelianGroup) -> bool:
     rows, cols = _mat_shape(A) if A else (0, src.ngens)
     if rows != dst.ngens or cols != src.ngens:
         raise ValueError("matrix shape does not match the groups")
-    for i, d in enumerate(src.orders):
-        if d == 0:
-            continue
-        for j, c in enumerate(dst.orders):
-            entry = d * A[j][i]
-            if (c == 0 and entry != 0) or (c != 0 and entry % c != 0):
-                return False
-    return True
+    return all(dst.is_zero([d * row[i] for row in A]) for i, d in enumerate(src.orders) if d)
 
 
 @dataclass
@@ -121,14 +103,6 @@ class MackeyPresentation:
             r, c = _mat_shape(M) if M else (0, cols)
             if r != rows or c != cols:
                 raise ValueError(f"dimension mismatch in {name}: got {r}x{c}, want {rows}x{cols}")
-
-
-def _columns_vanish(M, group: AbelianGroup) -> bool:
-    rows, cols = _mat_shape(M) if M else (group.ngens, 0)
-    for j in range(cols):
-        if not group.is_zero([M[i][j] for i in range(rows)]):
-            return False
-    return True
 
 
 @dataclass
@@ -171,22 +145,23 @@ def check_mackey_axioms(M: MackeyPresentation) -> MackeyReport:
     }
     results = []
 
-    def diff_check(name, A, B, group, detail):
-        D = mat_add(A, [[-x for x in row] for row in B])
-        ok = _columns_vanish(D, group)
+    def axiom(name, group, lhs, rhs, detail):
+        # generator j goes to column j of lhs and to rhs(i, j) in row i; the
+        # images agree when their difference is zero in the target group
+        ok = all(group.is_zero([row[j] - rhs(i, j) for i, row in enumerate(lhs)])
+                 for j in range(len(lhs[0]) if lhs else 0))
         results.append(AxiomResult(name, ok, detail))
 
     # product shapes come from the groups: with no generators a factor is [] or [[]]
     n_e, n_c2 = M.m_e.ngens, M.m_c2.ngens
-    diff_check("conj_res_eq_res", mat_mul(M.conj, M.res, n_c2), M.res, M.m_e,
-               "restrictions are conjugation-fixed")
-    diff_check("tr_conj_eq_tr", mat_mul(M.tr, M.conj, n_e), M.tr, M.m_c2,
-               "transfer is conjugation-invariant")
-    diff_check("conj_involution", mat_mul(M.conj, M.conj, n_e), mat_identity(n_e),
-               M.m_e, "conjugation squares to the identity")
-    diff_check("res_tr_eq_id_plus_conj", mat_mul(M.res, M.tr, n_e),
-               mat_add(mat_identity(n_e), M.conj), M.m_e,
-               "res(tr(y)) = y + conj(y) on every generator")
+    axiom("conj_res_eq_res", M.m_e, mat_mul(M.conj, M.res, n_c2), lambda i, j: M.res[i][j],
+          "restrictions are conjugation-fixed")
+    axiom("tr_conj_eq_tr", M.m_c2, mat_mul(M.tr, M.conj, n_e), lambda i, j: M.tr[i][j],
+          "transfer is conjugation-invariant")
+    axiom("conj_involution", M.m_e, mat_mul(M.conj, M.conj, n_e), lambda i, j: i == j,
+          "conjugation squares to the identity")
+    axiom("res_tr_eq_id_plus_conj", M.m_e, mat_mul(M.res, M.tr, n_e),
+          lambda i, j: (i == j) + M.conj[i][j], "res(tr(y)) = y + conj(y) on every generator")
     return MackeyReport(results, well)
 
 

@@ -2,8 +2,8 @@
 
 The twisted adjoint rho(g)(v) = (-1)^{|g|} g v g^{-1} lands in the orthogonal
 group. There are two element types, one per mode. ``PinElement`` wraps an
-exact ``Multivector`` (a float never gets that far: ``coerce_coeff`` refuses
-it when the multivector is built): a product of unit vectors times a unit
+exact ``Multivector`` (a float never gets that far: ``GaussianRational.from_value``
+refuses it when the multivector is built): a product of unit vectors times a unit
 phase (each factor is checked, and a product of factors with v v* = 1 needs
 no further check), or a raw homogeneous multivector whose unit condition
 g * star(g) = 1 is checked exactly. ``DensePin`` holds numeric data: a phase
@@ -37,8 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_product
-from .linalg import (_gram_is_identity, _read_matrix, default_tol, random_unitary, realify,
-                     unitary_eigh)
+from .linalg import (_gram_is_identity, _near_branch_cut, _read_matrix, default_tol,
+                     random_unitary, realify, unitary_eigh)
 from .scalars import MultiPoly, integer_numerators
 
 EVEN, ODD = 0, 1
@@ -457,7 +457,7 @@ def spin_lift(R) -> DensePin:
     tol = default_tol()
     A = _read_matrix(R, float)
     n = A.shape[0]
-    if not _gram_is_identity(A, np.eye(n), tol):
+    if not _gram_is_identity(A, tol):
         raise ValueError("input is not orthogonal within tolerance")
     if np.linalg.det(A) < 0:
         raise ValueError("determinant -1: odd Pin lift not handled by this operation")
@@ -521,7 +521,6 @@ def phi_lift(U, *, rng=None) -> DensePin:
         Q = random_unitary(rng, n)
         V, thetas = unitary_eigh(Q.conj().T @ A @ Q)
         V = Q @ V
-    near_branch = bool((np.abs(np.abs(thetas) - math.pi) < 1e-6).any())
 
     W = realify(V)
     rotors = []  # the vectors (c w_{2j-1} + s w_{2j}) w_{2j-1} of each plane rotor
@@ -534,7 +533,7 @@ def phi_lift(U, *, rng=None) -> DensePin:
     phase = complex(np.exp(1j * float(np.sum(thetas)) / 2.0))
     return DensePin(algebra, rotors, phase, meta={
         "thetas": [float(t) for t in thetas],
-        "near_branch_cut": near_branch,
+        "near_branch_cut": _near_branch_cut(thetas),
     })
 
 

@@ -66,6 +66,25 @@ def rational_to_string(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_sum(terms) -> str:
+    """Write (order, name, coefficient text) triples as coefficient*name, sorted by order.
+
+    An empty name is a constant term. A coefficient written "1" or "-1"
+    leaves the bare name, "+ -" folds to "- ", and the empty sum is "0".
+    """
+    parts = []
+    for _, name, cs in sorted(terms, key=lambda t: t[0]):
+        if not name:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(name)
+        elif cs == "-1":
+            parts.append(f"-{name}")
+        else:
+            parts.append(f"{cs}*{name}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 def integer_numerators(values: list) -> tuple[int, list]:
     """(den, [x * den for x in values]) for Fractions, den the lcm of their denominators."""
     ratios = [x.as_integer_ratio() for x in values]
@@ -100,11 +119,13 @@ class GaussianRational:
 
     @staticmethod
     def from_value(value) -> "GaussianRational":
+        """An exact value; anything else, a float included, is a TypeError."""
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
             return GaussianRational(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
+        raise TypeError(f"coefficients are exact (int, Fraction or GaussianRational), "
+                        f"not {type(value).__name__}; numeric data is a dense array")
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
@@ -452,29 +473,14 @@ class MultiPoly:
         return self.map_exponents(lambda e: e[:var] + (e[var] - 1,) + e[var + 1:])
 
     def __str__(self):
-        if not self.numerators:
-            return "0"
-        terms = self.terms
-        parts = []
-        for exp in sorted(terms, key=lambda e: (sum(e), e)):
-            c = terms[exp]
-            factors = []
-            for i, e in enumerate(exp):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e > 1:
-                    factors.append(f"x{i}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_sum(((sum(e), e), _monomial_name(e), str(c)) for e, c in self.terms.items())
 
     __repr__ = __str__
+
+
+def _monomial_name(exp: tuple) -> str:
+    """x0*x2^3 for the exponent (1, 0, 3); the constant monomial has the empty name."""
+    return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exp) if e > 0)
 
 
 class RatFunc:

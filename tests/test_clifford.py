@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from c2alg.clifford import (SplitSpec, ccl, ccl_interleaved, format_multivector,
+from c2alg.clifford import (Multivector, SplitSpec, ccl, ccl_interleaved, format_multivector,
                             format_terms, from_kasparov, graded_tensor_split, kasparov,
                             parse_multivector, relabel, to_kasparov, vector_norm_sq)
 from c2alg.scalars import GaussianRational
@@ -374,6 +374,16 @@ class TestConventions:
     def test_generator_cap(self):
         with pytest.raises(ValueError):
             ccl(9, 8)
+
+    def test_mask_outside_the_algebra_refused(self):
+        # CCl(2,0) has the blades 0..3: mask 4 would print as e3 and -1 as e1
+        alg = ccl(2, 0)
+        for mask in (4, -1, 1 << 16):
+            for build in (lambda: alg.from_terms({mask: 1}),
+                          lambda: Multivector(alg, {0: 1, mask: 0})):
+                with pytest.raises(ValueError, match=f"blade mask {mask} is outside 0..3"):
+                    build()
+        assert alg.from_terms({3: 1, 0: 2}) == parse_multivector("2 + e1e2", alg)
 
 
 class TestExpressionGrammar:

@@ -199,7 +199,7 @@ class TestCanonicalForm:
 
     def test_float_data_refused(self):
         # numeric data is a dense array; every route to a float coefficient
-        # ends in coerce_coeff with one TypeError
+        # ends in GaussianRational.from_value with one TypeError
         alg = ccl(2, 0)
         x = alg.generator(1)
         message = "coefficients are exact \\(int, Fraction or GaussianRational\\), not float"

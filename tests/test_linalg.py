@@ -300,6 +300,16 @@ class TestMatrixReader:
             else:
                 routine(1j * np.eye(2))
 
+    @pytest.mark.parametrize("fiber, message", [
+        (5, "fiber must be a vector or a matrix"),
+        (np.ones((2, 2, 2)), "fiber must be a vector or a matrix"),
+        (np.array([1.0, np.nan]), "matrix entries must be finite"),
+    ], ids=["scalar", "three-dimensional", "nan"])
+    def test_retraction_fiber(self, fiber, message):
+        # the fiber of fixed_point_retraction is read like its frame: finite, 1-D or 2-D
+        with pytest.raises(ValueError, match=message):
+            fixed_point_retraction(np.eye(2), fiber)
+
     @pytest.mark.parametrize("name", _REAL_ONLY)
     def test_zero_imaginary_part_read_as_real(self, name):
         routine = _READERS[name][0]

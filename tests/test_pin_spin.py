@@ -100,7 +100,7 @@ class TestPinElement:
     def test_numeric_data_refused(self):
         # numeric elements are DensePins: PinElement holds exact data only, and
         # every float coefficient (a float after an exact one too) is refused
-        # in coerce_coeff before a PinElement exists
+        # in GaussianRational.from_value before a PinElement exists
         alg = ccl(2, 0)
         message = "coefficients are exact \\(int, Fraction or GaussianRational\\), not float"
         for build in (lambda: PinElement(alg.scalar(1.0)),
@@ -331,8 +331,7 @@ class TestExactProjection:
                         continue
                     for u in coeffs:
                         for w in others:
-                            value = alg.from_terms({a: alg.coerce_coeff(u),
-                                                    b: alg.coerce_coeff(w)})
+                            value = alg.from_terms({a: u, b: w})
                             if value * value.star() != alg.scalar(1):
                                 continue
                             g = PinElement(value)
