@@ -134,7 +134,7 @@ class TestMultiPoly:
          "-2 - 1/2*x0^2 + 3/4*x2^3"),
         ({(1, 0, 2): Fraction(2, 5), (0, 0, 0): 1, (3, 0, 0): -3},
          "1 + 2/5*x0*x2^2 - 3*x0^3"),
-        # one degree orders by exponent tuple: x1 = (0, 1) before x0 = (1, 0)
+        # one degree orders by exponent tuple: x1 = (0, 1, 0) before x0 = (1, 0, 0)
         ({(1, 1, 0): Fraction(-1, 7), (0, 1, 0): 1, (1, 0, 0): 1}, "x1 + x0 - 1/7*x0*x1"),
     ])
     def test_str(self, terms, text):
