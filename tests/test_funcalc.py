@@ -61,6 +61,18 @@ class TestComultiplication:
         assert db.coeff(1) == RatFunc(MultiPoly.variable(2, 0), den)
         assert db.coeff(2) == RatFunc(MultiPoly.variable(2, 1), den)
 
+    def test_repr(self):
+        # blades go by mask, each coefficient in parentheses; the empty sum is "0"
+        a, b = s_generators()
+        assert repr(a) == "((1)/(1 + x0^2))"
+        assert repr(b) == "((x0)/(1 + x0^2))*eps1"
+        db = comultiplication("b")
+        assert repr(db) == "((x0)/(1 + x1^2 + x0^2))*eps1 + ((x1)/(1 + x1^2 + x0^2))*eps2"
+        den = "(1 + x2^2 + x1^2 + x0^2)"
+        assert repr(expand_slot(db, 0)) == (f"((x0)/{den})*eps1 + ((x1)/{den})*eps2"
+                                            f" + ((x2)/{den})*eps3")
+        assert repr(GradedRatFunc(1, 2)) == "0"
+
     def test_scalar_readoff(self):
         db = comultiplication("b")
         x = MultiPoly.variable(2, 0)

@@ -321,6 +321,30 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 64
 
+    @pytest.mark.parametrize("argv, tol, line", [
+        (["clifford", "mul", "--signature", "1,2,3", "--a", "e1", "--b", "e1"], None,
+         "bad signature '1,2,3'; expected p,q"),
+        (["clifford", "mul", "--signature", "a,b", "--a", "e1", "--b", "e1"], None,
+         "bad signature 'a,b'; expected p,q"),
+        (["clifford", "mul", "--signature", "2,0", "--a", "e1"], None, "mul requires --b"),
+        (["obstruction", "--genus", "abc"], None, "bad rational 'abc'"),
+        (["ahat"], None, "provide exactly one of --manifold or --pontryagin"),
+        (["ahat", "--manifold", "CP2"], "abc",
+         "C2ALG_TOL must be a positive finite number, got 'abc'"),
+        (["ahat", "--pontryagin", "FILE"], None,
+         "a result has more digits than can be printed"),
+    ], ids=["signature-three-parts", "signature-not-integers", "mul-without-b",
+            "genus-not-rational", "ahat-without-source", "tolerance-not-a-number",
+            "ahat-result-4301-digits"])
+    def test_usage_line(self, capsys, monkeypatch, tmp_path, argv, tol, line):
+        # each refusal is exactly one stderr line, whichever check makes it
+        path = tmp_path / "p.json"
+        path.write_text(_RESULT_4301_DIGITS, encoding="utf-8")
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        if tol is not None:
+            monkeypatch.setenv("C2ALG_TOL", tol)
+        assert run_cli(capsys, *argv) == (64, "", f"error: {line}\n")
+
 
 def run_module(argv, env=None):
     """Run ``python -m c2alg.cli`` on argv in a fresh interpreter."""
