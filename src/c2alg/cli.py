@@ -13,6 +13,7 @@ Each handler imports what it runs, so the exact commands (``clifford``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -28,6 +29,15 @@ EXIT_USAGE = 64
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _user_input(message=None):
+    """Turn a ValueError raised in the block into UsageError(message, or its own text)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(message or str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,10 +110,8 @@ def _emit(report: dict, as_json: bool, human_lines):
 def _load_matrix(path: str):
     from .linalg import matrix_from_json
 
-    try:
+    with _user_input():
         return matrix_from_json(_load_json_file(path))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _load_json_file(path: str):
@@ -119,23 +127,16 @@ def _load_json_file(path: str):
 def _cmd_clifford(args) -> int:
     from .clifford import ccl, parse_multivector
 
-    try:
-        p_str, q_str = args.signature.split(",")
-        p, q = int(p_str), int(q_str)
-    except ValueError as exc:
-        raise UsageError(f"bad signature {args.signature!r}; expected p,q") from exc
-    try:
+    with _user_input(f"bad signature {args.signature!r}; expected p,q"):
+        p, q = map(int, args.signature.split(","))
+    with _user_input():
         alg = ccl(p, q)
         a = parse_multivector(args.a, alg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     if args.operation == "mul":
         if args.b is None:
             raise UsageError("mul requires --b")
-        try:
+        with _user_input():
             b = parse_multivector(args.b, alg)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         out = a * b
     elif args.operation == "conj":
         out = a.bar()
@@ -207,11 +208,9 @@ def _cmd_spin_lift(args) -> int:
     from .pin_spin import lift_residuals, spin_lift
 
     M = _load_matrix(args.matrix)
-    try:
+    with _user_input():
         g = spin_lift(M)
         residuals = lift_residuals(g, M)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     return _emit_lift(args, "spin-lift", M, g, residuals)
 
 
@@ -222,11 +221,9 @@ def _cmd_phi_lift(args) -> int:
     from .pin_spin import lift_residuals, phi_lift
 
     U = _load_matrix(args.unitary)
-    try:
+    with _user_input():
         g = phi_lift(U)
         residuals = lift_residuals(g, realify(U), phi_lift(np.conj(U)))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     return _emit_lift(args, "phi-lift", U, g, residuals)
 
 
@@ -236,17 +233,13 @@ def _cmd_ahat(args) -> int:
     if (args.manifold is None) == (args.pontryagin is None):
         raise UsageError("provide exactly one of --manifold or --pontryagin")
     if args.manifold is not None:
-        try:
+        with _user_input():
             spec = genus.ManifoldSpec.parse(args.manifold)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         data = spec.char_data()
         source = {"manifold": str(spec)}
     else:
-        try:
+        with _user_input():
             data = genus.CharClassData.from_json(_load_json_file(args.pontryagin))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         source = {"pontryagin": data.to_json()}
     value = genus.genus_evaluate(genus.ahat_sequence(), data)
     report = {
@@ -263,14 +256,10 @@ def _cmd_ahat(args) -> int:
 def _cmd_obstruction(args) -> int:
     from . import mackey
 
-    try:
+    with _user_input(f"bad rational {args.genus!r}"):
         q = rational_from_string(args.genus)
-    except ValueError as exc:
-        raise UsageError(f"bad rational {args.genus!r}") from exc
-    try:
+    with _user_input():
         cert = mackey.fixed_point_obstruction(q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     report = {
         "command": "obstruction",
         "inputs": {"genus": rational_to_string(q)},
@@ -337,10 +326,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_merge_dash_values(list(argv)))
-        try:
+        with _user_input():
             default_tol()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

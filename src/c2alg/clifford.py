@@ -31,7 +31,8 @@ import re as _re
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import GaussianRational, format_sum, integer_numerators, rational_to_string
+from .scalars import (GaussianRational, format_sum, integer_numerators, rational_from_string,
+                      rational_to_string)
 
 # _below_parity, and with it every blade sign, is valid for masks below 2^16.
 MAX_GENERATORS = 16
@@ -589,10 +590,7 @@ def _tokenize(text: str):
         if m.lastgroup == "blade":
             tokens.append(("blade", [int(s) for s in _re.findall(r"\d+", m.group("blade"))]))
         elif m.lastgroup == "num":
-            try:
-                tokens.append(("num", Fraction(m.group("num"))))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {m.group('num')!r}") from None
+            tokens.append(("num", rational_from_string(m.group("num"))))
         elif m.lastgroup == "imag":
             tokens.append(("i", None))
         else:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .clifford import MAX_GENERATORS, Multivector, _norm_sq_numerator, ccl, relabel
 from .pin_spin import PinElement, _require_pin
-from .scalars import MultiPoly, RatFunc
+from .scalars import MultiPoly, RatFunc, format_sum
 
 
 class GradedRatFunc:
@@ -167,14 +167,8 @@ class GradedRatFunc:
         return self._like(out, self.den.permute_vars(perm))
 
     def __repr__(self):
-        if not self.numerators:
-            return "0"
-        terms = self.terms
-        parts = []
-        for mask in sorted(terms):
-            blade = "".join(f"eps{i + 1}" for i in range(self.nslots) if mask & (1 << i))
-            parts.append(f"({terms[mask]})" + (f"*{blade}" if blade else ""))
-        return " + ".join(parts)
+        return format_sum((m, "".join(f"eps{i + 1}" for i in range(m.bit_length()) if m >> i & 1),
+                           f"({f})") for m, f in self.terms.items())
 
 
 # -- generators and comultiplication ---------------------------------------------------

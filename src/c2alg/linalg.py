@@ -4,8 +4,7 @@ square roots, fixed-point retraction.
 Eigenvalue-based routines work in double precision against one tolerance,
 ``default_tol()`` (defined in ``scalars``): 1e-9, or the ``C2ALG_TOL``
 environment variable, which is the only override. Each routine reads it where
-it compares (``default_tol`` caches only the parse of each value); only the
-predicate ``is_unitary`` takes an explicit threshold.
+it compares (``default_tol`` caches only the parse of each value).
 """
 
 from __future__ import annotations
@@ -69,12 +68,9 @@ def _near_branch_cut(thetas: np.ndarray) -> bool:
     return bool((np.abs(np.abs(thetas) - math.pi) < 1e-6).any())
 
 
-def is_unitary(M, tol: float | None = None) -> bool:
-    """True iff the max-norm of M*M - I is within tol. Rejects non-square input."""
-    A = _read_matrix(M)
-    if tol is None:
-        tol = default_tol()
-    return _gram_is_identity(A, tol)
+def is_unitary(M) -> bool:
+    """True iff the max-norm of M*M - I is within ``default_tol()``. Rejects non-square input."""
+    return _gram_is_identity(_read_matrix(M), default_tol())
 
 
 def realify(U) -> np.ndarray:

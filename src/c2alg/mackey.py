@@ -11,11 +11,19 @@ forces exactly this quantity to be integral when the fixed points exist.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .scalars import rational_to_string
+
+
+def _require_integers(values, what: str):
+    """Refuse a value that is not an integer, rather than truncate it."""
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise ValueError(f"{what} must be integers, got {v!r}")
 
 
 class AbelianGroup:
@@ -24,9 +32,10 @@ class AbelianGroup:
     __slots__ = ("free_rank", "torsion", "orders")
 
     def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
+        torsion = tuple(torsion)
+        _require_integers((free_rank, *torsion), "rank and torsion orders")
         if free_rank < 0:
             raise ValueError("negative free rank")
-        torsion = tuple(int(d) for d in torsion)
         if any(d < 2 for d in torsion):
             raise ValueError("torsion orders must be >= 2")
         self.free_rank = free_rank
@@ -40,7 +49,7 @@ class AbelianGroup:
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.ngens:
             raise ValueError("vector length mismatch")
-        return tuple(int(v) % d if d else int(v) for v, d in zip(vec, self.orders))
+        return tuple(v % d if d else v for v, d in zip(vec, self.orders))
 
     def is_zero(self, vec: Sequence[int]) -> bool:
         return all(v == 0 for v in self.reduce(vec))
@@ -103,6 +112,7 @@ class MackeyPresentation:
             r, c = _mat_shape(M) if M else (0, cols)
             if r != rows or c != cols:
                 raise ValueError(f"dimension mismatch in {name}: got {r}x{c}, want {rows}x{cols}")
+            _require_integers((x for row in M for x in row), f"entries of {name}")
 
 
 @dataclass

@@ -396,11 +396,17 @@ def _reflect_inplace(A: np.ndarray, u: np.ndarray):
 def householder_factors(R: np.ndarray) -> list[np.ndarray]:
     """Factor R in SO(n) as refl(u_1) ... refl(u_m) with an even number of terms.
 
-    Columns are fixed one by one; a nearly-fixed column is skipped, and a
+    R is refused unless it is orthogonal within tolerance with determinant
+    +1. Columns are fixed one by one; a nearly-fixed column is skipped, and a
     column with nonnegative e_j component uses the two-reflection route
     through the stabilized midpoint (a + e_j)/|a + e_j|.
     """
-    A = _read_matrix(R, float).copy()
+    A = _read_matrix(R, float)
+    if not _gram_is_identity(A, default_tol()):
+        raise ValueError("input is not orthogonal within tolerance")
+    if np.linalg.det(A) < 0:
+        raise ValueError("determinant -1: odd Pin lift not handled by this operation")
+    A = A.copy()  # reflected in place below; the caller's array is left alone
     eye = np.eye(A.shape[0])
     factors: list[np.ndarray] = []
     # math.sqrt(u @ u) has the bits of np.linalg.norm(u) for a real vector u
@@ -454,16 +460,9 @@ def spin_lift(R) -> DensePin:
     the sign as its phase; a sign of -1 negates the built element, with no
     second product.
     """
-    tol = default_tol()
-    A = _read_matrix(R, float)
-    n = A.shape[0]
-    if not _gram_is_identity(A, tol):
-        raise ValueError("input is not orthogonal within tolerance")
-    if np.linalg.det(A) < 0:
-        raise ValueError("determinant -1: odd Pin lift not handled by this operation")
-    factors = householder_factors(A)
-    g = DensePin(ccl(n, 0), factors, meta={"reflections": len(factors)})
-    return -g if _normalize_sign(g.values, tol) < 0 else g
+    factors = householder_factors(R)
+    g = DensePin(ccl(len(R), 0), factors, meta={"reflections": len(factors)})
+    return -g if _normalize_sign(g.values, default_tol()) < 0 else g
 
 
 def rho_residual(g: DensePin, R) -> float:

@@ -252,6 +252,8 @@ class MultiPoly:
         for exp, coeff in (terms or {}).items():
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has wrong length for {nvars} variables")
+            if any(e < 0 for e in exp):
+                raise ValueError(f"exponent {exp} has a negative entry")
             exps.append(tuple(exp))
             coeffs.append(Fraction(coeff))
         den, nums = integer_numerators(coeffs)

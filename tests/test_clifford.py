@@ -415,6 +415,17 @@ class TestExpressionGrammar:
             with pytest.raises(ValueError):
                 parse_multivector(bad, alg)
 
+    @pytest.mark.parametrize("text, message", [
+        ("3/0*e1", "zero denominator in '3/0'"),
+        ("1.5/2", r"not a rational: '1\.5/2'"),
+    ])
+    def test_numbers_read_as_rationals(self, text, message):
+        # a number token is read by scalars.rational_from_string, with its messages
+        alg = ccl(2, 0)
+        assert parse_multivector("1.5*e1", alg) == parse_multivector("3/2*e1", alg)
+        with pytest.raises(ValueError, match=message):
+            parse_multivector(text, alg)
+
     def test_nesting_and_sign_chains(self):
         alg = ccl(2, 0)
         e1 = alg.generator(1)

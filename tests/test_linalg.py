@@ -14,13 +14,13 @@ RNG = np.random.default_rng(20240817)
 
 class TestIsUnitary:
     def test_identity(self):
-        assert is_unitary(np.eye(3), 1e-12)
+        assert is_unitary(np.eye(3))
 
     def test_rotation(self):
-        assert is_unitary([[0, -1], [1, 0]], 1e-12)
+        assert is_unitary([[0, -1], [1, 0]])
 
     def test_non_isometry(self):
-        assert not is_unitary([[2, 0], [0, 1]], 1e-9)
+        assert not is_unitary([[2, 0], [0, 1]])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +171,7 @@ class TestToleranceOverride:
 
 
     def test_no_per_call_tolerance(self):
-        # C2ALG_TOL is the only override; only the threshold predicate is_unitary takes a tol
+        # C2ALG_TOL is the only override: no public routine takes a tolerance
         import c2alg
         from c2alg import linalg, pin_spin
         public = {name: getattr(c2alg, name) for name in c2alg.__all__}
@@ -186,12 +186,14 @@ class TestToleranceOverride:
                                if not attr.startswith("_"))
         with_tol = {name for name, obj in members.items()
                     if callable(obj) and "tol" in inspect.signature(obj).parameters}
-        assert with_tol == {"is_unitary"}
+        assert with_tol == set()
 
     def test_stale_positional_tolerance_rejected(self):
         from c2alg.pin_spin import OrthogonalAction, spin_lift
         with pytest.raises(TypeError):
             spin_lift(np.eye(2), 1e-9)
+        with pytest.raises(TypeError):
+            is_unitary(np.eye(2), 1e-9)
         with pytest.raises(ValueError, match="OrthogonalAction holds exact data"):
             OrthogonalAction(((1.0, 0.0), (0.0, 1.0)))
 

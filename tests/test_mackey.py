@@ -90,6 +90,12 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup(0, [1])
 
+    @pytest.mark.parametrize("rank, torsion", [(0, [2.5]), (1.0, []), (0, [Fraction(4)])])
+    def test_non_integer_refused(self, rank, torsion):
+        # 2.5 is refused, not truncated to Z/2
+        with pytest.raises(ValueError, match="rank and torsion orders must be integers"):
+            AbelianGroup(rank, torsion)
+
     def test_map_well_defined(self):
         z4 = AbelianGroup(0, [4])
         z2 = AbelianGroup(0, [2])
@@ -145,6 +151,16 @@ class TestAxioms:
             MackeyPresentation(AbelianGroup(0, [2]), AbelianGroup(1), [], [[0]], [[1]])
         with pytest.raises(ValueError, match="shape"):
             map_well_defined([], AbelianGroup(0, [2]), AbelianGroup(1))
+
+    def test_non_integer_entries_refused(self):
+        # res = 1/2 with tr = 4, conj = 1 would pass every axiom: res(tr) = 2 = 1 + 1
+        z = AbelianGroup(1)
+        with pytest.raises(ValueError, match="entries of res must be integers, got Fraction"):
+            MackeyPresentation(z, z, [[Fraction(1, 2)]], [[4]], [[1]])
+        with pytest.raises(ValueError, match="entries of tr must be integers"):
+            MackeyPresentation(z, z, [[1]], [[2.0]], [[1]])
+        with pytest.raises(ValueError, match="entries of conj must be integers"):
+            MackeyPresentation(z, z, [[1]], [[2]], [["1"]])
 
     def test_trivial_underlying_group(self):
         # m_e = 0: res and conj have no rows, tr is 1 x 0

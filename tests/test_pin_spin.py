@@ -429,6 +429,16 @@ class TestSpinLift:
         with pytest.raises(ValueError):
             spin_lift(np.diag([2.0, 0.5]))
 
+    @pytest.mark.parametrize("R, message", [
+        (np.diag([2.0, 0.5]), "input is not orthogonal within tolerance"),
+        (np.diag([1.0, -1.0]), "determinant -1: odd Pin lift not handled by this operation"),
+    ], ids=["non-orthogonal", "determinant-minus-one"])
+    def test_factors_refuse_what_the_lift_refuses(self, R, message):
+        # householder_factors is the lift's one reader, so it makes both refusals
+        for routine in (householder_factors, spin_lift):
+            with pytest.raises(ValueError, match=message):
+                routine(R)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
         R = np.eye(3)

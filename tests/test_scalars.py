@@ -119,6 +119,11 @@ class TestMultiPoly:
         assert f.is_even_in(0) and f.is_odd_in(1)
         assert f.shift_out_var(1) == MultiPoly(2, {(2, 0): Fraction(3), (0, 0): Fraction(1)})
 
+    def test_negative_exponent_refused(self):
+        # 3/x0 + 1 is not a polynomial; it would print as "3 + 1"
+        with pytest.raises(ValueError, match=r"exponent \(-1, 0\) has a negative entry"):
+            MultiPoly(2, {(-1, 0): 3, (0, 0): 1})
+
     def test_grlex_leading(self):
         f = MultiPoly(2, {(1, 1): Fraction(5), (2, 0): Fraction(2), (0, 1): Fraction(7)})
         assert f.leading_monomial_grlex() == (2, 0)

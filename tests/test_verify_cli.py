@@ -333,9 +333,11 @@ class TestUsage:
          "C2ALG_TOL must be a positive finite number, got 'abc'"),
         (["ahat", "--pontryagin", "FILE"], None,
          "a result has more digits than can be printed"),
+        (["clifford", "conj", "--signature", "2,0", "--a", "1.5/2"], None,
+         "not a rational: '1.5/2'"),
     ], ids=["signature-three-parts", "signature-not-integers", "mul-without-b",
             "genus-not-rational", "ahat-without-source", "tolerance-not-a-number",
-            "ahat-result-4301-digits"])
+            "ahat-result-4301-digits", "token-not-a-rational"])
     def test_usage_line(self, capsys, monkeypatch, tmp_path, argv, tol, line):
         # each refusal is exactly one stderr line, whichever check makes it
         path = tmp_path / "p.json"
