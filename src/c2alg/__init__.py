@@ -23,8 +23,8 @@ _EXPORTS = {
                 "comultiplication", "fc_equivariance", "fc_eval", "s_generators"),
     "genus": ("CharClassData", "ManifoldSpec", "MultSeq", "ahat_polynomial",
               "ahat_sequence", "cp_projective_data", "genus_evaluate", "product_data"),
-    "linalg": ("fixed_point_retraction", "is_unitary", "matrix_from_json", "matrix_to_json",
-               "realify", "symmetric_unitary_sqrt"),
+    "linalg": ("fixed_point_retraction", "matrix_from_json", "matrix_to_json", "realify",
+               "symmetric_unitary_sqrt"),
     "mackey": ("AbelianGroup", "MackeyPresentation", "ObstructionCertificate",
                "check_mackey_axioms", "fixed_point_obstruction", "obstruction_chain_report"),
     "pin_spin": ("DensePin", "OrthogonalAction", "PinElement", "check_rho_real_equivariance",

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .scalars import default_tol, rational_from_string, rational_to_string
+from .scalars import default_tol, quote_input, rational_from_string, rational_to_string
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,7 +54,7 @@ def _case_count(text: str) -> int:
     except ValueError:
         count = None
     if count is None or count < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {quote_input(text)}")
     if count > MAX_CASES:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_CASES}")
     return count
@@ -127,7 +127,7 @@ def _load_json_file(path: str):
 def _cmd_clifford(args) -> int:
     from .clifford import ccl, parse_multivector
 
-    with _user_input(f"bad signature {args.signature!r}; expected p,q"):
+    with _user_input(f"bad signature {quote_input(args.signature)}; expected p,q"):
         p, q = map(int, args.signature.split(","))
     with _user_input():
         alg = ccl(p, q)
@@ -256,7 +256,7 @@ def _cmd_ahat(args) -> int:
 def _cmd_obstruction(args) -> int:
     from . import mackey
 
-    with _user_input(f"bad rational {args.genus!r}"):
+    with _user_input(f"bad rational {quote_input(args.genus)}"):
         q = rational_from_string(args.genus)
     with _user_input():
         cert = mackey.fixed_point_obstruction(q)

@@ -140,8 +140,8 @@ class CliffordAlgebra:
         the only numeric product: a spectral element is built as a product of
         vectors.
         """
-        perm, right, _ = self._generator_tables()
-        return u @ (a[perm] * right)
+        tables = self._dense_gen_tables or self._generator_tables()
+        return u @ (a[tables[0]] * tables[1])
 
     def dense_bar(self, values: np.ndarray) -> np.ndarray:
         """The Real structure on dense numeric elements."""

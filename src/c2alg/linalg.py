@@ -49,8 +49,8 @@ def random_unitary(nrng, n: int) -> np.ndarray:
 
 def _gram_residual(A: np.ndarray) -> float:
     """Max-norm of A*A - I; the 1 is taken off the diagonal in place, with no identity built."""
-    G = A.conj().T @ A
-    G.flat[::G.shape[0] + 1] -= 1
+    G = (A.conj().T if A.dtype.kind == "c" else A.T) @ A
+    G.ravel()[::G.shape[0] + 1] -= 1
     return float(np.abs(G).max())
 
 
@@ -66,11 +66,6 @@ def _gram_is_identity(A: np.ndarray, tol: float) -> bool:
 def _near_branch_cut(thetas: np.ndarray) -> bool:
     """Does an angle lie within 1e-6 of the branch cut at +-pi?"""
     return bool((np.abs(np.abs(thetas) - math.pi) < 1e-6).any())
-
-
-def is_unitary(M) -> bool:
-    """True iff the max-norm of M*M - I is within ``default_tol()``. Rejects non-square input."""
-    return _gram_is_identity(_read_matrix(M), default_tol())
 
 
 def realify(U) -> np.ndarray:
@@ -102,21 +97,26 @@ def unitary_eigh(A) -> tuple[np.ndarray, np.ndarray]:
     gives a real symmetric H and so a real orthogonal V. The angles are read
     off diag(V* A V) on the principal branch (-pi, pi].
     """
-    A = _read_matrix(A)
+    return _unitary_eigh(_read_matrix(A))
+
+
+def _unitary_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``unitary_eigh`` of a complex square array already read by ``_read_matrix``."""
     tol = default_tol()
     if not _gram_is_identity(A, tol):
         raise ValueError("input is not unitary within tolerance")
-    w = np.sort(np.angle(np.linalg.eigvals(A))).tolist()
+    z = np.linalg.eigvals(A)
+    w = np.sort(np.arctan2(z.imag, z.real)).tolist()
     gaps = [b - a for a, b in zip(w, w[1:] + [w[0] + 2 * math.pi])]
     k = gaps.index(max(gaps))
     B = -np.exp(-1j * (w[k] + gaps[k] / 2)) * A
     eye = np.eye(A.shape[0])
     H = 1j * np.linalg.solve(eye + B, eye - B)
     _, V = np.linalg.eigh(H.real if (A == A.T).all() else H)
-    d = np.sum(V.conj() * (A @ V), axis=0)
+    d = (V.conj() * (A @ V)).sum(axis=0)
     if not float(np.abs(np.abs(d) - 1.0).max()) <= max(100 * tol, 1e-8):
         raise ValueError("spectral decomposition failed; input too far from unitary")
-    thetas = np.angle(d)
+    thetas = np.arctan2(d.imag, d.real)
     thetas[thetas <= -math.pi] = math.pi
     return V, thetas
 

@@ -20,9 +20,9 @@ from .scalars import rational_to_string
 
 
 def _require_integers(values, what: str):
-    """Refuse a value that is not an integer, rather than truncate it."""
+    """Refuse a value that is not an integer, rather than truncate it; a bool is not one."""
     for v in values:
-        if not isinstance(v, numbers.Integral):
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
             raise ValueError(f"{what} must be integers, got {v!r}")
 
 

@@ -37,8 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_product
-from .linalg import (_gram_is_identity, _near_branch_cut, _read_matrix, default_tol,
-                     random_unitary, realify, unitary_eigh)
+from .linalg import (_gram_is_identity, _near_branch_cut, _read_matrix, _unitary_eigh,
+                     default_tol, random_unitary, realify, unitary_eigh)
 from .scalars import MultiPoly, integer_numerators
 
 EVEN, ODD = 0, 1
@@ -207,14 +207,15 @@ class DensePin:
     """Numeric element of Pin^c as its factors, g = phase * u_1 ... u_m.
 
     The constructor, the only way to build one, takes finite real arrays u_j
-    of shape (n,) (kept as the rows of the read-only ``vectors``) and a complex
-    ``phase``; the parity is m mod 2. It multiplies the vectors out by vector
-    products in real arithmetic, from the real scalar 1, and only then by the
-    phase, the one complex step, into ``values``: a read-only complex array of
-    length 2^n indexed by blade mask. It measures ``unit_error``, the max-norm
-    of g * star(g) - 1, on the real product in O(m n 2^n):
-    star(g) = conj(phase) star(u_m) ... star(u_1), and star(u) is u with
-    ``algebra.star_signs`` applied. An error above 100 * max(tol, 1e-9), or
+    of shape (n,), read as one array (the rows of the read-only ``vectors``),
+    and a complex ``phase``; the parity is m mod 2. It multiplies the vectors
+    out by vector products in real arithmetic, from the real scalar 1, and
+    only then by the phase, the one complex step, into ``values``: a read-only
+    complex array of length 2^n indexed by blade mask. It measures
+    ``unit_error``, the max-norm of g * star(g) - 1, on the real product in
+    O(m n 2^n): star(g) = conj(phase) star(u_m) ... star(u_1), and star(u) is
+    u with ``algebra.star_signs`` applied (u itself, with no multiply, when
+    ``algebra.star_neg_mask`` is 0). An error above 100 * max(tol, 1e-9), or
     NaN, is refused. ``-g`` negates the phase and the values and shares the
     rest. ``meta`` holds report data only.
     """
@@ -223,11 +224,16 @@ class DensePin:
 
     def __init__(self, algebra: CliffordAlgebra, vectors, phase=1, *, meta=None):
         n = algebra.dim
-        factors = np.array(vectors) if all(np.shape(u) == (n,) for u in vectors) else None
-        if factors is None or factors.dtype.kind not in "iuf" or not np.isfinite(factors).all():
+        try:
+            factors = np.array(vectors)
+        except ValueError:  # ragged
+            factors = None
+        # an empty factor list reads as shape (0,)
+        if (factors is None or factors.shape[1:] != (n,) and factors.shape != (0,)
+                or factors.dtype.kind not in "iuf" or not np.isfinite(factors).all()):
             raise ValueError(f"a factor of a Pin element of {algebra.label} "
                              f"is a finite real array of shape ({n},)")
-        factors = factors.astype(float).reshape(len(factors), n)
+        factors = factors.astype(float, copy=False).reshape(len(factors), n)
         phase = complex(phase)
         product = np.zeros(1 << n)
         product[0] = 1.0
@@ -235,7 +241,10 @@ class DensePin:
             product = algebra.dense_mul_vector(product, u)
         # the phase is central, so it adds only |phase|^2 to g * star(g)
         unit = product * abs(phase) ** 2
-        for u in factors[::-1] * np.array(algebra.star_signs, dtype=float):
+        stars = factors[::-1]
+        if algebra.star_neg_mask:
+            stars = stars * np.array(algebra.star_signs, dtype=float)
+        for u in stars:
             unit = algebra.dense_mul_vector(unit, u)
         unit[0] -= 1.0
         unit_error = float(np.abs(unit).max())
@@ -399,13 +408,14 @@ def householder_factors(R: np.ndarray) -> list[np.ndarray]:
     R is refused unless it is orthogonal within tolerance with determinant
     +1. Columns are fixed one by one; a nearly-fixed column is skipped, and a
     column with nonnegative e_j component uses the two-reflection route
-    through the stabilized midpoint (a + e_j)/|a + e_j|.
+    through the stabilized midpoint (a + e_j)/|a + e_j|. No determinant is
+    computed: once the reflections have taken R to I, det R = (-1)^m for m
+    reflections, so an odd count is the determinant -1 refusal.
     """
+    tol = default_tol()
     A = _read_matrix(R, float)
-    if not _gram_is_identity(A, default_tol()):
+    if not _gram_is_identity(A, tol):
         raise ValueError("input is not orthogonal within tolerance")
-    if np.linalg.det(A) < 0:
-        raise ValueError("determinant -1: odd Pin lift not handled by this operation")
     A = A.copy()  # reflected in place below; the caller's array is left alone
     eye = np.eye(A.shape[0])
     factors: list[np.ndarray] = []
@@ -425,10 +435,10 @@ def householder_factors(R: np.ndarray) -> list[np.ndarray]:
             u /= math.sqrt(u @ u)
             _reflect_inplace(A, u)
             factors.append(u)
-    if not float(np.abs(A - eye).max()) <= max(1e-11, 10 * default_tol()):
+    if not float(np.abs(A - eye).max()) <= max(1e-11, 10 * tol):
         raise ValueError("reflection factorization failed to converge")
-    if len(factors) % 2:
-        raise ValueError("odd reflection count; determinant is not +1")
+    if len(factors) % 2:  # det R = (-1)^(number of reflections)
+        raise ValueError("determinant -1: odd Pin lift not handled by this operation")
     return factors
 
 
@@ -515,7 +525,7 @@ def phi_lift(U, *, rng=None) -> DensePin:
     n = A.shape[0]
     algebra = ccl_interleaved(n)
     if rng is None:
-        V, thetas = unitary_eigh(A)
+        V, thetas = _unitary_eigh(A)
     else:
         Q = random_unitary(rng, n)
         V, thetas = unitary_eigh(Q.conj().T @ A @ Q)
@@ -529,7 +539,7 @@ def phi_lift(U, *, rng=None) -> DensePin:
         if abs(s) < 1e-300 and c > 0:
             continue
         rotors += [c * W[:, 2 * j] + s * W[:, 2 * j + 1], W[:, 2 * j]]
-    phase = complex(np.exp(1j * float(np.sum(thetas)) / 2.0))
+    phase = complex(np.exp(1j * float(thetas.sum()) / 2.0))
     return DensePin(algebra, rotors, phase, meta={
         "thetas": [float(t) for t in thetas],
         "near_branch_cut": _near_branch_cut(thetas),

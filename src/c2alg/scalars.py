@@ -23,6 +23,13 @@ _ONE = Fraction(1)
 # exponents are held to the 4300 digits Python allows in an integer string.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][+-]?(\d+)")
+# an error line quotes a refused input up to this length and names its size above it
+_QUOTE_LIMIT = 80
+
+
+def quote_input(text: str) -> str:
+    """``repr(text)`` for an error line, or "a 4301-character value" past ``_QUOTE_LIMIT``."""
+    return repr(text) if len(text) <= _QUOTE_LIMIT else f"a {len(text)}-character value"
 
 
 def default_tol() -> float:
@@ -42,7 +49,7 @@ def _parse_tol(raw: str) -> float:
     except ValueError:
         tol = math.nan
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"C2ALG_TOL must be a positive finite number, got {raw!r}")
+        raise ValueError(f"C2ALG_TOL must be a positive finite number, got {quote_input(raw)}")
     return tol
 
 
@@ -56,9 +63,9 @@ def rational_from_string(text: str) -> Fraction:
         str(value)  # raises past Python's integer-string digit limit: what is read can be printed
         return value
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {quote_input(text)}") from None
     except ValueError as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise ValueError(f"not a rational: {quote_input(text)}") from exc
 
 
 def rational_to_string(value: Fraction) -> str:

@@ -4,33 +4,46 @@ import warnings
 import numpy as np
 import pytest
 
-from c2alg.linalg import (fixed_point_retraction, is_unitary, matrix_from_json,
-                          matrix_to_json, realify, symmetric_unitary_sqrt, unitary_eigh)
+from c2alg.linalg import (fixed_point_retraction, matrix_from_json, matrix_to_json,
+                          realify, symmetric_unitary_sqrt, unitary_eigh)
 from c2alg.pin_spin import householder_factors, phi_lift, rho_residual, spin_lift
 from c2alg.verify import random_special_orthogonal, random_unitary
 
 RNG = np.random.default_rng(20240817)
 
 
-class TestIsUnitary:
-    def test_identity(self):
-        assert is_unitary(np.eye(3))
+# routine: its refusal of a matrix that is not unitary (orthogonal for a real-only routine)
+_GRAM_CHECKS = {
+    "realify": (realify, "input is not unitary within tolerance"),
+    "unitary_eigh": (unitary_eigh, "input is not unitary within tolerance"),
+    "householder_factors": (householder_factors, "input is not orthogonal within tolerance"),
+}
 
-    def test_rotation(self):
-        assert is_unitary([[0, -1], [1, 0]])
 
-    def test_non_isometry(self):
-        assert not is_unitary([[2, 0], [0, 1]])
+class TestGramCheck:
+    """The routines that need a unitary input refuse one whose M*M - I exceeds default_tol()."""
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            is_unitary(np.ones((2, 3)))
+    @pytest.mark.parametrize("name", _GRAM_CHECKS)
+    @pytest.mark.parametrize("M", [np.eye(3), [[0, -1], [1, 0]],
+                                   np.array([[0.0, 1.0], [-1.0, 0.0]]).T],
+                             ids=["identity", "integer-rotation", "transposed-view"])
+    def test_accepted(self, name, M):
+        _GRAM_CHECKS[name][0](M)
 
-    def test_huge_entries_refused_without_overflow(self):
+    @pytest.mark.parametrize("name", _GRAM_CHECKS)
+    def test_non_isometry(self, name):
+        routine, message = _GRAM_CHECKS[name]
+        with pytest.raises(ValueError, match=message):
+            routine([[2, 0], [0, 1]])
+
+    @pytest.mark.parametrize("name", _GRAM_CHECKS)
+    def test_huge_entries_refused_without_overflow(self, name):
         # no unitary matrix has an entry above 1, so M*M is never formed
+        routine, message = _GRAM_CHECKS[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not is_unitary(1e308 * np.eye(2))
+            with pytest.raises(ValueError, match=message):
+                routine(1e308 * np.eye(2))
 
 
 class TestRealify:
@@ -164,10 +177,11 @@ class TestToleranceOverride:
         monkeypatch.setenv("C2ALG_TOL", "1e-3")
         assert default_tol() == 1e-3
         noisy = np.eye(2) + 1e-6
-        assert is_unitary(noisy)
+        realify(noisy)
         monkeypatch.delenv("C2ALG_TOL")
         assert default_tol() == 1e-9
-        assert not is_unitary(noisy)
+        with pytest.raises(ValueError, match="input is not unitary within tolerance"):
+            realify(noisy)
 
 
     def test_no_per_call_tolerance(self):
@@ -193,7 +207,7 @@ class TestToleranceOverride:
         with pytest.raises(TypeError):
             spin_lift(np.eye(2), 1e-9)
         with pytest.raises(TypeError):
-            is_unitary(np.eye(2), 1e-9)
+            realify(np.eye(2), 1e-9)
         with pytest.raises(ValueError, match="OrthogonalAction holds exact data"):
             OrthogonalAction(((1.0, 0.0), (0.0, 1.0)))
 
@@ -246,8 +260,6 @@ _READERS = {
                  "matrix entries must be finite", False),
     "realify": (realify, "expected a matrix", "non-square input",
                 "matrix entries must be finite", False),
-    "is_unitary": (is_unitary, "expected a matrix", "non-square input",
-                   "matrix entries must be finite", False),
     "unitary_eigh": (unitary_eigh, "expected a matrix", "non-square input",
                      "matrix entries must be finite", False),
     "symmetric_unitary_sqrt": (symmetric_unitary_sqrt, "expected a matrix", "non-square input",

@@ -90,9 +90,10 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup(0, [1])
 
-    @pytest.mark.parametrize("rank, torsion", [(0, [2.5]), (1.0, []), (0, [Fraction(4)])])
+    @pytest.mark.parametrize("rank, torsion", [(0, [2.5]), (1.0, []), (0, [Fraction(4)]),
+                                               (True, []), (0, [2, False])])
     def test_non_integer_refused(self, rank, torsion):
-        # 2.5 is refused, not truncated to Z/2
+        # 2.5 is refused, not truncated to Z/2; a bool is not an integer, so True is not Z
         with pytest.raises(ValueError, match="rank and torsion orders must be integers"):
             AbelianGroup(rank, torsion)
 
@@ -161,6 +162,14 @@ class TestAxioms:
             MackeyPresentation(z, z, [[1]], [[2.0]], [[1]])
         with pytest.raises(ValueError, match="entries of conj must be integers"):
             MackeyPresentation(z, z, [[1]], [[2]], [["1"]])
+
+    @pytest.mark.parametrize("slot", ["res", "tr", "conj"])
+    def test_boolean_entry_refused(self, slot):
+        z = AbelianGroup(1)
+        maps = {"res": [[1]], "tr": [[2]], "conj": [[1]]}
+        maps[slot] = [[True]]
+        with pytest.raises(ValueError, match=f"entries of {slot} must be integers, got True"):
+            MackeyPresentation(z, z, maps["res"], maps["tr"], maps["conj"])
 
     def test_trivial_underlying_group(self):
         # m_e = 0: res and conj have no rows, tr is 1 x 0

@@ -148,6 +148,10 @@ class TestDensePin:
         for u in (np.ones(3), np.ones((1, 2)), np.ones(1), 1.0, [1j, 0], ["1", "0"]):
             with pytest.raises(ValueError, match="finite real array of shape \\(2,\\)"):
                 DensePin(alg, [u])
+        # a ragged list and a bare vector get the same refusal, not numpy's error
+        for vectors in ([[1.0, 0.0], [1.0]], np.array([1.0, 0.0]), [np.ones(2), np.ones((2, 2))]):
+            with pytest.raises(ValueError, match="finite real array of shape \\(2,\\)"):
+                DensePin(alg, vectors)
 
     def test_parity_is_factor_count_mod_2(self):
         alg = ccl(2, 0)
@@ -437,6 +441,16 @@ class TestSpinLift:
         # householder_factors is the lift's one reader, so it makes both refusals
         for routine in (householder_factors, spin_lift):
             with pytest.raises(ValueError, match=message):
+                routine(R)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_odd_reflection_count_is_the_determinant_refusal(self, n):
+        # det R = -1 is read from the odd number of reflections that take R to I
+        R = random_special_orthogonal(np.random.default_rng(n), n)
+        R[:, n - 1] = -R[:, n - 1]
+        for routine in (householder_factors, spin_lift):
+            with pytest.raises(ValueError, match="^determinant -1: odd Pin lift not handled "
+                                                 "by this operation$"):
                 routine(R)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

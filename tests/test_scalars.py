@@ -50,6 +50,16 @@ class TestRational:
             with pytest.raises(ValueError, match="not a rational"):
                 rational_from_string(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x" * 80, "not a rational: '" + "x" * 80 + "'"),
+        ("x" * 81, "not a rational: a 81-character value"),
+        ("1/" + "0" * 79, "zero denominator in a 81-character value"),
+    ], ids=["quoted-at-the-limit", "named-past-the-limit", "zero-denominator-named"])
+    def test_refusal_quotes_short_text_and_names_long_text(self, text, message):
+        with pytest.raises(ValueError) as info:
+            rational_from_string(text)
+        assert str(info.value) == message
+
     def test_lowest_terms_invariant(self):
         f = Fraction(6, -4)
         assert f.denominator > 0 and abs(f.numerator) == 3

@@ -347,6 +347,27 @@ class TestUsage:
             monkeypatch.setenv("C2ALG_TOL", tol)
         assert run_cli(capsys, *argv) == (64, "", f"error: {line}\n")
 
+    @pytest.mark.parametrize("argv, tol", [
+        (["obstruction", "--genus", "9" * 4301], None),
+        (["clifford", "conj", "--signature", "2,0", "--a", "9" * 4301], None),
+        (["ahat", "--pontryagin", "FILE"], None),
+        (["clifford", "conj", "--signature", "9" * 4301 + ",0", "--a", "e1"], None),
+        (["verify", "--cases", "9" * 4301], None),
+        (["obstruction", "--genus", "-1/8"], "9" * 4301),
+    ], ids=["genus", "clifford-token", "pontryagin-value", "signature", "cases", "tolerance"])
+    def test_long_value_named_by_its_size(self, capsys, monkeypatch, tmp_path, argv, tol):
+        # a 4301-digit value is refused on one short line, not quoted in full
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"dim": 4, "pontryagin": {"1": "9" * 4301}}),
+                        encoding="utf-8")
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        if tol is not None:
+            monkeypatch.setenv("C2ALG_TOL", tol)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err) < 200 and "-character value" in err
+
 
 def run_module(argv, env=None):
     """Run ``python -m c2alg.cli`` on argv in a fresh interpreter."""
