@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """The --seed value: any integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {quote_input(text)}") from None
+
+
 def _case_count(text: str) -> int:
     """The --cases value: an integer from 0 to ``verify.MAX_CASES``."""
     from .verify import MAX_CASES
@@ -92,7 +100,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--suite", default="all",
                           choices=["clifford", "pin-spin", "genus", "mackey",
                                    "functional-calculus", "all"])
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--cases", type=_case_count, default=100)
     p_verify.add_argument("--json", action="store_true")
     return parser

@@ -1,7 +1,9 @@
 """Finite-dimensional graded Clifford-type algebras with Real and *-structures.
 
 Blades are bitmasks over generator indices 1..p+q. Every blade-product sign
-comes from one bit-arithmetic rule (``CliffordAlgebra.flip``). A
+comes from one bit-arithmetic rule (``CliffordAlgebra.flip``), which the
+exact kernels read from a per-algebra memo filled per mask on first use
+(``CliffordAlgebra.flips``). A
 ``Multivector`` is exact: Gaussian-rational coefficients stored as integer
 numerators (re, im) per blade over one denominator, in lowest terms, so a
 product runs the sparse loop over term pairs on Python ints
@@ -60,6 +62,20 @@ def _check_signature(p: int, q: int) -> None:
         raise ValueError("negative signature")
 
 
+class _FlipMemo(dict):
+    """``CliffordAlgebra.flip`` per mask, computed on first lookup and kept."""
+
+    __slots__ = ("flip",)
+
+    def __init__(self, flip):
+        super().__init__()
+        self.flip = flip
+
+    def __missing__(self, mask):
+        f = self[mask] = self.flip(mask)
+        return f
+
+
 class CliffordAlgebra:
     """Generator data for one algebra: squares, Real signs, *-signs per index."""
 
@@ -79,6 +95,8 @@ class CliffordAlgebra:
         self.neg_square_mask = sum(1 << i for i, s in enumerate(self.squares) if s < 0)
         self.bar_neg_mask = sum(1 << i for i, s in enumerate(self.bar_signs) if s < 0)
         self.star_neg_mask = sum(1 << i for i, s in enumerate(self.star_signs) if s < 0)
+        # mask -> flip(mask), filled as the exact kernels meet each mask
+        self.flips = _FlipMemo(self.flip)
 
     def __repr__(self):
         return f"<{self.label}>"
@@ -304,14 +322,15 @@ class Multivector:
         return (-self) + other
 
     def __neg__(self):
-        return self._turned(self.algebra, lambda m: (m, 2))
+        return Multivector._raw(
+            self.algebra, {m: (-x, -y) for m, (x, y) in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Multivector):
             return self.scale(other)
         self._check(other)
         alg = self.algebra
-        return Multivector._reduced(alg, integer_product(alg.flip, self.terms, other.terms),
+        return Multivector._reduced(alg, integer_product(alg.flips, self.terms, other.terms),
                                     self.den * other.den)
 
     def __rmul__(self, other):
@@ -354,37 +373,23 @@ class Multivector:
             return gs.pop()
         return None
 
-    def scalar_part(self):
-        return self.coeff(0)
-
-    def _turned(self, algebra: CliffordAlgebra, turn, conj: bool = False) -> "Multivector":
-        """Element of ``algebra`` with i^k c at mask m' for each term c at mask m,
-        (m', k) = turn(m), c conjugated first when ``conj``. A sign is two
-        quarter turns (re, im) -> (-im, re): one rule, with no multiplication,
-        that keeps ``den`` and the canonical form.
-        """
-        out = {}
-        for m, (x, y) in self.terms.items():
-            if conj:
-                y = -y
-            m, k = turn(m)
-            for _ in range(k & 3):
-                x, y = -y, x
-            out[m] = (x, y)
-        return Multivector._raw(algebra, out, self.den)
-
     def bar(self) -> "Multivector":
         """Real structure: conjugate coefficients, sign per negated generator."""
         neg = self.algebra.bar_neg_mask
-        return self._turned(self.algebra, lambda m: (m, (m & neg).bit_count() << 1), True)
+        return Multivector._raw(self.algebra, {
+            m: (-x, y) if (m & neg).bit_count() & 1 else (x, -y)
+            for m, (x, y) in self.terms.items()}, self.den)
 
     def star(self) -> "Multivector":
         """*-structure: conjugate-linear anti-involution (blade reversal).
 
-        Reversing k generators takes k(k-1)/2 swaps: k(k-1) quarter turns."""
+        Reversing k generators takes k(k-1)/2 swaps, an odd number when k % 4
+        is 2 or 3, so the sign of a blade is (-1)^((k >> 1) + its negated
+        generators)."""
         neg = self.algebra.star_neg_mask
-        return self._turned(self.algebra, lambda m: (
-            m, m.bit_count() * (m.bit_count() - 1) + ((m & neg).bit_count() << 1)), True)
+        return Multivector._raw(self.algebra, {
+            m: (-x, y) if ((m.bit_count() >> 1) + (m & neg).bit_count()) & 1 else (x, -y)
+            for m, (x, y) in self.terms.items()}, self.den)
 
     def is_real(self) -> bool:
         """All coefficients real."""
@@ -438,24 +443,30 @@ def _norm_sq_numerator(v: Multivector) -> int:
 # -- exact products on integer numerators -------------------------------------------
 
 
-def integer_product(flip, left: dict, right: dict) -> dict:
+def integer_product(flips, left: dict, right: dict) -> dict:
     """Product of exact terms {mask: (re, im)}: its numerators over d1 * d2.
 
-    ``flip`` is ``CliffordAlgebra.flip``; blades whose sums cancel are dropped.
+    ``flips`` is ``CliffordAlgebra.flips``; each term pair is added into one
+    [re, im] entry per blade, and blades whose sums cancel are dropped.
     """
-    right = [(m2, flip(m2), x2, y2) for m2, (x2, y2) in right.items()]
-    res: dict = {}
-    ims: dict = {}
+    right = [(m2, flips[m2], x2, y2) for m2, (x2, y2) in right.items()]
+    out: dict = {}
     for m1, (x1, y1) in left.items():
         for m2, f2, x2, y2 in right:
-            mask = m1 ^ m2
             if (m1 & f2).bit_count() & 1:
-                res[mask] = res.get(mask, 0) - x1 * x2 + y1 * y2
-                ims[mask] = ims.get(mask, 0) - x1 * y2 - y1 * x2
+                re = y1 * y2 - x1 * x2
+                im = -x1 * y2 - y1 * x2
             else:
-                res[mask] = res.get(mask, 0) + x1 * x2 - y1 * y2
-                ims[mask] = ims.get(mask, 0) + x1 * y2 + y1 * x2
-    return {m: (re, ims[m]) for m, re in res.items() if re or ims[m]}
+                re = x1 * x2 - y1 * y2
+                im = x1 * y2 + y1 * x2
+            mask = m1 ^ m2
+            acc = out.get(mask)
+            if acc is None:
+                out[mask] = [re, im]
+            else:
+                acc[0] += re
+                acc[1] += im
+    return {m: (re, im) for m, (re, im) in out.items() if re or im}
 
 
 # -- graded tensor decomposition ---------------------------------------------------
@@ -479,11 +490,11 @@ def relabel(mask: int, positions) -> tuple[int, int]:
 
 
 def _relabelled(mv: Multivector, algebra: CliffordAlgebra, positions) -> Multivector:
-    def turn(m):
+    out = {}
+    for m, (x, y) in mv.terms.items():
         sign, m = relabel(m, positions)
-        return m, 1 - sign  # a sign of -1 is two quarter turns
-
-    return mv._turned(algebra, turn)
+        out[m] = (x, y) if sign > 0 else (-x, -y)
+    return Multivector._raw(algebra, out, mv.den)
 
 
 class SplitSpec:
@@ -539,7 +550,13 @@ def graded_tensor_split(mv: Multivector, first_indices) -> tuple[SplitSpec, Mult
 def _turn_last_q(mv: Multivector, target: CliffordAlgebra, turn: int) -> Multivector:
     """mv in ``target``, each coefficient times i^(turn * k) for k its last-q generators."""
     w_mask = ((1 << mv.algebra.q) - 1) << mv.algebra.p
-    return mv._turned(target, lambda m: (m, turn * (m & w_mask).bit_count()))
+    out = {}
+    for m, (x, y) in mv.terms.items():
+        k = turn * (m & w_mask).bit_count()
+        if k & 1:  # one quarter turn, (re, im) -> (-im, re)
+            x, y = -y, x
+        out[m] = (-x, -y) if k & 2 else (x, y)
+    return Multivector._raw(target, out, mv.den)
 
 
 def to_kasparov(mv: Multivector) -> Multivector:

@@ -108,8 +108,8 @@ class GradedRatFunc:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        flip = ccl(self.nslots, 0).flip
-        right = [(m2, flip(m2), (n2, -n2)) for m2, n2 in other.numerators.items()]
+        flips = ccl(self.nslots, 0).flips
+        right = [(m2, flips[m2], (n2, -n2)) for m2, n2 in other.numerators.items()]
         out: dict = {}
         for m1, n1 in self.numerators.items():
             for m2, f2, signed in right:

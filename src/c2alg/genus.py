@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .scalars import MultiPoly, integer_numerators, rational_from_string, rational_to_string
+from .scalars import (MultiPoly, integer_numerators, quote_input, rational_from_string,
+                      rational_to_string)
 
 # Largest manifold dimension that `ManifoldSpec.parse` and `CharClassData.from_json`
 # accept, and the range the tests check against oracles. Cost no longer sets it: on a
@@ -364,14 +365,18 @@ class ManifoldSpec:
             if not m:
                 raise ValueError(f"cannot parse manifold factor {chunk!r}")
             name = m.group(1).upper()
-            power = int(m.group(2) or 1)
-            if power < 1:
+            index, power = name[2:].lstrip("0"), (m.group(2) or "1").lstrip("0")
+            if not power:
                 raise ValueError("manifold power must be positive")
-            index = int(name[2:])
-            if index < 1:
+            if not index:
                 raise ValueError("projective space index must be >= 1")
-            factors.append((name, power))
-            dim += 2 * index * power
+            # 2 * index * power is at least each number, so one with more digits than
+            # MAX_DIM is over it; such digits never reach int(), whatever their count
+            if max(len(index), len(power)) > len(str(MAX_DIM)):
+                raise ValueError(f"manifold factor {quote_input(chunk.strip())} exceeds "
+                                 f"the supported maximum dimension {MAX_DIM}")
+            factors.append((name, int(power)))
+            dim += 2 * int(index) * int(power)
         _check_dim(dim)
         return ManifoldSpec([name for name, power in factors for _ in range(power)])
 

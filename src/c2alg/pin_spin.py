@@ -39,7 +39,7 @@ import numpy as np
 from .clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, integer_product
 from .linalg import (_gram_is_identity, _near_branch_cut, _read_matrix, _unitary_eigh,
                      default_tol, random_unitary, realify, unitary_eigh)
-from .scalars import MultiPoly, integer_numerators
+from .scalars import GaussianRational, MultiPoly, integer_numerators
 
 EVEN, ODD = 0, 1
 
@@ -84,13 +84,18 @@ class PinElement:
         negative-square generator also has v v* = 1, so a product of such
         factors times a phase with re^2 + im^2 = 1 is exactly unit and is
         trusted without a product check; any other product is checked as a
-        whole. The factors' stored numerators are multiplied on integers
+        whole. The phase is read straight into numerators, and the factors'
+        stored numerators are multiplied on integers
         (``clifford.integer_product``) and normalised once at the end.
         """
-        start = algebra.scalar(phase)
-        den, acc = start.den, start.terms
-        if sum(x * x + y * y for x, y in acc.values()) != den * den:
+        if type(phase) is int:
+            den, x, y = 1, phase, 0
+        else:
+            phase = GaussianRational.from_value(phase)
+            den, (x, y) = integer_numerators([phase.re, phase.im])
+        if x * x + y * y != den * den:
             raise ValueError("certificate phase is not a unit complex scalar")
+        acc = {0: (x, y)}
         squares = algebra.squares
         trusted = True
         vectors = [v if isinstance(v, Multivector) else algebra.vector(v) for v in vectors]
@@ -104,7 +109,7 @@ class PinElement:
                 raise ValueError("certificate factor is not a real unit vector")
             trusted = trusted and not any(m & algebra.neg_square_mask for m in v.terms)
             den *= v.den
-            acc = integer_product(algebra.flip, acc, v.terms)
+            acc = integer_product(algebra.flips, acc, v.terms)
         value = Multivector._reduced(algebra, acc, den)
         if trusted:
             return PinElement._trusted(value, len(vectors) & 1)
@@ -186,9 +191,6 @@ class OrthogonalAction:
         cols = list(zip(*other.numerators))
         return OrthogonalAction._reduced(self.den * other.den, tuple(
             tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.numerators))
-
-    def transpose(self) -> "OrthogonalAction":
-        return OrthogonalAction._reduced(self.den, tuple(zip(*self.numerators)))
 
     def is_orthogonal(self) -> bool:
         """M^T M = 1 exactly, as integer column products against den^2."""
@@ -298,25 +300,19 @@ def twisted_adjoint(g: PinElement | DensePin) -> OrthogonalAction | np.ndarray:
     """
     if isinstance(g, DensePin):
         return _twisted_adjoint_numeric(g)
-    flip = g.algebra.flip
+    flips = g.algebra.flips
     den = g.value.den
-    terms = [(m, flip(m), x, y) for m, (x, y) in g.value.terms.items()]
+    terms = [(m, flips[m], x, y) for m, (x, y) in g.value.terms.items()]
     # g e_k as (blade, re, im) and e_k g as blade -> (re, im), all over den;
-    # the signs of m * gen and gen * m come from ``CliffordAlgebra.flip``
+    # the signs of m * e_k and e_k * m are bits of the memo of ``CliffordAlgebra.flip``
     lefts = []
     rights = []
     for k in range(g.algebra.dim):
         gen = 1 << k
-        flip_gen = flip(gen)
-        left = []
-        right = {}
-        for m, flip_m, x, y in terms:
-            s = -1 if (m & flip_gen).bit_count() & 1 else 1
-            left.append((m ^ gen, s * x, s * y))
-            s = -1 if (gen & flip_m).bit_count() & 1 else 1
-            right[m ^ gen] = (s * x, s * y)
-        lefts.append(left)
-        rights.append(right)
+        flip_gen = flips[gen]
+        lefts.append([(m ^ gen, -x, -y) if (m & flip_gen).bit_count() & 1 else (m ^ gen, x, y)
+                      for m, _, x, y in terms])
+        rights.append({m ^ gen: (-x, -y) if f >> k & 1 else (x, y) for m, f, x, y in terms})
     sign = -1 if g.parity == ODD else 1
     den4 = den ** 4
     cols = []

@@ -27,9 +27,10 @@ SUITE_NAMES = ["clifford", "pin-spin", "genus", "mackey", "functional-calculus"]
 MAX_REPORTED_FAILURES = 20
 
 # Largest case count the CLI accepts. Time is linear in the count and memory
-# flat: cold `verify --suite all` takes about 0.45 s at 100 cases, 2.1 s at
-# 1000 and 5.6 s at 3000 (medians; peak RSS 40 MiB throughout) on a shared
-# 2-vCPU Xeon VM with Python 3.11, so a run at the cap ends in under 30 s.
+# flat: cold `verify --suite all` takes 0.36-0.44 s at 100 cases, 1.3-1.4 s at
+# 1000 and 3.2-3.6 s at 3000 (medians of 3, two rounds; peak RSS 40 MiB
+# throughout) on a shared 2-vCPU Xeon VM with Python 3.11, so a run at the cap
+# ends in under 30 s.
 MAX_CASES = 10_000
 
 

@@ -284,13 +284,13 @@ class TestVectorNorm:
         # in C_(1,1), e2^2 = -1, so sum c_i^2 is not the scalar part of v*v
         alg = kasparov(1, 1)
         v = alg.vector([0, 1])
-        assert (v * v).scalar_part() == -1
+        assert (v * v).coeff(0) == -1
         with pytest.raises(ValueError, match="squares to -1"):
             vector_norm_sq(v)
         with pytest.raises(ValueError, match="squares to -1"):
             vector_norm_sq(alg.vector([3, 4]))
         w = alg.vector([3, 0])
-        assert vector_norm_sq(w) == 9 == (w * w).scalar_part()
+        assert vector_norm_sq(w) == 9 == (w * w).coeff(0)
 
 
 class TestGradedTensorSplit:

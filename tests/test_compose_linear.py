@@ -81,7 +81,7 @@ class TestAgainstFractionOracle:
         for _ in range(4):
             g = rand_pin(rng, alg, 4)
             f = rand_poly(rng, alg.dim)
-            M = twisted_adjoint(g).transpose().rows
+            M = tuple(zip(*twisted_adjoint(g).rows))
             expected = oracle_compose_linear(f, M)
             assert f.compose_linear(M) == expected
             x = rand_multivector(rng, alg, 2)

@@ -335,9 +335,13 @@ class TestUsage:
          "a result has more digits than can be printed"),
         (["clifford", "conj", "--signature", "2,0", "--a", "1.5/2"], None,
          "not a rational: '1.5/2'"),
+        (["verify", "--seed", "1.5"], None, "argument --seed: must be an integer, got '1.5'"),
+        (["ahat", "--manifold", "CP2 x CP999"], None,
+         "manifold factor 'CP999' exceeds the supported maximum dimension 40"),
     ], ids=["signature-three-parts", "signature-not-integers", "mul-without-b",
             "genus-not-rational", "ahat-without-source", "tolerance-not-a-number",
-            "ahat-result-4301-digits", "token-not-a-rational"])
+            "ahat-result-4301-digits", "token-not-a-rational", "seed-not-an-integer",
+            "manifold-factor-too-large"])
     def test_usage_line(self, capsys, monkeypatch, tmp_path, argv, tol, line):
         # each refusal is exactly one stderr line, whichever check makes it
         path = tmp_path / "p.json"
@@ -354,7 +358,9 @@ class TestUsage:
         (["clifford", "conj", "--signature", "9" * 4301 + ",0", "--a", "e1"], None),
         (["verify", "--cases", "9" * 4301], None),
         (["obstruction", "--genus", "-1/8"], "9" * 4301),
-    ], ids=["genus", "clifford-token", "pontryagin-value", "signature", "cases", "tolerance"])
+        (["verify", "--seed", "9" * 4301], None),
+    ], ids=["genus", "clifford-token", "pontryagin-value", "signature", "cases", "tolerance",
+            "seed"])
     def test_long_value_named_by_its_size(self, capsys, monkeypatch, tmp_path, argv, tol):
         # a 4301-digit value is refused on one short line, not quoted in full
         path = tmp_path / "p.json"
@@ -458,6 +464,8 @@ MALFORMED_INPUTS = [
     (["ahat", "--pontryagin", "FILE"], '{"dim": 8, "pontryagin": {"1,1": "3", "1, 1": "5"}}'),
     (["ahat", "--pontryagin", "FILE"], '{"dim": 12, "pontryagin": {"2,1": "3", "1,2": "5"}}'),
     (["spin-lift", "--matrix", "FILE"], _IMAGINARY_ROTATION),
+    (["ahat", "--manifold", "CP" + "9" * 4301], None),
+    (["ahat", "--manifold", "CP2^" + "9" * 4301 + " x CP2"], None),
 ]
 
 
@@ -475,7 +483,8 @@ MALFORMED_INPUTS = [
                               "pontryagin-4301-digits-json", "ahat-result-4301-digits",
                               "product-6001-digits", "dim-not-integral", "dim-bool",
                               "partition-twice-zero-padded", "partition-twice-spaced",
-                              "partition-twice-reordered", "spin-lift-imaginary"])
+                              "partition-twice-reordered", "spin-lift-imaginary",
+                              "ahat-index-4301-digits", "ahat-power-4301-digits"])
 def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
@@ -487,6 +496,8 @@ def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    # a short line in the CLI's terms: no advice to call Python's digit-limit setter
+    assert len(lines[0]) < 200 and "set_int_max_str_digits" not in lines[0]
 
 
 class TestPrintableValues:
