@@ -133,7 +133,7 @@ def _load_json_file(path: str):
 
 
 def _cmd_clifford(args) -> int:
-    from .clifford import ccl, parse_multivector
+    from .clifford import bounded_product, ccl, parse_multivector
 
     with _user_input(f"bad signature {quote_input(args.signature)}; expected p,q"):
         p, q = map(int, args.signature.split(","))
@@ -145,7 +145,7 @@ def _cmd_clifford(args) -> int:
             raise UsageError("mul requires --b")
         with _user_input():
             b = parse_multivector(args.b, alg)
-        out = a * b
+            out = bounded_product(a, b)
     elif args.operation == "conj":
         out = a.bar()
     else:

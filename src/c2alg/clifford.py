@@ -39,6 +39,12 @@ from .scalars import (GaussianRational, format_sum, integer_numerators, rational
 # _below_parity, and with it every blade sign, is valid for masks below 2^16.
 MAX_GENERATORS = 16
 
+# Largest term-pair count |a| |b| of a product that the expression parser and
+# ``c2alg clifford mul`` accept (``bounded_product``). A pair costs about
+# 0.3 us: cold, full x full in ccl(12, 0) (2^24 pairs, the largest accepted)
+# takes 4-5 s and in ccl(13, 0) 19 s, so in ccl(16, 0) it would take 20 min.
+MAX_TERM_PAIRS = 1 << 24
+
 
 def _below_parity(m):
     """Bit i is set when an odd number of the bits of m lie below i (m < 2^16).
@@ -286,7 +292,11 @@ class Multivector:
             if g != 1:
                 den //= g
                 terms = {m: (x // g, y // g) for m, (x, y) in terms.items()}
-        return cls._raw(algebra, terms, den)
+        self = object.__new__(cls)  # as ``_raw``, one call fewer on every product
+        self.algebra = algebra
+        self.terms = terms
+        self.den = den
+        return self
 
     def _check(self, other: "Multivector"):
         if self.algebra is not other.algebra:
@@ -328,8 +338,9 @@ class Multivector:
     def __mul__(self, other):
         if not isinstance(other, Multivector):
             return self.scale(other)
-        self._check(other)
         alg = self.algebra
+        if other.algebra is not alg:
+            self._check(other)
         return Multivector._reduced(alg, integer_product(alg.flips, self.terms, other.terms),
                                     self.den * other.den)
 
@@ -441,6 +452,14 @@ def _norm_sq_numerator(v: Multivector) -> int:
 
 
 # -- exact products on integer numerators -------------------------------------------
+
+
+def bounded_product(a: Multivector, b: Multivector) -> Multivector:
+    """a * b, refused before any work when it has more than MAX_TERM_PAIRS term pairs."""
+    if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
+        raise ValueError(f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds "
+                         f"the supported maximum of {MAX_TERM_PAIRS} term pairs")
+    return a * b
 
 
 def integer_product(flips, left: dict, right: dict) -> dict:
@@ -652,9 +671,9 @@ class _Parser:
             kind, _ = self.peek()
             if kind == "*":
                 self.next()
-                value = value * self.parse_factor()
+                value = bounded_product(value, self.parse_factor())
             elif kind in ("num", "i", "blade", "("):
-                value = value * self.parse_factor()
+                value = bounded_product(value, self.parse_factor())
             else:
                 return value
 

@@ -342,7 +342,7 @@ def genus_evaluate(seq: MultSeq, data: CharClassData) -> Fraction:
 
 # -- manifold spec grammar ------------------------------------------------------------
 
-_FACTOR = _re.compile(r"^(CP\d+)(?:\^(\d+))?$", _re.IGNORECASE)
+_FACTOR = _re.compile(r"^(CP\d+)(?:\^(\d+))?$", _re.IGNORECASE | _re.ASCII)
 
 
 class ManifoldSpec:
@@ -363,9 +363,8 @@ class ManifoldSpec:
         for chunk in _re.split(r"\s*x\s*", text.strip(), flags=_re.IGNORECASE):
             m = _FACTOR.match(chunk.strip())
             if not m:
-                raise ValueError(f"cannot parse manifold factor {chunk!r}")
-            name = m.group(1).upper()
-            index, power = name[2:].lstrip("0"), (m.group(2) or "1").lstrip("0")
+                raise ValueError(f"cannot parse manifold factor {quote_input(chunk)}")
+            index, power = m.group(1)[2:].lstrip("0"), (m.group(2) or "1").lstrip("0")
             if not power:
                 raise ValueError("manifold power must be positive")
             if not index:
@@ -375,7 +374,7 @@ class ManifoldSpec:
             if max(len(index), len(power)) > len(str(MAX_DIM)):
                 raise ValueError(f"manifold factor {quote_input(chunk.strip())} exceeds "
                                  f"the supported maximum dimension {MAX_DIM}")
-            factors.append((name, int(power)))
+            factors.append((f"CP{int(index)}", int(power)))  # CP02 is CP2
             dim += 2 * int(index) * int(power)
         _check_dim(dim)
         return ManifoldSpec([name for name, power in factors for _ in range(power)])

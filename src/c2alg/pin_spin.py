@@ -96,18 +96,26 @@ class PinElement:
         if x * x + y * y != den * den:
             raise ValueError("certificate phase is not a unit complex scalar")
         acc = {0: (x, y)}
-        squares = algebra.squares
+        square_of = {1 << i: s for i, s in enumerate(algebra.squares)}  # grade-1 masks only
         trusted = True
         vectors = [v if isinstance(v, Multivector) else algebra.vector(v) for v in vectors]
         for v in vectors:
-            if v.terms and v.grades() != {1}:
-                raise ValueError("certificate factors must be grade-1")
-            # unit vectors live in the real span of the generators, and
-            # v * v is the scalar sum of squares[i] c_i^2 (cross terms cancel)
-            if (not v.is_real() or sum(squares[m.bit_length() - 1] * x * x
-                                       for m, (x, _) in v.terms.items()) != v.den * v.den):
+            # one pass over the terms: unit vectors live in the real span of the
+            # generators, and v * v is the scalar sum of squares[i] c_i^2 (cross
+            # terms cancel); a factor off grade 1 is refused as such, complex or not
+            norm = 0
+            real = True
+            for m, (x, y) in v.terms.items():
+                s = square_of.get(m)
+                if s is None:
+                    raise ValueError("certificate factors must be grade-1")
+                if y:
+                    real = False
+                if s < 0:
+                    trusted = False
+                norm += s * x * x
+            if not real or norm != v.den * v.den:
                 raise ValueError("certificate factor is not a real unit vector")
-            trusted = trusted and not any(m & algebra.neg_square_mask for m in v.terms)
             den *= v.den
             acc = integer_product(algebra.flips, acc, v.terms)
         value = Multivector._reduced(algebra, acc, den)

@@ -22,15 +22,12 @@ from .pin_spin import (DensePin, PinElement, check_rho_real_equivariance,
                        iv_model_action, lift_residuals, phi_lift, spin_lift, twisted_adjoint)
 from .scalars import GaussianRational, MultiPoly, RatFunc
 
-SUITE_NAMES = ["clifford", "pin-spin", "genus", "mackey", "functional-calculus"]
-
 MAX_REPORTED_FAILURES = 20
 
 # Largest case count the CLI accepts. Time is linear in the count and memory
-# flat: cold `verify --suite all` takes 0.36-0.44 s at 100 cases, 1.3-1.4 s at
-# 1000 and 3.2-3.6 s at 3000 (medians of 3, two rounds; peak RSS 40 MiB
-# throughout) on a shared 2-vCPU Xeon VM with Python 3.11, so a run at the cap
-# ends in under 30 s.
+# flat: cold `verify --suite all` takes 0.50 s at 100 cases, 1.3 s at 1000,
+# 3.6 s at 3000 and 9.5 s at the cap (medians of 5, of 3 at the cap; peak RSS
+# 40-41 MiB throughout) on a shared 2-vCPU Xeon VM with Python 3.11.
 MAX_CASES = 10_000
 
 
@@ -77,8 +74,12 @@ def _np_rng(seed: int, salt: str) -> np.random.Generator:
 
 
 def _ratio(rng, num=6, den=4) -> tuple[int, int]:
-    """The draws of ``rand_fraction``: (numerator, denominator), not reduced."""
-    return rng.randint(-num, num), rng.randint(1, den)
+    """The draws of ``rand_fraction``: (numerator, denominator), not reduced.
+
+    Here and below, a + rng.randrange(b - a + 1) makes the one draw of
+    rng.randint(a, b), through fewer Python calls.
+    """
+    return rng.randrange(2 * num + 1) - num, 1 + rng.randrange(den)
 
 
 def rand_fraction(rng, num=6, den=4) -> Fraction:
@@ -113,14 +114,14 @@ def _exact(alg, ratios: dict) -> Multivector:
 
 def rand_algebra(rng, max_dim):
     """ccl(p, q) with 1 <= p + q <= max_dim: p is drawn first, then q; (0, 0) becomes (1, 0)."""
-    p = rng.randint(0, max_dim)
-    q = rng.randint(0, max_dim - p)
+    p = rng.randrange(max_dim + 1)
+    q = rng.randrange(max_dim - p + 1)
     return ccl(p if p + q else 1, q)
 
 
 def rand_multivector(rng, alg, max_terms=4):
     ratios = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(1 + rng.randrange(max_terms)):
         c = _coeff_ratio(rng)
         if c[0] or c[2]:
             ratios[rng.randrange(1 << alg.dim)] = c
@@ -145,8 +146,9 @@ def rational_unit_vector(rng, alg):
     s = sum(a * a for a in nums)
     coords = [lcm * lcm - s] + [2 * a * lcm for a in nums]
     rng.shuffle(coords)
-    coords = [c if rng.random() < 0.5 else -c for c in coords]
-    return _exact(alg, {1 << k: (c, lcm * lcm + s, 0, 1) for k, c in enumerate(coords)})
+    coords = [c if rng.random() < 0.5 else -c for c in coords]  # a sign per zero too
+    return Multivector._reduced(alg, {1 << k: (c, 0) for k, c in enumerate(coords) if c},
+                                lcm * lcm + s)
 
 
 def rational_phase(rng) -> GaussianRational:
@@ -157,7 +159,7 @@ def rational_phase(rng) -> GaussianRational:
 
 
 def rand_pin(rng, alg, max_factors=4, force_even=None, with_phase=True) -> PinElement:
-    k = rng.randint(0, max_factors)
+    k = rng.randrange(max_factors + 1)
     if force_even is not None and k % 2 != force_even:
         k = k + 1 if k + 1 <= max_factors else k - 1
     vectors = [rational_unit_vector(rng, alg) for _ in range(max(k, 0))]
@@ -167,9 +169,9 @@ def rand_pin(rng, alg, max_factors=4, force_even=None, with_phase=True) -> PinEl
 
 def rand_polynomial(rng, nvars, max_terms=3, max_degree=2) -> MultiPoly:
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(1 + rng.randrange(max_terms)):
         exp = [0] * nvars
-        for _ in range(rng.randint(0, max_degree)):
+        for _ in range(rng.randrange(max_degree + 1)):
             exp[rng.randrange(nvars)] += 1
         c = rand_fraction(rng)
         if c:
@@ -210,8 +212,8 @@ def suite_clifford(seed: int, cases: int) -> SuiteResult:
         result.check(from_kasparov(kx) == x, f"kasparov bijective case {i}")
 
     for i in range(max(1, cases // 10)):
-        p = rng.randint(1, 3)
-        q = rng.randint(0, 2)
+        p = 1 + rng.randrange(3)
+        q = rng.randrange(3)
         alg = ccl(p, q)
         first = [k for k in range(1, alg.dim + 1) if rng.random() < 0.5]
         x = rand_multivector(rng, alg, 3)
@@ -322,7 +324,7 @@ def suite_spin_lift(seed: int, cases: int) -> SuiteResult:
 
     for i in range(max(1, cases // 4)):
         # round trip through an exact Spin element: lift(rho(g)) = +-g
-        p = rng.randint(2, 4)
+        p = 2 + rng.randrange(3)
         alg = ccl(p, 0)
         g = rand_pin(rng, alg, 4, force_even=0, with_phase=False)
         R = twisted_adjoint(g).as_numpy()
@@ -482,16 +484,16 @@ def suite_mackey(seed: int, cases: int) -> SuiteResult:
 
     for i in range(cases):
         q = rand_fraction(rng, 9, 12)
-        k = rng.randint(-3, 3)
+        k = rng.randrange(7) - 3
         c1 = mackey.fixed_point_obstruction(q)
         c2 = mackey.fixed_point_obstruction(q + k)
         result.check(c1.obstructed == c2.obstructed,
                      f"verdict stability under integer shift case {i}")
         result.check(sorted(c1.residues) == sorted(c2.residues),
                      f"residue multiset stability case {i}")
-        result.check(mackey.fixed_point_obstruction(rng.randint(-5, 5)).witness is not None,
+        result.check(mackey.fixed_point_obstruction(rng.randrange(11) - 5).witness is not None,
                      f"integer genus witness case {i}")
-        m = rng.randint(-8, 8)
+        m = rng.randrange(17) - 8
         delta = (mackey.obstruction_value(q, m + c1.period)
                  - mackey.obstruction_value(q, m))
         result.check(delta.denominator == 1, f"periodicity case {i}")
@@ -558,12 +560,9 @@ SUITES = {
 
 def run_verify(suite: str, seed: int, cases: int) -> dict:
     """Run one suite (or "all") and assemble the machine-readable report."""
-    if suite == "all":
-        names = SUITE_NAMES
-    elif suite in SUITES:
-        names = [suite]
-    else:
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    names = SUITES if suite == "all" else [suite]
     outputs = {}
     residuals = {}
     for name in names:

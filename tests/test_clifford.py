@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from c2alg.clifford import (Multivector, SplitSpec, ccl, ccl_interleaved, format_multivector,
-                            format_terms, from_kasparov, graded_tensor_split, kasparov,
-                            parse_multivector, relabel, to_kasparov, vector_norm_sq)
+from c2alg import clifford
+from c2alg.clifford import (Multivector, SplitSpec, bounded_product, ccl, ccl_interleaved,
+                            format_multivector, format_terms, from_kasparov,
+                            graded_tensor_split, kasparov, parse_multivector, relabel,
+                            to_kasparov, vector_norm_sq)
 from c2alg.scalars import GaussianRational
 from c2alg.verify import _rng, rand_coeff, rand_multivector, rational_unit_vector
 
@@ -434,6 +436,19 @@ class TestExpressionGrammar:
         assert parse_multivector("e2*" + "-+" * 1500 + "e1", alg) == alg.generator(2) * e1
         with pytest.raises(ValueError, match="nests deeper"):
             parse_multivector("(" * 101 + "e1" + ")" * 101, alg)
+
+    def test_products_over_the_term_pair_budget_are_refused(self, monkeypatch):
+        alg = ccl(3, 0)
+        two, three = parse_multivector("1 + e1", alg), parse_multivector("1 + e2 + e3", alg)
+        monkeypatch.setattr(clifford, "MAX_TERM_PAIRS", 6)
+        assert bounded_product(two, three) == two * three  # 6 pairs, at the budget
+        with pytest.raises(ValueError, match="3 by 3 terms exceeds .* 6 term pairs"):
+            bounded_product(three, three)
+        assert parse_multivector("(1 + e1)(1 + e2 + e3)", alg) == two * three
+        with pytest.raises(ValueError, match="4 by 2 terms"):
+            parse_multivector("(1 + e1)(1 + e2)(1 + e3)", alg)
+        # the product operator itself has no budget
+        assert three * three == parse_multivector("3 + 2*e2 + 2*e3", alg)
 
     def test_format_terms_bare_blades_and_empty_sum(self):
         assert format_terms([(3, "1"), (1, "-1"), (0, "1")]) == "1 - e1 + e1e2"

@@ -1,10 +1,11 @@
 """The seeded generators of ``c2alg.verify`` against their Fraction forms.
 
-The generators build integer numerators directly. The oracles below are the
-same generators written on Fractions: for every seed and signature each
-generator must give the same element (``terms`` and ``den``) and leave the
-random stream in the same state, so a drift in the draws fails here before
-it can move a seeded report.
+The generators build integer numerators directly and draw integers through
+``randrange``. The oracles below are the same generators written on
+Fractions and ``randint`` (``rand_pin``'s as a product of Multivectors): for
+every seed and signature each generator must give the same element (``terms``
+and ``den``) and leave the random stream in the same state, so a drift in the
+draws fails here before it can move a seeded report.
 """
 
 import random
@@ -13,9 +14,10 @@ from fractions import Fraction
 import pytest
 
 from c2alg.clifford import ccl
-from c2alg.scalars import GaussianRational
-from c2alg.verify import (rand_algebra, rand_coeff, rand_fraction, rand_multivector,
-                          rand_real_vector, rational_phase, rational_unit_vector)
+from c2alg.scalars import GaussianRational, MultiPoly
+from c2alg.verify import (rand_algebra, rand_coeff, rand_fraction, rand_multivector, rand_pin,
+                          rand_polynomial, rand_real_vector, rational_phase,
+                          rational_unit_vector)
 
 SEEDS = range(200)
 SIGNATURES = [(p, q) for p in range(7) for q in range(7 - p)]
@@ -63,6 +65,30 @@ def oracle_rational_phase(rng):
     return GaussianRational((1 - t * t) / den, 2 * t / den)
 
 
+def oracle_rand_pin(rng, alg, max_factors=4, force_even=None, with_phase=True):
+    """rand_pin's draws, as the product phase * v_1 * ... * v_k of Multivectors."""
+    k = rng.randint(0, max_factors)
+    if force_even is not None and k % 2 != force_even:
+        k = k + 1 if k + 1 <= max_factors else k - 1
+    vectors = [oracle_rational_unit_vector(rng, alg) for _ in range(k)]
+    value = alg.scalar(oracle_rational_phase(rng) if with_phase else 1)
+    for v in vectors:
+        value = value * v
+    return value, k & 1
+
+
+def oracle_rand_polynomial(rng, nvars, max_terms=3, max_degree=2):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exp = [0] * nvars
+        for _ in range(rng.randint(0, max_degree)):
+            exp[rng.randrange(nvars)] += 1
+        c = oracle_rand_fraction(rng)
+        if c:
+            terms[tuple(exp)] = c
+    return MultiPoly(nvars, terms)
+
+
 def _twin_rngs(seed, salt):
     return random.Random(f"{seed}:{salt}"), random.Random(f"{seed}:{salt}")
 
@@ -106,6 +132,29 @@ def test_scalar_generators_match_their_fraction_oracle(generator, oracle):
             assert got == want, seed
             if isinstance(got, GaussianRational):
                 assert type(got.re) is type(got.im) is Fraction
+        assert rng.getstate() == oracle_rng.getstate(), seed
+
+
+@pytest.mark.parametrize("with_phase", [True, False])
+@pytest.mark.parametrize("force_even", [0, 1, None])
+def test_rand_pin_matches_its_product_oracle(force_even, with_phase):
+    signatures = [sig for sig in SIGNATURES if sum(sig)]
+    for seed in SEEDS:
+        alg = ccl(*signatures[seed % len(signatures)])
+        rng, oracle_rng = _twin_rngs(seed, "rand_pin")
+        got = rand_pin(rng, alg, force_even=force_even, with_phase=with_phase)
+        want, parity = oracle_rand_pin(oracle_rng, alg, force_even=force_even,
+                                       with_phase=with_phase)
+        assert (got.value.terms, got.value.den, got.parity) == (want.terms, want.den, parity)
+        assert rng.getstate() == oracle_rng.getstate(), seed
+
+
+def test_rand_polynomial_matches_its_oracle():
+    for seed in SEEDS:
+        nvars = 1 + seed % 6
+        rng, oracle_rng = _twin_rngs(seed, "rand_polynomial")
+        for _ in range(5):
+            assert rand_polynomial(rng, nvars) == oracle_rand_polynomial(oracle_rng, nvars), seed
         assert rng.getstate() == oracle_rng.getstate(), seed
 
 

@@ -585,7 +585,14 @@ class TestManifoldSpec:
         direct = product_data(cp_projective_data(2), cp_projective_data(2))
         assert spec.char_data() == direct
 
+    def test_zero_padded_index_names_one_factor(self):
+        spec = ManifoldSpec.parse("CP2 x CP02")
+        assert spec == ManifoldSpec.parse("CP2^2")
+        assert str(spec) == "CP2^2"
+        assert str(ManifoldSpec.parse("cp004^02")) == "CP4^2"
+
     def test_malformed_rejected(self):
-        for bad in ("", "CP", "CP2 y CP2", "CP2^", "CP2^0"):
+        # digits outside ASCII, such as the Arabic-Indic zero \u0660, are not digits here
+        for bad in ("", "CP", "CP2 y CP2", "CP2^", "CP2^0", "CP\u0660", "CP2^\u0662"):
             with pytest.raises(ValueError):
                 ManifoldSpec.parse(bad)

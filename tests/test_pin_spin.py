@@ -119,6 +119,21 @@ class TestPinElement:
         with pytest.raises(ValueError):
             PinElement.from_factors(alg, [v])
 
+    def test_certificate_refusal_order(self):
+        alg = ccl(2, 0)
+        unit = alg.generator(1)
+        # off grade 1 and complex: the grade is refused, wherever the terms sit
+        for terms in ({1: GaussianRational.I, 3: 1}, {3: 1, 1: GaussianRational.I},
+                      {3: GaussianRational.I}):
+            with pytest.raises(ValueError, match="factors must be grade-1"):
+                PinElement.from_factors(alg, [unit, alg.from_terms(terms)])
+        # complex on grade 1 only: the unit check refuses it
+        with pytest.raises(ValueError, match="factor is not a real unit vector"):
+            PinElement.from_factors(alg, [alg.from_terms({1: GaussianRational.I})])
+        # a bad phase is refused before a factor is read, even one that cannot be built
+        with pytest.raises(ValueError, match="phase is not a unit complex scalar"):
+            PinElement.from_factors(alg, [[0.6, 0.8], alg.scalar(1)], 2)
+
 
     def test_exact_only_operations_refuse_a_dense_pin(self):
         g = spin_lift(np.eye(2))

@@ -270,6 +270,13 @@ class TestVerifyCommand:
         assert report["inputs"]["seed"] == 11
         assert report["inputs"]["cases"] == 5
 
+    def test_suite_choices_are_the_suites_and_all(self):
+        # the CLI writes them out, so exact commands need not import verify (numpy)
+        verify_parser = next(a for a in cli.build_parser()._actions
+                             if a.dest == "command").choices["verify"]
+        suite = next(a for a in verify_parser._actions if a.dest == "suite")
+        assert suite.choices == [*verify.SUITES, "all"]
+
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 64
@@ -429,6 +436,9 @@ _RESULT_4301_DIGITS = json.dumps({"dim": 8, "pontryagin": {"1,1": "9" * 4300,
 # the 90-degree rotation with an imaginary part on one entry
 _IMAGINARY_ROTATION = '{"rows": 2, "cols": 2, "entries": [[[0, 0], [-1, 0]], [[1, 0], [0, 0.5]]]}'
 
+# (1+e1)(1+e2)...(1+e16): every one of the 2^16 blades of ccl(16, 0)
+_FULL_16 = "".join(f"(1+e{i})" for i in range(1, 17))
+
 MALFORMED_INPUTS = [
     (["clifford", "conj", "--signature", "2,0", "--a", "1/0"], None),
     (["clifford", "conj", "--signature", "2,0", "--a", "(" * 600 + "e1" + ")" * 600], None),
@@ -466,6 +476,10 @@ MALFORMED_INPUTS = [
     (["spin-lift", "--matrix", "FILE"], _IMAGINARY_ROTATION),
     (["ahat", "--manifold", "CP" + "9" * 4301], None),
     (["ahat", "--manifold", "CP2^" + "9" * 4301 + " x CP2"], None),
+    # 2^32 term pairs, about 20 min of work: refused before the product
+    (["clifford", "mul", "--signature", "16,0", "--a", _FULL_16, "--b", _FULL_16], None),
+    (["ahat", "--manifold", "CP\u0660"], None),
+    (["ahat", "--manifold", "Q" * 5000], None),
 ]
 
 
@@ -484,7 +498,9 @@ MALFORMED_INPUTS = [
                               "product-6001-digits", "dim-not-integral", "dim-bool",
                               "partition-twice-zero-padded", "partition-twice-spaced",
                               "partition-twice-reordered", "spin-lift-imaginary",
-                              "ahat-index-4301-digits", "ahat-power-4301-digits"])
+                              "ahat-index-4301-digits", "ahat-power-4301-digits",
+                              "product-over-term-pair-budget", "ahat-non-ascii-zero",
+                              "ahat-unparsable-5000-chars"])
 def test_malformed_input_exits_64_with_one_line(tmp_path, argv, text):
     if text is not None:
         path = tmp_path / "input.json"
