@@ -10,11 +10,12 @@ product runs the sparse loop over term pairs on Python ints
 (``integer_product``) and ends with one gcd, and sums, conjugations and
 comparisons touch no Fraction. A GaussianRational is built only at the
 edges: parsing, ``coeff``, formatting and serialisation. Numeric data is not
-a ``Multivector`` but a complex array of length 2^n indexed by blade mask
-(``Multivector.to_dense`` converts); its one product is by a vector
-(``CliffordAlgebra.dense_mul_vector``), and ``dense_bar`` is its Real
-structure. These methods import numpy where they run, so exact work never
-loads it.
+a ``Multivector`` but a parity half: the coefficients of the blades of one
+parity, a complex array of length 2^(n-1) in which blade m sits at m >> 1
+(``Multivector.to_dense`` gives the full array of length 2^n). Its one
+product is by a vector (``CliffordAlgebra.half_mul_vector``), from a half of
+parity p to a half of parity 1 - p, and ``half_bar`` is its Real structure.
+These methods import numpy where they run, so exact work never loads it.
 Both modes serve the complexified Clifford algebras CCl(p,q) (all
 generators square to +1, Real structure fixes the first p generators and
 negates the last q), the Kasparov-style presentation C_{p,q} (last q
@@ -96,7 +97,7 @@ class CliffordAlgebra:
         self.label = label
         self.convention = convention
         self._dense_tables = None
-        self._dense_gen_tables = None
+        self._dense_halves = None
         # masks of generators that pick up a sign under the listed structure
         self.neg_square_mask = sum(1 << i for i, s in enumerate(self.squares) if s < 0)
         self.bar_neg_mask = sum(1 << i for i, s in enumerate(self.bar_signs) if s < 0)
@@ -141,35 +142,52 @@ class CliffordAlgebra:
             self._dense_tables = (index, parity, flip, bar_sign)
         return self._dense_tables
 
-    def _generator_tables(self):
-        """(perm, right, left) arrays of shape (n, 2^n), built on first use.
+    def _half_tables(self):
+        """The tables of the even and of the odd half, built together on first use.
 
-        perm[i] is index ^ (1 << i); right[i] and left[i] are the signs of
-        e_perm * e_i and e_i * e_perm, so the coefficients of a * e_i are
-        a[perm[i]] * right[i] and those of e_i * a are a[perm[i]] * left[i].
+        The tables of parity p are (masks, perm, right, left, bar). ``masks``
+        lists the blades of parity p in increasing order; bit 0 of each
+        follows from its other bits and p, so blade m sits at m >> 1. perm,
+        right and left have shape (n, 2^(n-1)) over the half of parity 1 - p:
+        the coefficients of a * e_i are a[perm[i]] * right[i] and those of
+        e_i * a are a[perm[i]] * left[i]. ``bar`` is the Real-structure sign
+        of each blade of ``masks``. A chain of vector products reads both,
+        one parity after the other.
         """
-        if self._dense_gen_tables is None:
+        if self._dense_halves is None:
             import numpy as np
 
-            index, parity, flip = self._tables()[:3]
+            index, parity, flip, bar_sign = self._tables()
+            # the blades of each parity over generators 1..i+1, from those over 1..i
+            masks = [index[:1], index[:0]]
+            for i in range(self.dim):
+                masks = [np.concatenate((masks[0], masks[1] + (1 << i))),
+                         np.concatenate((masks[1], masks[0] + (1 << i)))]
             gens = 1 << np.arange(self.dim)[:, None]
-            perm = index ^ gens
-            self._dense_gen_tables = (perm, parity[perm & flip[gens]], parity[gens & flip[perm]])
-        return self._dense_gen_tables
+            # (m ^ e_i) >> 1 = (m >> 1) ^ (e_i >> 1) is where m ^ e_i sits
+            moves = np.array([(1 << i) >> 1 for i in range(self.dim)], dtype=index.dtype)
+            tables = []
+            for p in (0, 1):
+                source = masks[1 - p] ^ gens  # the blade of parity p behind each output entry
+                tables.append((masks[p], np.arange(len(masks[1 - p])) ^ moves[:, None],
+                               parity[source & flip[gens]], parity[gens & flip[source]],
+                               bar_sign[masks[p]]))
+            self._dense_halves = tables
+        return self._dense_halves
 
-    def dense_mul_vector(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Product a * (sum_i u_i e_i) of dense elements ``a`` and a vector ``u``.
+    def half_mul_vector(self, a: np.ndarray, u: np.ndarray, parity: int) -> np.ndarray:
+        """Product a * (sum_i u_i e_i) of a half ``a`` of the given parity and a vector ``u``.
 
-        One gather and one contraction over the n generators: O(n 2^n). It is
-        the only numeric product: a spectral element is built as a product of
-        vectors.
+        The result is the half of parity 1 - parity, by one gather and one
+        contraction over the n generators: O(n 2^(n-1)). It is the only
+        numeric product: a spectral element is built as a product of vectors.
         """
-        tables = self._dense_gen_tables or self._generator_tables()
-        return u @ (a[tables[0]] * tables[1])
+        tables = (self._dense_halves or self._half_tables())[parity]
+        return u @ (a[tables[1]] * tables[2])
 
-    def dense_bar(self, values: np.ndarray) -> np.ndarray:
-        """The Real structure on dense numeric elements."""
-        return values.conj() * self._tables()[3]
+    def half_bar(self, half: np.ndarray, parity: int) -> np.ndarray:
+        """The Real structure on a half of the given parity."""
+        return half.conj() * self._half_tables()[parity][4]
 
     # -- constructors for elements -------------------------------------------------
 

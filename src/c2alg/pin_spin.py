@@ -7,7 +7,8 @@ refuses it when the multivector is built): a product of unit vectors times a uni
 phase (each factor is checked, and a product of factors with v v* = 1 needs
 no further check), or a raw homogeneous multivector whose unit condition
 g * star(g) = 1 is checked exactly. ``DensePin`` holds numeric data: a phase
-times real vectors, and their product as a read-only dense array. The
+times real vectors, and their product as a read-only parity half (the
+coefficients of the blades of its one parity; the other half is zero). The
 product of the vectors is real and is formed in float64; multiplying by the
 phase is the only complex step. The constructor measures the unit error
 once, by vector products alone, and nothing downstream repeats it; -g reuses
@@ -21,9 +22,9 @@ denominator, in a ``Multivector`` and in an ``OrthogonalAction`` alike, so
 the projection, the accumulated product of certificate factors, and the
 matrix product and orthogonality test run on Python ints; a Fraction is
 built only for a reader of ``OrthogonalAction.rows``. Numeric work runs on
-the dense arrays: the rows e_i g and g e_k are gathered from the
+the parity halves: the rows e_i g and g e_k are gathered from the
 per-generator tables of the algebra, every numeric product is by a vector
-(``CliffordAlgebra.dense_mul_vector``, O(n 2^n)), and a numeric rho is an
+(``CliffordAlgebra.half_mul_vector``, O(n 2^(n-1))), and a numeric rho is an
 ndarray.
 """
 
@@ -80,12 +81,13 @@ class PinElement:
     def from_factors(algebra: CliffordAlgebra, vectors, phase=1) -> "PinElement":
         """Product of exact unit grade-1 vectors times an exact unit complex scalar.
 
-        Every factor must be real with v^2 = 1. A factor without weight on a
-        negative-square generator also has v v* = 1, so a product of such
-        factors times a phase with re^2 + im^2 = 1 is exactly unit and is
-        trusted without a product check; any other product is checked as a
-        whole. The phase is read straight into numerators, and the factors'
-        stored numerators are multiplied on integers
+        Every factor must be a real element of ``algebra`` with v^2 = 1; a
+        factor of another algebra is refused before any product. A factor
+        without weight on a negative-square generator also has v v* = 1, so a
+        product of such factors times a phase with re^2 + im^2 = 1 is exactly
+        unit and is trusted without a product check; any other product is
+        checked as a whole. The phase is read straight into numerators, and
+        the factors' stored numerators are multiplied on integers
         (``clifford.integer_product``) and normalised once at the end.
         """
         if type(phase) is int:
@@ -99,6 +101,10 @@ class PinElement:
         square_of = {1 << i: s for i, s in enumerate(algebra.squares)}  # grade-1 masks only
         trusted = True
         vectors = [v if isinstance(v, Multivector) else algebra.vector(v) for v in vectors]
+        for v in vectors:  # every factor's algebra before any product
+            if v.algebra is not algebra:
+                raise ValueError(f"signature mismatch: a certificate factor of "
+                                 f"{v.algebra.label} for {algebra.label}")
         for v in vectors:
             # one pass over the terms: unit vectors live in the real span of the
             # generators, and v * v is the scalar sum of squares[i] c_i^2 (cross
@@ -220,17 +226,22 @@ class DensePin:
     of shape (n,), read as one array (the rows of the read-only ``vectors``),
     and a complex ``phase``; the parity is m mod 2. It multiplies the vectors
     out by vector products in real arithmetic, from the real scalar 1, and
-    only then by the phase, the one complex step, into ``values``: a read-only
-    complex array of length 2^n indexed by blade mask. It measures
-    ``unit_error``, the max-norm of g * star(g) - 1, on the real product in
-    O(m n 2^n): star(g) = conj(phase) star(u_m) ... star(u_1), and star(u) is
-    u with ``algebra.star_signs`` applied (u itself, with no multiply, when
+    only then by the phase, the one complex step, into ``half``: a read-only
+    complex array of length 2^(n-1) (1 when n = 0) holding the blades of the
+    element's parity, blade m at index m >> 1; the blades of the other parity
+    are identically zero and are not stored. ``values``, the read-only full
+    array of length 2^n indexed by blade mask, is built from it on first
+    read. The constructor measures ``unit_error``, the max-norm of
+    g * star(g) - 1, on the real product in O(m n 2^(n-1)):
+    star(g) = conj(phase) star(u_m) ... star(u_1), and star(u) is u with
+    ``algebra.star_signs`` applied (u itself, with no multiply, when
     ``algebra.star_neg_mask`` is 0). An error above 100 * max(tol, 1e-9), or
-    NaN, is refused. ``-g`` negates the phase and the values and shares the
+    NaN, is refused. ``-g`` negates the phase and the half and shares the
     rest. ``meta`` holds report data only.
     """
 
-    __slots__ = ("algebra", "vectors", "phase", "values", "parity", "unit_error", "meta")
+    __slots__ = ("algebra", "vectors", "phase", "half", "parity", "unit_error", "meta",
+                 "_values")
 
     def __init__(self, algebra: CliffordAlgebra, vectors, phase=1, *, meta=None):
         n = algebra.dim
@@ -245,40 +256,57 @@ class DensePin:
                              f"is a finite real array of shape ({n},)")
         factors = factors.astype(float, copy=False).reshape(len(factors), n)
         phase = complex(phase)
-        product = np.zeros(1 << n)
+        # the scalar 1 as an even half (of length 1 when n = 0); each vector
+        # product flips the parity
+        product = np.zeros((1 << n) >> 1 or 1)
         product[0] = 1.0
+        parity = 0
         for u in factors:
-            product = algebra.dense_mul_vector(product, u)
+            product = algebra.half_mul_vector(product, u, parity)
+            parity ^= 1
         # the phase is central, so it adds only |phase|^2 to g * star(g)
         unit = product * abs(phase) ** 2
         stars = factors[::-1]
         if algebra.star_neg_mask:
             stars = stars * np.array(algebra.star_signs, dtype=float)
         for u in stars:
-            unit = algebra.dense_mul_vector(unit, u)
-        unit[0] -= 1.0
+            unit = algebra.half_mul_vector(unit, u, parity)
+            parity ^= 1
+        unit[0] -= 1.0  # the scalar blade, at the head of the even half
         unit_error = float(np.abs(unit).max())
         if not unit_error <= max(default_tol(), 1e-9) * 100:
             raise ValueError("Pin element must satisfy g * star(g) = 1 within tolerance")
-        values = phase * product
-        values.flags.writeable = False
+        half = phase * product
+        half.flags.writeable = False
         factors.flags.writeable = False
         self.algebra = algebra
         self.vectors = factors
         self.phase = phase
-        self.values = values
+        self.half = half
         self.parity = len(factors) & 1
         self.unit_error = unit_error
         self.meta = meta or {}
+        self._values = None
+
+    @property
+    def values(self) -> np.ndarray:
+        """The read-only full array of length 2^n; the blades of the other parity are 0."""
+        if self._values is None:
+            values = np.zeros(1 << self.algebra.dim, dtype=complex)
+            values[self.algebra._half_tables()[self.parity][0]] = self.half
+            values.flags.writeable = False
+            self._values = values
+        return self._values
 
     def __neg__(self) -> "DensePin":
         """-g, with no product: -1 is central and |-phase| = |phase|, so the
         factors, the parity and the measured unit error carry over."""
         neg = copy.copy(self)
         neg.phase = -self.phase
-        neg.values = -self.values
-        neg.values.flags.writeable = False
+        neg.half = -self.half
+        neg.half.flags.writeable = False
         neg.meta = dict(self.meta)
+        neg._values = None
         return neg
 
 
@@ -353,8 +381,8 @@ def _twisted_adjoint_numeric(g: DensePin) -> np.ndarray:
     when g was built.
     """
     tol = default_tol()
-    perm, right, left = g.algebra._generator_tables()
-    rows = g.values[perm]
+    perm, right, left = g.algebra._half_tables()[g.parity][1:4]
+    rows = g.half[perm]
     A = rows * left
     B = rows * right
     if g.parity == ODD:
@@ -396,7 +424,10 @@ def is_fixed_spinc(g: PinElement | DensePin) -> bool:
 def _bar_gap(g: DensePin, conj_lift: DensePin | None = None) -> float:
     """max|c - bar(g)| over the blades, with c = conj_lift or g itself; NaN propagates."""
     c = g if conj_lift is None else conj_lift
-    return float(np.abs(c.values - g.algebra.dense_bar(g.values)).max())
+    bar = g.algebra.half_bar(g.half, g.parity)
+    if c.parity != g.parity:  # disjoint supports; bar keeps every magnitude
+        return float(np.abs(np.concatenate((c.half, bar))).max())
+    return float(np.abs(c.half - bar).max())
 
 
 # -- Spin lift of special orthogonal matrices ---------------------------------------
@@ -446,21 +477,24 @@ def householder_factors(R: np.ndarray) -> list[np.ndarray]:
     return factors
 
 
-def _normalize_sign(values: np.ndarray, tol: float) -> int:
-    """Sign that makes the lexicographically smallest blade above tol positive.
+def _normalize_sign(g: DensePin, tol: float) -> int:
+    """Sign that makes the lexicographically smallest blade of g above tol positive.
 
-    Blades compare as their index words; the empty word comes first, so a
-    scalar part above tol is the lead and no scan is needed. A lead with
-    zero real part (within tol) is made positive imaginary.
+    Blades compare as their index words; the empty word comes first and e1
+    comes first among the odd blades, so the head of the half, if above tol,
+    is the lead and no scan is needed. A lead with zero real part (within
+    tol) is made positive imaginary.
     """
-    if abs(values[0]) > tol:
+    half = g.half
+    if abs(half[0]) > tol:  # the scalar blade, or e1 in an odd half: the first word of either
         lead = 0
     else:
-        support = np.flatnonzero(np.abs(values) > tol).tolist()
+        masks = g.algebra._half_tables()[g.parity][0]
+        support = masks[np.flatnonzero(np.abs(half) > tol)].tolist()
         if not support:
             return 1
-        lead = min(support, key=lambda m: [i for i in range(m.bit_length()) if m >> i & 1])
-    c = complex(values[lead])
+        lead = min(support, key=lambda m: [i for i in range(m.bit_length()) if m >> i & 1]) >> 1
+    c = complex(half[lead])
     return -1 if c.real < -tol or (abs(c.real) <= tol and c.imag < 0) else 1
 
 
@@ -476,7 +510,7 @@ def spin_lift(R) -> DensePin:
     """
     factors = householder_factors(R)
     g = DensePin(ccl(len(R), 0), factors, meta={"reflections": len(factors)})
-    return -g if _normalize_sign(g.values, default_tol()) < 0 else g
+    return -g if _normalize_sign(g, default_tol()) < 0 else g
 
 
 def rho_residual(g: DensePin, R) -> float:

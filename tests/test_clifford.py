@@ -63,8 +63,20 @@ def _coords(v) -> np.ndarray:
     return v.to_dense()[1 << np.arange(v.algebra.dim)]
 
 
+def _half(full: np.ndarray, parity: int) -> np.ndarray:
+    """The entries of a full dense array on the blades of one parity, in mask order."""
+    return full[[m for m in range(len(full)) if m.bit_count() & 1 == parity]]
+
+
+def _full(half: np.ndarray, parity: int, n: int) -> np.ndarray:
+    """The full dense array of length 2^n whose half of the given parity is ``half``."""
+    full = np.zeros(1 << n, dtype=half.dtype)
+    full[[m for m in range(1 << n) if m.bit_count() & 1 == parity]] = half
+    return full
+
+
 class TestDenseKernel:
-    """The dense product by a vector and the dense bar, against exact elements as reference."""
+    """The half product by a vector and the half bar, against exact elements as reference."""
 
     @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=lambda a: a.label)
     def test_numeric_product_matches_exact(self, alg):
@@ -73,8 +85,11 @@ class TestDenseKernel:
             # sparse and dense left operands; Gaussian-rational vector coefficients
             x = rand_multivector(rng, alg, rng.choice([1, 3, 1 << alg.dim]))
             v = alg.vector([rand_coeff(rng) for _ in range(alg.dim)])
-            product = alg.dense_mul_vector(x.to_dense(), _coords(v))
-            assert np.max(np.abs(product - (x * v).to_dense())) <= 1e-12
+            expected = (x * v).to_dense()
+            # the half of parity p of x times v is the half of parity 1 - p of x * v
+            for p in (0, 1):
+                product = alg.half_mul_vector(_half(x.to_dense(), p), _coords(v), p)
+                assert np.max(np.abs(product - _half(expected, 1 - p))) <= 1e-12
 
     @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=lambda a: a.label)
     def test_batched_rows_and_star(self, alg):
@@ -82,21 +97,76 @@ class TestDenseKernel:
         rng = _rng(32, alg.label)
         vectors = [rational_unit_vector(rng, alg) for _ in range(3)]
         for x in [rand_multivector(rng, alg, k) for k in (1, 4, 1 << alg.dim)]:
-            exact, dense = x, x.to_dense()
+            exact, halves = x, [_half(x.to_dense(), p) for p in (0, 1)]
             for v in vectors:
-                exact, dense = exact * v, alg.dense_mul_vector(dense, _coords(v))
-                assert np.max(np.abs(dense - exact.to_dense())) <= 1e-12
-            assert np.max(np.abs(alg.dense_bar(x.to_dense()) - x.bar().to_dense())) <= 1e-15
+                exact = exact * v
+                halves = [alg.half_mul_vector(halves[1 - p], _coords(v), 1 - p) for p in (0, 1)]
+                for p in (0, 1):
+                    assert np.max(np.abs(halves[p] - _half(exact.to_dense(), p))) <= 1e-12
+            for p in (0, 1):
+                bar = alg.half_bar(_half(x.to_dense(), p), p)
+                assert np.max(np.abs(bar - _half(x.bar().to_dense(), p))) <= 1e-15
 
     def test_dense_kernel_propagates_nan(self):
         # a NaN coefficient reaches the product and bar, so a residual over them is NaN
         alg = ccl(2, 0)
-        nan = np.array([math.nan, 2.0, 0.0, 0.0], dtype=complex)  # NaN + 2 e1
-        e1 = alg.generator(1).to_dense()
-        for out in (alg.dense_mul_vector(nan, np.array([1.0, 0.0])),
-                    alg.dense_mul_vector(e1, np.array([math.nan, 0.0])),
-                    alg.dense_bar(nan)):
+        nan = np.array([math.nan, 0.0], dtype=complex)  # NaN, as the even half (masks 0, 3)
+        e1 = np.array([1.0, 0.0], dtype=complex)  # e1, as the odd half (masks 1, 2)
+        for out in (alg.half_mul_vector(nan, np.array([1.0, 0.0]), 0),
+                    alg.half_mul_vector(e1, np.array([math.nan, 0.0]), 1),
+                    alg.half_bar(nan, 0)):
             assert math.isnan(np.max(np.abs(out - e1)))
+
+
+HALF_ORACLE_ALGEBRAS = ([ccl(0, 0), ccl(1, 0), ccl(0, 1), kasparov(0, 1), kasparov(1, 0)]
+                        + [ccl(p, q) for p, q in ((2, 1), (0, 3), (4, 2), (5, 3), (0, 8))]
+                        + [kasparov(p, q) for p, q in ((1, 1), (2, 2), (0, 5), (3, 5), (4, 4))]
+                        + [ccl_interleaved(n) for n in (1, 2, 3, 4)])
+
+
+class TestHalfKernelOracle:
+    """Each table of the half kernel against the exact ``Multivector`` product.
+
+    Every blade of each parity is an operand, so each entry of ``masks``,
+    ``perm``, ``right``, ``left`` and ``bar`` is checked, for n = 0 and 1,
+    negative squares, star signs and the interleaved bar, up to 8 generators.
+    """
+
+    @pytest.mark.parametrize("alg", HALF_ORACLE_ALGEBRAS, ids=lambda a: a.label)
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_tables_against_exact_products(self, alg, parity):
+        n = alg.dim
+        masks, perm, right, left, bar = alg._half_tables()[parity]
+        blades = [m for m in range(1 << n) if m.bit_count() & 1 == parity]
+        assert masks.tolist() == blades and [m >> 1 for m in blades] == list(range(len(blades)))
+        assert perm.shape == right.shape == left.shape == (n, (1 << n) - len(blades))
+        for i in range(n):
+            e_i = alg.generator(i + 1)
+            # a half with one blade set is read back through each table entry
+            for j, m in enumerate(blades):
+                a = np.zeros(len(blades))
+                a[j] = 1.0
+                blade = alg.from_terms({m: 1})
+                assert np.array_equal(_full(a[perm[i]] * right[i], 1 - parity, n),
+                                      (blade * e_i).to_dense().real)
+                assert np.array_equal(_full(a[perm[i]] * left[i], 1 - parity, n),
+                                      (e_i * blade).to_dense().real)
+        for j, m in enumerate(blades):
+            assert bar[j] == alg.from_terms({m: 1}).bar().coeff(m).re
+
+    @pytest.mark.parametrize("alg", HALF_ORACLE_ALGEBRAS, ids=lambda a: a.label)
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_product_by_a_vector(self, alg, parity):
+        rng = _rng(33, f"{alg.label}:{parity}")
+        blades = [m for m in range(1 << alg.dim) if m.bit_count() & 1 == parity]
+        for _ in range(4):
+            x = alg.from_terms({m: rand_coeff(rng) for m in blades if rng.random() < 0.7})
+            v = alg.vector([rand_coeff(rng) for _ in range(alg.dim)])
+            product = alg.half_mul_vector(_half(x.to_dense(), parity), _coords(v), parity)
+            assert product.shape == (len(_half(x.to_dense(), 1 - parity)),)
+            assert np.max(np.abs(product - _half((x * v).to_dense(), 1 - parity)),
+                          initial=0.0) <= 1e-12
+            assert not np.any(_half((x * v).to_dense(), parity))
 
 
 def _swap_count_sign(alg, m1, m2):

@@ -133,8 +133,8 @@ class TestMultivectorProduct:
 
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.label)
     def test_exact_times_numeric_takes_dense_path(self, alg, monkeypatch):
-        # numeric data is a dense array: an exact element times a vector in
-        # floats is a dense_mul_vector call and never reaches the integer kernel
+        # numeric data is a parity half: an exact element times a vector in
+        # floats is a half_mul_vector call per half and never reaches the integer kernel
         rng = random.Random(f"dense:{alg.label}")
         x = rand_element(rng, alg)
         v = alg.vector([GaussianRational(rand_rational(rng), rand_rational(rng))
@@ -145,8 +145,14 @@ class TestMultivectorProduct:
             raise AssertionError("numeric operand reached the integer kernel")
 
         monkeypatch.setattr(clifford, "integer_product", refuse)
-        product = alg.dense_mul_vector(x.to_dense(), v.to_dense()[1 << np.arange(alg.dim)])
-        assert max(abs(complex(exact.get(m, 0)) - c) for m, c in enumerate(product)) < 1e-12
+        coords = v.to_dense()[1 << np.arange(alg.dim)]
+        halves = [[m for m in range(1 << alg.dim) if m.bit_count() & 1 == p] for p in (0, 1)]
+        for p in (0, 1):
+            # the half of parity p of x times v is the half of parity 1 - p of x * v
+            product = alg.half_mul_vector(x.to_dense()[halves[p]], coords, p)
+            assert len(product) == len(halves[1 - p])
+            assert max(abs(complex(exact.get(m, 0)) - c)
+                       for m, c in zip(halves[1 - p], product)) < 1e-12
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -255,8 +261,11 @@ class TestTensorProduct:
                             for _ in range(alg.dim)])
             expected = spec.split(x * v).to_dense()
             coords = spec.split(v).to_dense()[1 << np.arange(alg.dim)]
-            product = spec.joined.dense_mul_vector(spec.split(x).to_dense(), coords)
-            assert np.max(np.abs(product - expected)) < 1e-12
+            for p in (0, 1):
+                half = [m for m in range(1 << alg.dim) if m.bit_count() & 1 == p]
+                other = [m for m in range(1 << alg.dim) if m.bit_count() & 1 != p]
+                product = spec.joined.half_mul_vector(spec.split(x).to_dense()[half], coords, p)
+                assert np.max(np.abs(product - expected[other])) < 1e-12
 
 
 class TestFromFactors:

@@ -7,6 +7,7 @@ import pytest
 
 from c2alg.clifford import CliffordAlgebra, Multivector, ccl, ccl_interleaved, kasparov
 from c2alg.funcalc import alpha_conjugation_check
+from c2alg import pin_spin
 from c2alg.linalg import realify, unitary_eigh
 from c2alg.pin_spin import (DensePin, PinElement, _twisted_adjoint_numeric,
                             check_rho_real_equivariance, householder_factors,
@@ -135,6 +136,26 @@ class TestPinElement:
             PinElement.from_factors(alg, [[0.6, 0.8], alg.scalar(1)], 2)
 
 
+    @pytest.mark.parametrize("target, factor", [
+        (ccl(2, 0), kasparov(1, 1).generator(1)),
+        (ccl(3, 0), ccl(1, 0).generator(1)),
+    ], ids=["kasparov(1,1)-in-ccl(2,0)", "ccl(1,0)-in-ccl(3,0)"])
+    def test_certificate_refuses_a_factor_of_another_algebra(self, target, factor,
+                                                             monkeypatch):
+        # the grade-1 mask of the factor is also one of the target's, so only
+        # its algebra tells it apart; it is refused before any product is taken
+        def refuse(*args):
+            raise AssertionError("a product was taken before the factor was refused")
+
+        monkeypatch.setattr(pin_spin, "integer_product", refuse)
+        for factors in ([factor], [target.generator(1), factor]):
+            with pytest.raises(ValueError) as info:
+                PinElement.from_factors(target, factors)
+            message = str(info.value)
+            assert message == (f"signature mismatch: a certificate factor of "
+                               f"{factor.algebra.label} for {target.label}")
+            assert "\n" not in message
+
     def test_exact_only_operations_refuse_a_dense_pin(self):
         g = spin_lift(np.eye(2))
         x = g.algebra.generator(1)
@@ -151,12 +172,30 @@ class TestDensePin:
         source = np.array([1.0, 0.0])
         g = DensePin(alg, [source])
         source[0] = 2.0
-        assert g.vectors[0][0] == 1.0 and g.values[1] == 1.0
-        for array in (g.values, g.vectors[0]):
+        assert g.vectors[0][0] == 1.0 and g.values[1] == 1.0 and g.half[0] == 1.0
+        for array in (g.values, g.half, g.vectors[0]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 2.0
         assert unit_residual(g) == g.unit_error == 0.0
         assert g.phase == 1 and g.meta == {}
+
+    @pytest.mark.parametrize("alg", [ccl(0, 0), ccl(1, 0), ccl(3, 2), kasparov(0, 3),
+                                     ccl_interleaved(2)], ids=lambda a: a.label)
+    def test_half_holds_the_one_parity(self, alg):
+        rng = np.random.default_rng(alg.dim)
+        n = alg.dim
+        for m in range(4 if n else 1):  # no unit vector in n = 0
+            vectors = [u / np.linalg.norm(u) for u in rng.standard_normal((m, n))]
+            g = DensePin(alg, vectors, np.exp(0.3j))
+            same = [k for k in range(1 << n) if k.bit_count() % 2 == g.parity]
+            other = [k for k in range(1 << n) if k.bit_count() % 2 != g.parity]
+            # the other parity is exactly 0, and the half is the rest in mask order
+            assert g.values.shape == (1 << n,) and np.all(g.values[other] == 0)
+            assert np.array_equal(g.values[same], g.half)
+            h = -g
+            assert h.vectors is g.vectors and np.array_equal(h.values, -g.values)
+            for array in (g.values, g.half, g.vectors, h.values, h.half):
+                assert not array.flags.writeable
 
     def test_shape_checked(self):
         alg = ccl(2, 0)
@@ -196,12 +235,13 @@ class TestDensePin:
         g = DensePin(ccl(3, 0), [[s, s, 0.0], [0.0, 0.6, 0.8]], 0.6 + 0.8j, meta={"k": 1})
         h = -g
         assert h.phase == -g.phase
-        assert np.array_equal(h.values, -g.values)
+        assert np.array_equal(h.values, -g.values) and np.array_equal(h.half, -g.half)
         assert h.vectors is g.vectors
         assert h.parity == g.parity and h.unit_error == g.unit_error
         assert h.meta == g.meta and h.algebra is g.algebra
-        with pytest.raises(ValueError, match="read-only"):
-            h.values[0] = 2.0
+        for array in (h.values, h.half):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
 
     def test_wrong_target_shape_refused(self):
         g = spin_lift(np.eye(3))
@@ -253,7 +293,8 @@ class TestTwistedAdjoint:
                 c, s = (1 - k * k) / (1 + k * k), 2 * k / (1 + k * k)
                 value = alg.scalar(c) + alg.blade([1, 2, 3, 4]).scale(GaussianRational(0, s))
                 assert value * value.star() == 1
-                g = SimpleNamespace(algebra=alg, values=value.to_dense(), parity=0)
+                even = [m for m in range(1 << alg.dim) if m.bit_count() % 2 == 0]
+                g = SimpleNamespace(algebra=alg, half=value.to_dense()[even], parity=0)
                 with pytest.raises(ValueError, match="does not preserve grade 1"):
                     _twisted_adjoint_numeric(g)
 
@@ -521,13 +562,13 @@ class TestVectorProductsOnly:
     @pytest.fixture
     def vector_products(self, monkeypatch):
         calls = []
-        original = CliffordAlgebra.dense_mul_vector
+        original = CliffordAlgebra.half_mul_vector
 
-        def counting(self, a, u):
+        def counting(self, a, u, parity):
             calls.append(self.dim)
-            return original(self, a, u)
+            return original(self, a, u, parity)
 
-        monkeypatch.setattr(CliffordAlgebra, "dense_mul_vector", counting)
+        monkeypatch.setattr(CliffordAlgebra, "half_mul_vector", counting)
         return calls
 
     @pytest.mark.parametrize("n", [4, 9])
@@ -726,16 +767,26 @@ class TestLiftResiduals:
         assert list(res) == ["rho", "unit", "real_equivariance"]
         assert res["rho"] == rho_residual(g, R) and res["unit"] == unit_residual(g)
         # conj_lift=None measures g against its own bar: a spin lift is bar-fixed
-        assert res["real_equivariance"] == _dist(g.values, g.algebra.dense_bar(g.values))
+        assert res["real_equivariance"] == _dist(g.half, g.algebra.half_bar(g.half, g.parity))
         assert lift_residuals(g, R, g) == res
         assert max(res.values()) <= 1e-9
+
+    def test_conj_lift_of_the_other_parity(self):
+        # disjoint supports: the gap is the larger of |c| and |bar(g)| over the blades
+        alg = ccl(2, 1)
+        g = DensePin(alg, [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]], np.exp(0.7j))
+        c = DensePin(alg, [[0.0, 0.6, 0.8]])
+        signs = np.array([alg.from_terms({m: 1}).bar().coeff(m).re for m in range(8)],
+                         dtype=float)
+        res = lift_residuals(g, twisted_adjoint(g), c)
+        assert res["real_equivariance"] == _dist(c.values, g.values.conj() * signs) == 0.8
 
     def test_conj_lift_is_compared_with_the_bar_of_g(self):
         U = random_unitary(np.random.default_rng(4), 3)
         g, c = phi_lift(U), phi_lift(np.conj(U))
         res = lift_residuals(g, realify(U), c)
         assert list(res) == ["rho", "unit", "real_equivariance"]
-        assert res["real_equivariance"] == _dist(c.values, g.algebra.dense_bar(g.values))
+        assert res["real_equivariance"] == _dist(c.half, g.algebra.half_bar(g.half, g.parity))
         # without the conjugate lift, phi(U) of a non-real U is not bar-fixed
         assert lift_residuals(g, realify(U))["real_equivariance"] > 1e-3
 
