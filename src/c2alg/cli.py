@@ -175,10 +175,11 @@ def _format_float_coeff(c: complex) -> str:
 
 
 def _lift_report(command: str, matrix, element, residuals: dict) -> dict:
-    """Report of a ``DensePin`` lift; every nonzero entry of its array is a term.
+    """Report of a ``DensePin`` lift; every nonzero entry of its half is a term.
 
-    ``terms`` lists (mask, [re, im]) by mask; ``expression`` writes the
-    same entries through ``format_terms``, with float ``repr`` coefficients.
+    ``terms`` lists (mask, [re, im]) by mask, read from ``half`` and its
+    ``masks``; ``expression`` writes the same entries through
+    ``format_terms``, with float ``repr`` coefficients.
     """
     import numpy as np
 
@@ -186,8 +187,9 @@ def _lift_report(command: str, matrix, element, residuals: dict) -> dict:
     from .linalg import matrix_to_json
 
     tol = default_tol()
-    support = np.flatnonzero(element.values).tolist()
-    coeffs = element.values[support].tolist()
+    nonzero = np.flatnonzero(element.half)
+    support = element.masks[nonzero].tolist()
+    coeffs = element.half[nonzero].tolist()
     return {
         "command": command,
         "inputs": {"matrix": matrix_to_json(matrix)},
@@ -310,7 +312,7 @@ _HANDLERS = {
 _DASH_VALUE_OPTIONS = {"--genus", "--a", "--b"}
 
 
-def _merge_dash_values(argv):
+def _merge_dash_arguments(argv):
     """Join option values that begin with '-' (e.g. --genus -1/8) using '='."""
     out = []
     i = 0
@@ -333,7 +335,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(_merge_dash_values(list(argv)))
+        args = parser.parse_args(_merge_dash_arguments(list(argv)))
         with _user_input():
             default_tol()
         return _HANDLERS[args.command](args)

@@ -11,11 +11,13 @@ product runs the sparse loop over term pairs on Python ints
 comparisons touch no Fraction. A GaussianRational is built only at the
 edges: parsing, ``coeff``, formatting and serialisation. Numeric data is not
 a ``Multivector`` but a parity half: the coefficients of the blades of one
-parity, a complex array of length 2^(n-1) in which blade m sits at m >> 1
-(``Multivector.to_dense`` gives the full array of length 2^n). Its one
-product is by a vector (``CliffordAlgebra.half_mul_vector``), from a half of
-parity p to a half of parity 1 - p, and ``half_bar`` is its Real structure.
-These methods import numpy where they run, so exact work never loads it.
+parity, a complex array of length 2^(n-1) in which blade m sits at m >> 1,
+named in increasing order by read-only per-parity tables; no numeric array
+of length 2^n is kept (``Multivector.to_dense``, the exact reference, gives
+one). Its one product is by a vector (``CliffordAlgebra.half_mul_vector``),
+from a half of parity p to a half of parity 1 - p, and ``half_bar`` is its
+Real structure. These methods import numpy where they run, so exact work
+never loads it.
 Both modes serve the complexified Clifford algebras CCl(p,q) (all
 generators square to +1, Real structure fixes the first p generators and
 negates the last q), the Kasparov-style presentation C_{p,q} (last q
@@ -96,7 +98,6 @@ class CliffordAlgebra:
         self.star_signs = tuple(star_signs)
         self.label = label
         self.convention = convention
-        self._dense_tables = None
         self._dense_halves = None
         # masks of generators that pick up a sign under the listed structure
         self.neg_square_mask = sum(1 << i for i, s in enumerate(self.squares) if s < 0)
@@ -123,27 +124,8 @@ class CliffordAlgebra:
 
     # -- dense numeric kernel ------------------------------------------------------
 
-    def _tables(self):
-        """(index, parity, flip, bar_sign) arrays of length 2^n, built on first use.
-
-        For a fixed right blade m2 the sign of the blade product m1 * m2 is
-        linear in m1 over GF(2): it is parity[m1 & flip[m2]] (see ``flip``).
-        """
-        if self._dense_tables is None:
-            import numpy as np
-
-            index = np.arange(1 << self.dim)
-            grade = np.zeros(1, dtype=np.int64)
-            for _ in range(self.dim):
-                grade = np.concatenate((grade, grade + 1))
-            flip = self.flip(index) & index[-1]  # bits at or above n carry no sign
-            parity = 1.0 - 2.0 * (grade & 1)
-            bar_sign = parity[index & self.bar_neg_mask]
-            self._dense_tables = (index, parity, flip, bar_sign)
-        return self._dense_tables
-
     def _half_tables(self):
-        """The tables of the even and of the odd half, built together on first use.
+        """The read-only tables of the even and of the odd half, built together on first use.
 
         The tables of parity p are (masks, perm, right, left, bar). ``masks``
         lists the blades of parity p in increasing order; bit 0 of each
@@ -152,26 +134,35 @@ class CliffordAlgebra:
         the coefficients of a * e_i are a[perm[i]] * right[i] and those of
         e_i * a are a[perm[i]] * left[i]. ``bar`` is the Real-structure sign
         of each blade of ``masks``. A chain of vector products reads both,
-        one parity after the other.
+        one parity after the other. Every sign is (-1)^popcount of a mask
+        (see ``flip``), read from one +-1 table indexed by mask.
         """
         if self._dense_halves is None:
             import numpy as np
 
-            index, parity, flip, bar_sign = self._tables()
             # the blades of each parity over generators 1..i+1, from those over 1..i
-            masks = [index[:1], index[:0]]
+            masks = [np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)]
             for i in range(self.dim):
                 masks = [np.concatenate((masks[0], masks[1] + (1 << i))),
                          np.concatenate((masks[1], masks[0] + (1 << i)))]
+            sign = np.empty(1 << self.dim)
+            sign[masks[0]] = 1.0
+            sign[masks[1]] = -1.0
             gens = 1 << np.arange(self.dim)[:, None]
+            # bit i of flip(m) is the parity of m's bits below i, toggled by m's
+            # bit i when e_i squares to -1
+            left_bits = (gens - 1) | (gens & self.neg_square_mask)
             # (m ^ e_i) >> 1 = (m >> 1) ^ (e_i >> 1) is where m ^ e_i sits
-            moves = np.array([(1 << i) >> 1 for i in range(self.dim)], dtype=index.dtype)
+            moves = gens >> 1
             tables = []
             for p in (0, 1):
                 source = masks[1 - p] ^ gens  # the blade of parity p behind each output entry
-                tables.append((masks[p], np.arange(len(masks[1 - p])) ^ moves[:, None],
-                               parity[source & flip[gens]], parity[gens & flip[source]],
-                               bar_sign[masks[p]]))
+                tables.append((masks[p], np.arange(len(masks[1 - p])) ^ moves,
+                               sign[source & self.flip(gens)], sign[source & left_bits],
+                               sign[masks[p] & self.bar_neg_mask]))
+            for table in tables:
+                for array in table:
+                    array.flags.writeable = False
             self._dense_halves = tables
         return self._dense_halves
 

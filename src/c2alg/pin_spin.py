@@ -8,7 +8,8 @@ phase (each factor is checked, and a product of factors with v v* = 1 needs
 no further check), or a raw homogeneous multivector whose unit condition
 g * star(g) = 1 is checked exactly. ``DensePin`` holds numeric data: a phase
 times real vectors, and their product as a read-only parity half (the
-coefficients of the blades of its one parity; the other half is zero). The
+coefficients of the blades of its one parity, named by ``DensePin.masks``;
+the other half is zero and is not stored). The
 product of the vectors is real and is formed in float64; multiplying by the
 phase is the only complex step. The constructor measures the unit error
 once, by vector products alone, and nothing downstream repeats it; -g reuses
@@ -229,9 +230,9 @@ class DensePin:
     only then by the phase, the one complex step, into ``half``: a read-only
     complex array of length 2^(n-1) (1 when n = 0) holding the blades of the
     element's parity, blade m at index m >> 1; the blades of the other parity
-    are identically zero and are not stored. ``values``, the read-only full
-    array of length 2^n indexed by blade mask, is built from it on first
-    read. The constructor measures ``unit_error``, the max-norm of
+    are identically zero and are not stored. ``masks``, a read-only table of
+    the algebra, lists the blade of each entry of ``half`` in increasing
+    order. The constructor measures ``unit_error``, the max-norm of
     g * star(g) - 1, on the real product in O(m n 2^(n-1)):
     star(g) = conj(phase) star(u_m) ... star(u_1), and star(u) is u with
     ``algebra.star_signs`` applied (u itself, with no multiply, when
@@ -240,8 +241,7 @@ class DensePin:
     rest. ``meta`` holds report data only.
     """
 
-    __slots__ = ("algebra", "vectors", "phase", "half", "parity", "unit_error", "meta",
-                 "_values")
+    __slots__ = ("algebra", "vectors", "phase", "half", "parity", "unit_error", "meta")
 
     def __init__(self, algebra: CliffordAlgebra, vectors, phase=1, *, meta=None):
         n = algebra.dim
@@ -286,17 +286,11 @@ class DensePin:
         self.parity = len(factors) & 1
         self.unit_error = unit_error
         self.meta = meta or {}
-        self._values = None
 
     @property
-    def values(self) -> np.ndarray:
-        """The read-only full array of length 2^n; the blades of the other parity are 0."""
-        if self._values is None:
-            values = np.zeros(1 << self.algebra.dim, dtype=complex)
-            values[self.algebra._half_tables()[self.parity][0]] = self.half
-            values.flags.writeable = False
-            self._values = values
-        return self._values
+    def masks(self) -> np.ndarray:
+        """The read-only increasing blade masks of the half: ``half[k]`` is blade ``masks[k]``."""
+        return self.algebra._half_tables()[self.parity][0]
 
     def __neg__(self) -> "DensePin":
         """-g, with no product: -1 is central and |-phase| = |phase|, so the
@@ -306,7 +300,6 @@ class DensePin:
         neg.half = -self.half
         neg.half.flags.writeable = False
         neg.meta = dict(self.meta)
-        neg._values = None
         return neg
 
 
@@ -422,8 +415,14 @@ def is_fixed_spinc(g: PinElement | DensePin) -> bool:
 
 
 def _bar_gap(g: DensePin, conj_lift: DensePin | None = None) -> float:
-    """max|c - bar(g)| over the blades, with c = conj_lift or g itself; NaN propagates."""
+    """max|c - bar(g)| over the blades, with c = conj_lift or g itself; NaN propagates.
+
+    A conj_lift of another algebra is refused before any arithmetic.
+    """
     c = g if conj_lift is None else conj_lift
+    if c.algebra is not g.algebra:
+        raise ValueError(f"signature mismatch: a conj lift in {c.algebra.label} "
+                         f"for a lift in {g.algebra.label}")
     bar = g.algebra.half_bar(g.half, g.parity)
     if c.parity != g.parity:  # disjoint supports; bar keeps every magnitude
         return float(np.abs(np.concatenate((c.half, bar))).max())
@@ -489,8 +488,7 @@ def _normalize_sign(g: DensePin, tol: float) -> int:
     if abs(half[0]) > tol:  # the scalar blade, or e1 in an odd half: the first word of either
         lead = 0
     else:
-        masks = g.algebra._half_tables()[g.parity][0]
-        support = masks[np.flatnonzero(np.abs(half) > tol)].tolist()
+        support = g.masks[np.flatnonzero(np.abs(half) > tol)].tolist()
         if not support:
             return 1
         lead = min(support, key=lambda m: [i for i in range(m.bit_length()) if m >> i & 1]) >> 1
@@ -533,13 +531,15 @@ def lift_residuals(g: DensePin, target, conj_lift: DensePin | None = None) -> di
     ``rho`` is ``rho_residual(g, target)``, ``unit`` is ``unit_residual(g)``
     and ``real_equivariance`` is max|c - bar(g)|, where c is ``conj_lift``
     (phi(conj U) for g = phi(U)) or, by default, g itself (a spin lift lands
-    in the bar-fixed part). Every caller passes a residual by
+    in the bar-fixed part); a conj_lift of another algebra is refused
+    before any residual is taken. Every caller passes a residual by
     ``<= default_tol()``, so a NaN fails.
     """
+    real_equivariance = _bar_gap(g, conj_lift)
     return {
         "rho": rho_residual(g, target),
         "unit": unit_residual(g),
-        "real_equivariance": _bar_gap(g, conj_lift),
+        "real_equivariance": real_equivariance,
     }
 
 

@@ -332,5 +332,5 @@ class TestMatrixReader:
             read = routine(_ROTATION.astype(complex))
         expected = routine(_ROTATION)
         if name == "spin_lift":
-            read, expected = read.values, expected.values
+            read, expected = read.half, expected.half
         assert np.array_equal(read, expected)

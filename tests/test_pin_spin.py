@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -32,8 +33,25 @@ def _floats(v: Multivector) -> np.ndarray:
 
 
 def _terms(g: DensePin) -> dict:
-    """Mask -> complex coefficient for every nonzero entry of the lift."""
-    return {m: g.values[m] for m in np.flatnonzero(g.values).tolist()}
+    """Mask -> complex coefficient for every nonzero entry of the lift's half."""
+    nonzero = np.flatnonzero(g.half)
+    return dict(zip(g.masks[nonzero].tolist(), g.half[nonzero]))
+
+
+def _half_dist(g: DensePin, expected: np.ndarray) -> float:
+    """Max-norm distance of g's half from a full array indexed by blade mask.
+
+    g has no blades of the other parity, so ``expected`` must be 0 on them.
+    """
+    assert not np.any(np.delete(expected, g.masks))
+    return _dist(g.half, expected[g.masks])
+
+
+def _scatter(g: DensePin) -> np.ndarray:
+    """Oracle: the full array of length 2^n indexed by blade mask, 0 off g's parity."""
+    values = np.zeros(1 << g.algebra.dim, dtype=complex)
+    values[g.masks] = g.half
+    return values
 
 
 class TestPinElement:
@@ -172,8 +190,8 @@ class TestDensePin:
         source = np.array([1.0, 0.0])
         g = DensePin(alg, [source])
         source[0] = 2.0
-        assert g.vectors[0][0] == 1.0 and g.values[1] == 1.0 and g.half[0] == 1.0
-        for array in (g.values, g.half, g.vectors[0]):
+        assert g.vectors[0][0] == 1.0 and g.masks[0] == 1 and g.half[0] == 1.0
+        for array in (g.masks, g.half, g.vectors[0]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 2.0
         assert unit_residual(g) == g.unit_error == 0.0
@@ -188,14 +206,24 @@ class TestDensePin:
             vectors = [u / np.linalg.norm(u) for u in rng.standard_normal((m, n))]
             g = DensePin(alg, vectors, np.exp(0.3j))
             same = [k for k in range(1 << n) if k.bit_count() % 2 == g.parity]
-            other = [k for k in range(1 << n) if k.bit_count() % 2 != g.parity]
-            # the other parity is exactly 0, and the half is the rest in mask order
-            assert g.values.shape == (1 << n,) and np.all(g.values[other] == 0)
-            assert np.array_equal(g.values[same], g.half)
+            # the half is the blades of g's parity in mask order, and nothing else is stored
+            assert g.masks.tolist() == same and g.half.shape == (len(same),)
+            assert not hasattr(g, "values")
             h = -g
-            assert h.vectors is g.vectors and np.array_equal(h.values, -g.values)
-            for array in (g.values, g.half, g.vectors, h.values, h.half):
+            assert h.vectors is g.vectors and h.masks is g.masks
+            assert np.array_equal(h.half, -g.half)
+            for array in (g.masks, g.half, g.vectors, h.half):
                 assert not array.flags.writeable
+
+    def test_masks_are_read_only_and_shared(self):
+        # ``masks`` hands out the algebra's table: a write is refused and no later lift moves
+        R = random_special_orthogonal(np.random.default_rng(12), 4)
+        g = spin_lift(R)
+        with pytest.raises(ValueError, match="read-only"):
+            g.masks[1] = 0
+        h = spin_lift(R)
+        assert h.masks is g.masks and h.masks.tolist() == [0, 3, 5, 6, 9, 10, 12, 15]
+        assert np.array_equal(h.half, g.half) and rho_residual(h, R) <= 1e-12
 
     def test_shape_checked(self):
         alg = ccl(2, 0)
@@ -235,11 +263,11 @@ class TestDensePin:
         g = DensePin(ccl(3, 0), [[s, s, 0.0], [0.0, 0.6, 0.8]], 0.6 + 0.8j, meta={"k": 1})
         h = -g
         assert h.phase == -g.phase
-        assert np.array_equal(h.values, -g.values) and np.array_equal(h.half, -g.half)
+        assert np.array_equal(h.half, -g.half) and h.masks is g.masks
         assert h.vectors is g.vectors
         assert h.parity == g.parity and h.unit_error == g.unit_error
         assert h.meta == g.meta and h.algebra is g.algebra
-        for array in (h.values, h.half):
+        for array in (h.masks, h.half):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 2.0
 
@@ -462,7 +490,7 @@ class TestRhoRealEquivariance:
 class TestSpinLift:
     def test_identity(self):
         g = spin_lift(np.eye(3))
-        assert _dist(g.values, ccl(3, 0).scalar(1).to_dense()) < 1e-12
+        assert g.parity == 0 and _half_dist(g, ccl(3, 0).scalar(1).to_dense()) < 1e-12
 
     def test_quarter_turn(self):
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -470,15 +498,16 @@ class TestSpinLift:
         alg = ccl(2, 0)
         s = 1 / math.sqrt(2)
         expected = s * (alg.scalar(1) - alg.blade([1, 2])).to_dense()
-        assert min(_dist(g.values, expected), _dist(g.values, -expected)) < 1e-12
+        assert g.parity == 0
+        assert min(_half_dist(g, expected), _half_dist(g, -expected)) < 1e-12
         assert rho_residual(g, R) < 1e-12
 
     def test_deterministic_branch(self):
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
-        a = spin_lift(R).values
-        b = spin_lift(R).values
-        assert np.max(np.abs(a - b)) == 0.0
-        lead = a[0]
+        a, b = spin_lift(R), spin_lift(R)
+        assert a.parity == b.parity == 0
+        assert np.max(np.abs(a.half - b.half)) == 0.0
+        lead = a.half[0]  # the scalar blade
         assert lead.real > 0
 
     def test_determinant_minus_one_rejected(self):
@@ -531,7 +560,8 @@ class TestSpinLift:
         g = spin_lift(R)
         assert rho_residual(g, R) < 1e-12
         expected = ccl(3, 0).blade([1, 2]).to_dense()
-        assert min(_dist(g.values, expected), _dist(g.values, -expected)) < 1e-12
+        assert g.parity == 0
+        assert min(_half_dist(g, expected), _half_dist(g, -expected)) < 1e-12
 
     def test_minus_identity_in_four_dimensions(self):
         R = -np.eye(4)
@@ -658,7 +688,9 @@ class TestPhiFactors:
     @pytest.mark.parametrize("U", _phi_fixtures())
     def test_matches_the_conjugated_rotors(self, U):
         g = phi_lift(U)
-        assert np.max(np.abs(g.values - _conjugated_rotor_lift(U).values)) <= 1e-14
+        h = _conjugated_rotor_lift(U)
+        assert g.parity == h.parity == 0
+        assert np.max(np.abs(g.half - h.half)) <= 1e-14
 
     @pytest.mark.parametrize("U", _phi_fixtures())
     def test_two_factors_per_rotor(self, U):
@@ -671,7 +703,7 @@ class TestPhiFactors:
 class TestPhiLift:
     def test_identity(self):
         g = phi_lift(np.eye(2))
-        assert _dist(g.values, ccl_interleaved(2).scalar(1).to_dense()) < 1e-12
+        assert g.parity == 0 and _half_dist(g, ccl_interleaved(2).scalar(1).to_dense()) < 1e-12
 
     def test_multiplication_by_i(self):
         U = np.array([[1j]])
@@ -682,19 +714,20 @@ class TestPhiLift:
         s = 1 / math.sqrt(2)
         phase = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
         expected = phase * s * (alg.scalar(1) - alg.blade([1, 2])).to_dense()
-        assert _dist(g.values, expected) < 1e-12
+        assert g.parity == 0 and _half_dist(g, expected) < 1e-12
 
     def test_homomorphism(self):
         nrng = np.random.default_rng(5)
         for n in (1, 2, 3):
             U = random_unitary(nrng, n)
             V = random_unitary(nrng, n)
-            lhs = phi_lift(U @ V).values
+            lhs = phi_lift(U @ V)
             # phi(U) phi(V) as the product of the factors of both lifts
             phi_u, phi_v = phi_lift(U), phi_lift(V)
             rhs = DensePin(ccl_interleaved(n), [*phi_u.vectors, *phi_v.vectors],
-                           phi_u.phase * phi_v.phase).values
-            assert np.max(np.abs(lhs - rhs)) < 1e-9
+                           phi_u.phase * phi_v.phase)
+            assert lhs.parity == rhs.parity == 0
+            assert np.max(np.abs(lhs.half - rhs.half)) < 1e-9
 
     def test_diagonal_rotor_product_formula(self):
         # for diagonal input the lift is the plane-rotor product times the
@@ -709,7 +742,7 @@ class TestPhiLift:
         # (c1 - s1 e1e2)(c2 - s2 e3e4), multiplied out
         expected = phase * (c1 * c2 * alg.scalar(1).to_dense() - s1 * c2 * e12.to_dense()
                             - c1 * s2 * e34.to_dense() + s1 * s2 * (e12 * e34).to_dense())
-        assert _dist(g.values, expected) < 1e-12
+        assert g.parity == 0 and _half_dist(g, expected) < 1e-12
 
     def test_canonicity(self):
         # a random U(3), then spectra with repeated, clustered, conjugate or
@@ -719,7 +752,9 @@ class TestPhiLift:
             g = phi_lift(U)
             assert rho_residual(g, realify(U)) <= 1e-9, label
             for _ in range(3):
-                assert np.max(np.abs(g.values - phi_lift(U, rng=nrng).values)) <= 1e-9, label
+                redo = phi_lift(U, rng=nrng)
+                assert redo.parity == g.parity == 0, label
+                assert np.max(np.abs(g.half - redo.half)) <= 1e-9, label
 
     def test_branch_cut_flagged(self):
         g = phi_lift(np.array([[-1.0 + 0j]]))
@@ -745,12 +780,12 @@ class TestPhiReal:
 
     def test_multiplication_by_i_both_sides(self):
         U = np.array([[1j]])
-        lifted = phi_lift(np.conj(U)).values
+        lifted = phi_lift(np.conj(U))
         alg = ccl_interleaved(1)
         s = 1 / math.sqrt(2)
         phase = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
         expected = phase * s * (alg.scalar(1) + alg.blade([1, 2])).to_dense()
-        assert _dist(lifted, expected) < 1e-12
+        assert lifted.parity == 0 and _half_dist(lifted, expected) < 1e-12
         assert _phi_residuals(U)["real_equivariance"] <= 1e-9
 
     def test_random_u2(self):
@@ -779,7 +814,7 @@ class TestLiftResiduals:
         signs = np.array([alg.from_terms({m: 1}).bar().coeff(m).re for m in range(8)],
                          dtype=float)
         res = lift_residuals(g, twisted_adjoint(g), c)
-        assert res["real_equivariance"] == _dist(c.values, g.values.conj() * signs) == 0.8
+        assert res["real_equivariance"] == _dist(_scatter(c), _scatter(g).conj() * signs) == 0.8
 
     def test_conj_lift_is_compared_with_the_bar_of_g(self):
         U = random_unitary(np.random.default_rng(4), 3)
@@ -789,6 +824,25 @@ class TestLiftResiduals:
         assert res["real_equivariance"] == _dist(c.half, g.algebra.half_bar(g.half, g.parity))
         # without the conjugate lift, phi(U) of a non-real U is not bar-fixed
         assert lift_residuals(g, realify(U))["real_equivariance"] > 1e-3
+
+    @pytest.mark.parametrize("conj_algebra", [ccl_interleaved(2), ccl(3, 0)],
+                             ids=lambda a: a.label)
+    def test_conj_lift_of_another_algebra_refused(self, monkeypatch, conj_algebra):
+        # a conj lift of the same size and one of another size: one refusal, before any
+        # residual or bar is taken
+        R = random_special_orthogonal(np.random.default_rng(2), 4)
+        g = spin_lift(R)
+        c = DensePin(conj_algebra, [])
+
+        def unreached(*args):
+            raise AssertionError("arithmetic before the algebra check")
+
+        monkeypatch.setattr(pin_spin, "rho_residual", unreached)
+        monkeypatch.setattr(CliffordAlgebra, "half_bar", unreached)
+        message = f"signature mismatch: a conj lift in {conj_algebra.label} for a lift in CCl(4,0)"
+        for call in (lambda: lift_residuals(g, R, c), lambda: pin_spin._bar_gap(g, c)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
     def test_nan_propagates(self):
         g = spin_lift(np.eye(2))

@@ -164,6 +164,29 @@ class TestLiftCommands:
         assert code == 0
         assert capsys.readouterr().out == f"lift: {expression}\nresidual rho: 0.000e+00\n"
 
+    @pytest.mark.parametrize("lift", ["spin", "phi", "reflection"])
+    def test_terms_are_the_nonzero_entries_of_the_scattered_half(self, lift):
+        # the report reads the half and its masks; a full array scattered here is the oracle
+        nrng = np.random.default_rng(41)
+        if lift == "spin":
+            matrix = random_special_orthogonal(nrng, 6)
+            g = pin_spin.spin_lift(matrix)
+        elif lift == "phi":
+            matrix = random_unitary(nrng, 3)
+            g = pin_spin.phi_lift(matrix)
+        else:
+            u = nrng.standard_normal(5)
+            g = DensePin(ccl(5, 0), [u / np.linalg.norm(u)])
+            matrix = pin_spin.twisted_adjoint(g)
+        full = np.zeros(1 << g.algebra.dim, dtype=complex)
+        full[g.masks] = g.half
+        support = np.flatnonzero(full).tolist()
+        terms = cli._lift_report(f"{lift}-lift", matrix, g, {})["outputs"]["terms"]
+        assert terms == [[m, [full[m].real, full[m].imag]] for m in support]
+        masks = [m for m, _ in terms]
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        assert {m.bit_count() % 2 for m in masks} == {g.parity}
+
     def test_spin_lift(self, capsys, tmp_path):
         payload = {"rows": 2, "cols": 2,
                    "entries": [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]}
