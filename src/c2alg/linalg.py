@@ -10,6 +10,7 @@ it compares (``default_tol`` caches only the parse of each value).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +40,14 @@ def _read_matrix(M, dtype=complex, *, square: bool = True, finite: bool = True) 
     return A
 
 
-def random_unitary(nrng, n: int) -> np.ndarray:
-    """Haar-distributed n x n unitary drawn from a numpy Generator."""
-    Z = nrng.standard_normal((n, n)) + 1j * nrng.standard_normal((n, n))
+def gaussian_matrix(rng: random.Random, n: int) -> np.ndarray:
+    """n x n matrix of standard normal entries, drawn row by row from ``rng.gauss``."""
+    return np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)])
+
+
+def random_unitary(rng: random.Random, n: int) -> np.ndarray:
+    """Haar-distributed n x n unitary drawn from a ``random.Random``."""
+    Z = gaussian_matrix(rng, n) + 1j * gaussian_matrix(rng, n)
     Q, R = np.linalg.qr(Z)
     d = np.diag(R)
     return Q * (d / np.abs(d))

@@ -34,6 +34,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -546,7 +547,7 @@ def lift_residuals(g: DensePin, target, conj_lift: DensePin | None = None) -> di
 # -- the Spin^c lift of unitary matrices ---------------------------------------------
 
 
-def phi_lift(U, *, rng=None) -> DensePin:
+def phi_lift(U, *, rng: random.Random | None = None) -> DensePin:
     """Canonical Spin^c(n,n) lift of a unitary matrix, in the interleaved basis.
 
     With U = V diag(exp(i theta_j)) V* from ``linalg.unitary_eigh`` and w_k
@@ -555,10 +556,13 @@ def phi_lift(U, *, rng=None) -> DensePin:
     (c_j w_{2j-1} + s_j w_{2j}) w_{2j-1} = c_j - s_j w_{2j-1} w_{2j} with
     c_j = cos(theta_j/2), s_j = sin(theta_j/2); a rotor with theta_j = 0 is
     skipped, so there are at most 2n factors. Angles use the principal branch
-    (-pi, pi]; the result does not depend on the eigendecomposition. Pass
-    ``rng`` to decompose Q* U Q for a random unitary Q instead (used to
-    exercise canonicity).
+    (-pi, pi]; the result does not depend on the eigendecomposition. Pass a
+    ``random.Random`` as ``rng`` to decompose Q* U Q for a random unitary Q
+    drawn from it instead (used to exercise canonicity); any other ``rng`` is
+    refused before the matrix is read.
     """
+    if rng is not None and not isinstance(rng, random.Random):
+        raise ValueError(f"rng must be a random.Random, not {type(rng).__name__}")
     A = _read_matrix(U)
     n = A.shape[0]
     algebra = ccl_interleaved(n)

@@ -1,9 +1,13 @@
 """Seeded property suites behind ``verify``; shared by the CLI and the tests.
 
-Each suite draws its cases from a deterministic generator seeded by the pair
-(seed, suite name), so identical invocations produce identical reports. Exact
-suites assert equalities on the nose; spectral suites track max residuals
-against the double-precision tolerance.
+Each suite draws its cases from a ``random.Random`` seeded by the string
+"{seed}:{salt}", where the salt is the suite name, so identical invocations
+produce identical reports and every integer seed, and every salt, has its own
+stream. The spectral suites draw their matrices the same way, with Gaussian
+entries from ``rng.gauss`` (the spin-lift matrices under the salt
+"spin-lift-matrices", apart from its exact round trip). Exact suites assert
+equalities on the nose; spectral suites track max residuals against the
+double-precision tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import funcalc, genus, mackey
 from .clifford import Multivector, ccl, from_kasparov, graded_tensor_split, to_kasparov
-from .linalg import default_tol, random_unitary, realify
+from .linalg import default_tol, gaussian_matrix, random_unitary, realify
 from .pin_spin import (DensePin, PinElement, check_rho_real_equivariance,
                        iv_model_action, lift_residuals, phi_lift, spin_lift, twisted_adjoint)
 from .scalars import GaussianRational, MultiPoly, RatFunc
@@ -26,8 +30,9 @@ MAX_REPORTED_FAILURES = 20
 
 # Largest case count the CLI accepts. Time is linear in the count and memory
 # flat: cold `verify --suite all` takes 0.50 s at 100 cases, 1.3 s at 1000,
-# 3.6 s at 3000 and 9.5 s at the cap (medians of 5, of 3 at the cap; peak RSS
-# 40-41 MiB throughout) on a shared 2-vCPU Xeon VM with Python 3.11.
+# 3.6 s at 3000 and 9.5 s at the cap (medians of 5, of 3 at the cap) on a shared
+# 2-vCPU Xeon VM with Python 3.11. Peak RSS is 34-35 MiB at 100, 1000 and 10000
+# cases alike (two runs each).
 MAX_CASES = 10_000
 
 
@@ -64,10 +69,6 @@ class SuiteResult:
 
 def _rng(seed: int, salt: str) -> random.Random:
     return random.Random(f"{seed}:{salt}")
-
-
-def _np_rng(seed: int, salt: str) -> np.random.Generator:
-    return np.random.default_rng([seed & 0x7FFFFFFF, sum(map(ord, salt))])
 
 
 # -- random exact data ----------------------------------------------------------------
@@ -291,8 +292,9 @@ def suite_pin_kernel(seed: int, cases: int) -> SuiteResult:
     return result
 
 
-def random_special_orthogonal(nrng, n: int) -> np.ndarray:
-    Z = nrng.standard_normal((n, n))
+def random_special_orthogonal(rng: random.Random, n: int) -> np.ndarray:
+    """Haar-distributed n x n rotation drawn from a ``random.Random``."""
+    Z = gaussian_matrix(rng, n)
     Q, R = np.linalg.qr(Z)
     Q = Q * np.where(np.diag(R) < 0, -1.0, 1.0)
     if np.linalg.det(Q) < 0:
@@ -305,12 +307,12 @@ def random_special_orthogonal(nrng, n: int) -> np.ndarray:
 
 def suite_spin_lift(seed: int, cases: int) -> SuiteResult:
     result = SuiteResult("spin-lift")
-    nrng = _np_rng(seed, "spin-lift")
+    matrices = _rng(seed, "spin-lift-matrices")
     rng = _rng(seed, "spin-lift")
     tol = default_tol()
     for i in range(cases):
         n = 2 + (i % 7)
-        R = random_special_orthogonal(nrng, n)
+        R = random_special_orthogonal(matrices, n)
         try:
             g = spin_lift(R)
             res = lift_residuals(g, R)
@@ -343,12 +345,12 @@ def suite_spin_lift(seed: int, cases: int) -> SuiteResult:
 
 def suite_phi(seed: int, cases: int) -> SuiteResult:
     result = SuiteResult("phi")
-    nrng = _np_rng(seed, "phi")
+    rng = _rng(seed, "phi")
     tol = default_tol()
     for i in range(cases):
         n = 1 + (i % 4)
-        U = random_unitary(nrng, n)
-        V = random_unitary(nrng, n)
+        U = random_unitary(rng, n)
+        V = random_unitary(rng, n)
         try:
             phi_u = phi_lift(U)
             phi_v = phi_lift(V)
@@ -357,7 +359,7 @@ def suite_phi(seed: int, cases: int) -> SuiteResult:
             # phi(U) phi(V) from the factors of both lifts: it shares no eigenbasis with phi(UV)
             product = DensePin(phi_u.algebra, [*phi_u.vectors, *phi_v.vectors],
                                phi_u.phase * phi_v.phase)
-            redo = phi_lift(U, rng=nrng)
+            redo = phi_lift(U, rng=rng)
         except ValueError as exc:  # a C2ALG_TOL below rounding error refuses the input
             result.check(False, f"phi case {i} (n={n}): {exc}")
             continue

@@ -18,9 +18,9 @@ from c2alg.genus import (ahat_polynomial, ahat_sequence, cp_projective_data,
 from c2alg.linalg import fixed_point_retraction
 from c2alg.mackey import (FIXTURE_EXPECTED, check_mackey_axioms,
                           fixture_presentations, mat_mul)
-from c2alg.verify import (random_unitary, suite_clifford,
-                          suite_functional_calculus, suite_phi, suite_rho,
+from c2alg.verify import (suite_clifford, suite_functional_calculus, suite_phi, suite_rho,
                           suite_spin_lift)
+from numpy_draws import random_unitary
 
 SEED = 7
 

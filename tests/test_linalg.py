@@ -7,7 +7,7 @@ import pytest
 from c2alg.linalg import (fixed_point_retraction, matrix_from_json, matrix_to_json,
                           realify, symmetric_unitary_sqrt, unitary_eigh)
 from c2alg.pin_spin import householder_factors, phi_lift, rho_residual, spin_lift
-from c2alg.verify import random_special_orthogonal, random_unitary
+from numpy_draws import random_special_orthogonal, random_unitary
 
 RNG = np.random.default_rng(20240817)
 

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,9 +16,9 @@ from c2alg.pin_spin import (DensePin, PinElement, _twisted_adjoint_numeric,
                             is_fixed_spinc, iv_model_action, lift_residuals, phi_lift,
                             rho_residual, spin_lift, twisted_adjoint, unit_residual)
 from c2alg.scalars import GaussianRational, MultiPoly
-from c2alg.verify import (_rng, rand_multivector, rand_pin, rand_polynomial,
-                          random_special_orthogonal, random_unitary, rational_phase,
+from c2alg.verify import (_rng, rand_multivector, rand_pin, rand_polynomial, rational_phase,
                           rational_unit_vector)
+from numpy_draws import random_special_orthogonal, random_unitary
 
 I = GaussianRational.I
 
@@ -748,13 +749,26 @@ class TestPhiLift:
         # a random U(3), then spectra with repeated, clustered, conjugate or
         # branch-cut eigenvalues, and a nearly (not exactly) symmetric U
         nrng = np.random.default_rng(6)
+        rng = random.Random(6)
         for label, U in [("random", random_unitary(nrng, 3))] + _stress_unitaries(nrng):
             g = phi_lift(U)
             assert rho_residual(g, realify(U)) <= 1e-9, label
             for _ in range(3):
-                redo = phi_lift(U, rng=nrng)
+                redo = phi_lift(U, rng=rng)
                 assert redo.parity == g.parity == 0, label
                 assert np.max(np.abs(g.half - redo.half)) <= 1e-9, label
+
+    @pytest.mark.parametrize("rng, kind", [(np.random.default_rng(6), "Generator"),
+                                           (random, "module"), (6, "int")],
+                             ids=["numpy-generator", "random-module", "int"])
+    def test_rng_other_than_random_instance_refused(self, monkeypatch, rng, kind):
+        # one refusal naming random.Random, before the matrix is read
+        def unreached(*args):
+            raise AssertionError("work before the rng check")
+
+        monkeypatch.setattr(pin_spin, "_read_matrix", unreached)
+        with pytest.raises(ValueError, match=f"^rng must be a random\\.Random, not {kind}$"):
+            phi_lift(np.eye(2), rng=rng)
 
     def test_branch_cut_flagged(self):
         g = phi_lift(np.array([[-1.0 + 0j]]))

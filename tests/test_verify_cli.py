@@ -13,10 +13,10 @@ import pytest
 import c2alg
 from c2alg import cli, pin_spin, verify
 from c2alg.clifford import ccl, ccl_interleaved
-from c2alg.linalg import matrix_to_json, random_unitary
+from c2alg.linalg import matrix_to_json
 from c2alg.pin_spin import DensePin
-from c2alg.verify import (MAX_CASES, SuiteResult, random_special_orthogonal, run_verify,
-                          suite_phi, suite_spin_lift)
+from c2alg.verify import MAX_CASES, SuiteResult, run_verify, suite_phi, suite_spin_lift
+from numpy_draws import random_special_orthogonal, random_unitary
 
 
 def run_cli(capsys, *argv):
@@ -693,6 +693,37 @@ class TestRunVerifyApi:
         assert set(report) == {"command", "inputs", "outputs", "residuals", "verdict"}
         assert report["verdict"] == "pass"
 
+    @pytest.mark.parametrize("seed, other", [(7, 2**31 + 7), (-1, 2**31 - 1)])
+    def test_seeds_have_their_own_spectral_streams(self, monkeypatch, seed, other):
+        # seeds equal modulo 2^31 once shared the spectral draws, so every residual
+        def spectral_run(s):
+            drawn = []
+
+            def recording(draw):
+                def record(rng, n):
+                    drawn.append(draw(rng, n))
+                    return drawn[-1]
+                return record
+
+            for name in ("random_special_orthogonal", "random_unitary"):
+                monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+            residuals = run_verify("pin-spin", s, 20)["residuals"]
+            monkeypatch.undo()
+            return drawn, {key: value for key, value in residuals.items()
+                           if key.startswith(("pin-spin.spin-lift.", "pin-spin.phi."))}
+
+        drawn, residuals = spectral_run(seed)
+        other_drawn, other_residuals = spectral_run(other)
+        assert len(drawn) == len(other_drawn) == 20 + 2 * 6
+        assert not any(np.array_equal(a, b) for a, b in zip(drawn, other_drawn))
+        assert len(residuals) == 10 and residuals != other_residuals
+
+    def test_anagram_salts_have_their_own_spectral_streams(self):
+        # a salt summed letter by letter once gave "paper-12" and "paper-21" one stream
+        first, second = (verify.random_special_orthogonal(verify._rng(7, salt), 4)
+                         for salt in ("paper-12", "paper-21"))
+        assert not np.array_equal(first, second)
+
 
 # Runs one command line (a list) under the real entry point, or imports one
 # module (a string), in a fresh interpreter; prints the loaded module names.
@@ -710,7 +741,7 @@ else:
 print(json.dumps(sorted(sys.modules)))
 """
 _SUBMODULES = tuple(f"c2alg.{info.name}" for info in pkgutil.iter_modules(c2alg.__path__))
-_NEVER = ("scipy", "sympy")
+_NEVER = ("scipy", "sympy", "numpy.random")
 _FORBIDDEN_IN_EXACT = ("numpy", "c2alg.linalg", "c2alg.pin_spin", "c2alg.funcalc",
                        "c2alg.verify", *_NEVER)
 _FORBIDDEN_IN_LIFTS = ("c2alg.genus", "c2alg.mackey", "c2alg.funcalc", "c2alg.verify",
@@ -733,6 +764,7 @@ FOOTPRINTS = [
     (["spin-lift", "--matrix", "FILE"], _ROTATION, _FORBIDDEN_IN_LIFTS),
     (["phi-lift", "--unitary", "FILE"], _ROTATION, _FORBIDDEN_IN_LIFTS),
     (["verify", "--suite", "functional-calculus", "--cases", "5"], None, _NEVER),
+    (["verify", "--suite", "all", "--cases", "5"], None, _NEVER),
 ]
 
 
@@ -740,7 +772,7 @@ FOOTPRINTS = [
                          ids=["import-c2alg", "import-cli", "obstruction", "ahat-manifold",
                               "ahat-pontryagin", "clifford-mul", "clifford-conj",
                               "clifford-star", "spin-lift", "phi-lift",
-                              "verify-functional-calculus"])
+                              "verify-functional-calculus", "verify-all"])
 def test_import_footprint(tmp_path, target, text, forbidden):
     if text is not None:
         path = tmp_path / "input.json"
